@@ -20,6 +20,7 @@ from .errors import (
     DivisionByZeroError,
     EnumerationCapExceededError,
     InfiniteFieldError,
+    InvariantViolationError,
     MismatchedFieldError,
     MismatchedRingError,
     ProblemSyntaxError,
@@ -34,7 +35,6 @@ from .fields import (
     PrimeField,
     QuadraticField,
     RationalField,
-    enumerate_field,
 )
 from .groebner import (
     GroebnerBasis,
@@ -56,7 +56,8 @@ from .matrixideals import (
     max_left_ideal_member,
     row_module,
 )
-from .oracle import OracleReport, agreement_check, kernel_basis, oracle_check
+from .linalg import kernel_basis
+from .oracle import OracleReport, agreement_check, oracle_check
 from .parser import parse_polynomial, parse_problem, format_problem
 from .poly import (
     OrderSpec,

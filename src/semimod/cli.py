@@ -26,7 +26,7 @@ from .matrixideals import matrix_semiprime_member
 from .oracle import DEFAULT_CAP, oracle_check, oracle_check_escalating
 from .parser import Query, parse_problem
 from .poly import OrderSpec
-from .verdicts import EXTENSION_STABLE, SOUND_ONLY
+from .verdicts import guarantee_for
 from .submodules import (
     prime_closure_at,
     semiprime_refutation,
@@ -99,9 +99,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         gens = [problem.get(g, {"poly"}) for g in query.args["generators"]]
         member, stats = _radical_member(value, gens, order, limits)
         report["member"] = member
-        report["guarantee"] = (
-            EXTENSION_STABLE if problem.ring.field.char == 0 else SOUND_ONLY
-        )
+        report["guarantee"] = guarantee_for(problem.ring.field)
         report["counters"] = stats
         code = 0 if member else 1
 

@@ -24,11 +24,10 @@ caps and independent queries may run in parallel.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MismatchedRingError
+from .errors import EnumerationCapExceededError, InvariantViolationError, MismatchedRingError
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
@@ -37,11 +36,10 @@ from .groebner import (
     normal_form,
     submodule_member,
 )
-from .linalg import kernel_basis
+from .oracle import DEFAULT_CAP, odometer, vanishing_scan
 from .poly import DEFAULT_ORDER, OrderSpec, Polynomial, PolyRing, VectorPoly
-from .verdicts import EXTENSION_STABLE, SOUND_ONLY, Verdict, Witness
-from .fields import FieldElement
 from .submodules import prime_closure_at
+from .verdicts import Verdict, Witness, guarantee_for
 
 
 @dataclass(frozen=True)
@@ -64,10 +62,6 @@ def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
     return BilinearEncoding(ext, enc_gens, f.embed_into(ext).dot(vblock))
 
 
-def _guarantee(field) -> str:
-    return EXTENSION_STABLE if field.char == 0 else SOUND_ONLY
-
-
 def _radical_member(f, gens, order, limits):
     ring = f.ring
     for g in gens:
@@ -81,9 +75,9 @@ def _radical_member(f, gens, order, limits):
     gb = presentation.groebner(order, limits)
     one = VectorPoly(ext, [ext.one()])
     member = normal_form(one, gb.elements, order).remainder.is_zero() if gb.elements else False
-    if member:
-        # soundness re-check: the reduced basis of the unit ideal is exactly {1}
-        assert len(gb.elements) == 1 and gb.elements[0] == one
+    # soundness re-check: the reduced basis of the unit ideal is exactly {1}
+    if member and (len(gb.elements) != 1 or gb.elements[0] != one):
+        raise InvariantViolationError("unit ideal without the reduced basis {1}")
     return member, dict(gb.stats)
 
 
@@ -103,64 +97,34 @@ def radical_member(
 # witness search
 # ---------------------------------------------------------------------------
 
-def _grid_values(field, radius: int):
-    """Small candidate coordinates, nearest to zero first, so the first
+def _grid_values(radius: int):
+    """Small rational coordinates, nearest to zero first, so the first
     witness found is the smallest one."""
-    values = [0]
+    yield Fraction(0)
     for k in range(1, radius + 1):
-        values.extend([k, -k])
-    return [field.coerce(Fraction(v) if field.char == 0 else v) for v in values]
-
-
-def _witness_points(field, dim: int, radius: int):
-    if field.char == 0:
-        return itertools.product(_grid_values(field, radius), repeat=dim)
-    return itertools.product([e.value for e in field.elements()], repeat=dim)
+        yield Fraction(k)
+        yield Fraction(-k)
 
 
 def find_vanishing_witness(f: VectorPoly, generators, radius: int = 2):
     """Search for a point a and direction v with g(a).v = 0 for every
-    generator while f(a).v != 0.  Over Q the search runs on a bounded
-    integer grid; over a finite field it enumerates the whole point space.
-    Returns a verified Witness or None; absence of a witness proves
-    nothing."""
-    ring = f.ring
-    field = ring.field
-    n = len(f)
-    for point in _witness_points(field, ring.nx, radius):
-        rows = [g.evaluate_raw(point) for g in generators]
-        kernel = kernel_basis(rows, n, field)
-        if not kernel:
-            continue
-        fvals = f.evaluate_raw(point)
-        for v in kernel:
-            s = field.zero_raw
-            for fv, vv in zip(fvals, v):
-                s = field.add(s, field.mul(fv, vv))
-            if not field.is_zero(s):
-                witness = Witness(
-                    point=tuple(FieldElement(field, x) for x in point),
-                    vector=tuple(FieldElement(field, x) for x in v),
-                )
-                _verify_witness(f, generators, witness)
-                return witness
-    return None
-
-
-def _verify_witness(f, generators, witness: Witness):
-    """Re-evaluate a witness before emission; a bad one is a bug."""
+    generator while f(a).v != 0, using the oracle's vanishing scan.  Over Q
+    the points form the integer grid {-radius..radius}^d; over a finite
+    field they are every point of the field, in the oracle's order.  Points
+    are enumerated lazily, and the search gives up after DEFAULT_CAP points
+    or kernel-vector evaluations.  Returns a verified Witness or None;
+    absence of a witness proves nothing."""
     field = f.ring.field
-    point = [w.value for w in witness.point]
-    vec = [w.value for w in witness.vector]
-
-    def pairing(vector_poly):
-        s = field.zero_raw
-        for val, vv in zip(vector_poly.evaluate_raw(point), vec):
-            s = field.add(s, field.mul(val, vv))
-        return s
-
-    assert all(field.is_zero(pairing(g)) for g in generators)
-    assert not field.is_zero(pairing(f))
+    if field.char == 0:
+        values = _grid_values(radius)
+    else:
+        values = (e.value for e in field.elements())
+    points = odometer(values, f.ring.nx)
+    try:
+        scan = vanishing_scan(f, generators, field, points, DEFAULT_CAP)
+    except EnumerationCapExceededError:
+        return None
+    return None if scan.passed else Witness(*scan.counterexample)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +148,7 @@ def semiprime_member(
     test alone; the optional witness search only decorates it."""
     if f.ring != submodule.ring or len(f) != submodule.rank:
         raise MismatchedRingError("query does not match the submodule's ring/rank")
-    guarantee = _guarantee(f.ring.field)
+    guarantee = guarantee_for(f.ring.field)
     direct = submodule_member(f, submodule, order, limits)
     if direct.member:
         return Verdict(

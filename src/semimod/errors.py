@@ -53,6 +53,12 @@ class EnumerationCapExceededError(SemimodError):
     code = "EnumerationCapExceeded"
 
 
+class InvariantViolationError(SemimodError):
+    """A soundness re-check failed: the program is wrong, not the input."""
+
+    code = "InternalInvariant"
+
+
 class ProblemSyntaxError(SemimodError):
     """Problem text failed to parse; carries the 1-based position."""
 

@@ -381,27 +381,6 @@ class FieldElement:
         return f"{self.field!r}({self})"
 
 
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a * b
-
-
-def field_neg(a: FieldElement) -> FieldElement:
-    return -a
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inverse()
-
-
-def enumerate_field(field: Field):
-    """Yield every element of a finite field exactly once."""
-    return field.elements()
-
-
 def field_from_name(name: str) -> Field:
     """Resolve a field name as written in problem files: Q, F<p>, F<p>^2."""
     if name in ("Q", "QQ"):

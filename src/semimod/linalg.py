@@ -14,6 +14,14 @@ from math import gcd
 from .fields import Field, RationalField
 
 
+def dot_raw(field: Field, xs, ys):
+    """Sum of x * y over paired raw values."""
+    s = field.zero_raw
+    for x, y in zip(xs, ys):
+        s = field.add(s, field.mul(x, y))
+    return s
+
+
 def rref(rows, field: Field):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     m = [list(r) for r in rows]

@@ -26,8 +26,9 @@ from .groebner import (
     SubmodulePresentation,
     submodule_member,
 )
+from .linalg import dot_raw
 from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing
-from .verdicts import EXTENSION_STABLE, SOUND_ONLY, Verdict, Witness
+from .verdicts import Verdict, guarantee_for
 
 
 @dataclass
@@ -113,44 +114,21 @@ def matrix_semiprime_member(
     generators = list(generators)
     ideal = LeftIdealPresentation(f.ring, f.size, generators)
     module = ideal.row_module()
-    guarantee = EXTENSION_STABLE if f.ring.field.char == 0 else SOUND_ONLY
-    gen_rows = module.generators
+    guarantee = guarantee_for(f.ring.field)
     for row in f.row_vectors():
         verdict = semiprime_member(
             row, module, order, limits, search_witness=False
         )
         if not verdict.member:
-            witness = None
-            if search_witness:
-                witness = find_vanishing_witness(row, gen_rows, witness_radius)
-                if witness is not None:
-                    _verify_matrix_witness(f, generators, witness)
+            witness = (
+                find_vanishing_witness(row, module.generators, witness_radius)
+                if search_witness
+                else None
+            )
             return Verdict(
                 member=False, witness=witness, guarantee=guarantee, method="radical"
             )
     return Verdict(member=True, guarantee=guarantee, method="radical")
-
-
-def _verify_matrix_witness(f: PolyMatrix, generators, witness: Witness):
-    field = f.ring.field
-    point = [w.value for w in witness.point]
-    vec = [w.value for w in witness.vector]
-
-    def image(matrix):
-        values = matrix.evaluate_raw(point)
-        return [
-            _dot_raw(field, row, vec) for row in values
-        ]
-
-    assert all(all(field.is_zero(s) for s in image(g)) for g in generators)
-    assert any(not field.is_zero(s) for s in image(f))
-
-
-def _dot_raw(field, xs, ys):
-    s = field.zero_raw
-    for a, b in zip(xs, ys):
-        s = field.add(s, field.mul(a, b))
-    return s
 
 
 def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
@@ -166,4 +144,4 @@ def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
     if len(raw_point) != x.ring.nx:
         raise DimensionMismatchError("point does not match the ring's x-block")
     values = x.evaluate_raw(raw_point)
-    return all(field.is_zero(_dot_raw(field, row, raw_u)) for row in values)
+    return all(field.is_zero(dot_raw(field, row, raw_u)) for row in values)

@@ -1,13 +1,17 @@
-"""Brute-force verifier over small finite fields.
+"""The vanishing-implication engine, and the finite-field oracle built on it.
 
-For every point a of the field's d-fold product it stacks the evaluated
-generators, computes a basis of the joint kernel, and checks that the
-query annihilates every kernel basis vector (linearity makes basis vectors
-sufficient).  The first violation, in enumeration order, is returned as a
-counterexample and re-verified before emission, so reports are fully
-deterministic; a parallel implementation would have to reconcile to the
-same minimal index.
+The semiprime Nullstellensatz reduces closure membership to one test: if
+G_i(a)v = 0 for every generator, then F(a)v = 0.  ``vanishing_scan`` runs
+that test over any lazy source of points.  At each point it stacks the
+evaluated generators, computes a basis of the joint kernel, evaluates the
+query once, and checks that the query annihilates every kernel basis vector
+(linearity makes basis vectors sufficient).  The first violation in
+enumeration order is re-verified and returned, so results are fully
+deterministic; a parallel implementation would have to reconcile to the same
+minimal index.  The witness search in ``closure`` and the oracle below are
+thin wrappers over this one loop.
 
+The oracle enumerates every point of the field's d-fold product.
 Finite-field points are not points of the characteristic-0 variety, so
 over Q-based problems the oracle is advisory only; agreement tests run the
 whole pipeline over one finite field instead.
@@ -18,17 +22,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationCapExceededError, InfiniteFieldError
-from .fields import Field, FieldElement, PrimeField, QuadraticField
-from .linalg import kernel_basis as _kernel_basis
+from .errors import (
+    EnumerationCapExceededError,
+    InfiniteFieldError,
+    InvariantViolationError,
+)
+from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
+from .linalg import dot_raw, kernel_basis as _kernel_basis
 from .poly import PolyMatrix
 
 DEFAULT_CAP = 1_000_000
-
-
-def kernel_basis(rows, ncols: int, field: Field):
-    """Canonical basis of the right null space of a scalar matrix."""
-    return _kernel_basis(rows, ncols, field)
 
 
 @dataclass
@@ -65,22 +68,76 @@ class OracleReport:
         return out
 
 
-def _stack_rows(obj, point):
+def odometer(values, dim: int):
+    """Every dim-tuple of coordinate values, last coordinate fastest (the
+    order of itertools.product).  Only the first row, where every coordinate
+    but the last holds the first value, is produced while ``values`` is
+    still being read, so a huge field costs nothing before its first
+    points."""
+    if dim == 0:
+        yield ()
+        return
+    seen = []
+    for value in values:
+        seen.append(value)
+        yield (seen[0],) * (dim - 1) + (value,)
+    yield from itertools.islice(itertools.product(seen, repeat=dim), len(seen), None)
+
+
+def _rows_at(obj, point):
+    """A vector evaluates to one row, a matrix to its rows."""
     if isinstance(obj, PolyMatrix):
         return obj.evaluate_raw(point)
-    return [list(obj.evaluate_raw(point))]
+    return [obj.evaluate_raw(point)]
 
 
-def _query_values(obj, point, vec, field):
-    """Pairings of the evaluated query with a kernel vector; one scalar per
-    stacked row."""
-    out = []
-    for row in _stack_rows(obj, point):
-        s = field.zero_raw
-        for a, b in zip(row, vec):
-            s = field.add(s, field.mul(a, b))
-        out.append(s)
-    return out
+def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleReport:
+    """Test the vanishing implication at each of ``points`` (raw coordinate
+    tuples) until the first violation.  The query and the generators may be
+    vectors or matrices over ``field``.  Raises EnumerationCapExceededError
+    once more than ``cap`` points or kernel-vector evaluations are needed."""
+    n = query.size if isinstance(query, PolyMatrix) else len(query)
+    count = evaluations = nontrivial = 0
+    for point in points:
+        count += 1
+        if count > cap:
+            raise EnumerationCapExceededError(f"point cap of {cap} crossed")
+        rows = []
+        for g in generators:
+            rows.extend(_rows_at(g, point))
+        kernel = _kernel_basis(rows, n, field)
+        if not kernel:
+            continue
+        nontrivial += 1
+        values = _rows_at(query, point)
+        for v in kernel:
+            evaluations += 1
+            if evaluations > cap:
+                raise EnumerationCapExceededError(
+                    f"evaluation cap of {cap} crossed"
+                )
+            if any(not field.is_zero(dot_raw(field, row, v)) for row in values):
+                _verify_violation(query, generators, field, point, v)
+                violation = (
+                    tuple(FieldElement(field, x) for x in point),
+                    tuple(FieldElement(field, x) for x in v),
+                )
+                return OracleReport(field, count, evaluations, nontrivial, violation)
+    return OracleReport(field, count, evaluations, nontrivial, None)
+
+
+def _verify_violation(query, generators, field, point, vector):
+    """Re-evaluate a violation before it is returned; a bad one is a bug."""
+
+    def vanishes(obj):
+        return all(
+            field.is_zero(dot_raw(field, row, vector)) for row in _rows_at(obj, point)
+        )
+
+    if not all(vanishes(g) for g in generators) or vanishes(query):
+        raise InvariantViolationError(
+            f"violation at {point} with vector {vector} does not re-verify"
+        )
 
 
 def oracle_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> OracleReport:
@@ -92,58 +149,16 @@ def oracle_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> Ora
         raise InfiniteFieldError("the oracle enumerates finite fields only")
     query = query.map_coefficients(field)
     generators = [g.map_coefficients(field) for g in generators]
-    ring = query.ring
-    d = ring.nx
-    n = query.size if isinstance(query, PolyMatrix) else len(query)
+    d = query.ring.nx
     if field.size**d > cap:
         raise EnumerationCapExceededError(
             f"{field.size}^{d} points exceed the cap of {cap}"
         )
-    elements = [e.value for e in field.elements()]
-    points = 0
-    evaluations = 0
-    nontrivial = 0
-    for point in itertools.product(elements, repeat=d):
-        points += 1
-        rows = []
-        for g in generators:
-            rows.extend(_stack_rows(g, point))
-        kernel = _kernel_basis(rows, n, field)
-        if not kernel:
-            continue
-        nontrivial += 1
-        for v in kernel:
-            evaluations += 1
-            if evaluations > cap:
-                raise EnumerationCapExceededError(
-                    f"evaluation cap of {cap} crossed"
-                )
-            values = _query_values(query, point, v, field)
-            if any(not field.is_zero(s) for s in values):
-                counterexample = (
-                    tuple(FieldElement(field, x) for x in point),
-                    tuple(FieldElement(field, x) for x in v),
-                )
-                _verify_counterexample(query, generators, field, point, v)
-                return OracleReport(field, points, evaluations, nontrivial, counterexample)
-    return OracleReport(field, points, evaluations, nontrivial, None)
-
-
-def _verify_counterexample(query, generators, field, point, vec):
-    for g in generators:
-        assert all(field.is_zero(s) for s in _query_values(g, point, vec, field))
-    assert any(not field.is_zero(s) for s in _query_values(query, point, vec, field))
-
-
-def quadratic_extension_of(field: Field) -> QuadraticField:
-    if isinstance(field, PrimeField):
-        return QuadraticField(field.p)
-    raise ValueError("quadratic escalation starts from a prime field")
+    points = odometer((e.value for e in field.elements()), d)
+    return vanishing_scan(query, generators, field, points, cap)
 
 
 def _next_prime(p: int) -> int:
-    from .fields import is_prime
-
     q = p + 1
     while not is_prime(q):
         q += 1

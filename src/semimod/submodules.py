@@ -13,22 +13,14 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, ZeroCovectorError
 from .groebner import SubmodulePresentation, submodule_member
-from .linalg import kernel_basis, primitive_scale, rref
-from .poly import Polynomial, PolyRing, VectorPoly, unit_vector
+from .linalg import dot_raw, kernel_basis, primitive_scale, rref
+from .poly import Polynomial, PolyRing, VectorPoly, _coerce_point, unit_vector
 
 
 def point_ideal_generators(ring: PolyRing, point):
     """Generators x_j - a_j of the maximal ideal of functions vanishing at a."""
-    field = ring.field
-    raw = [field.coerce(x) for x in point]
-    if len(raw) != ring.nx:
-        raise DimensionMismatchError(
-            f"point has {len(raw)} coordinates, ring has {ring.nx} x-variables"
-        )
-    gens = []
-    for j, a in enumerate(raw):
-        gens.append(ring.variable(j) - ring.const(a))
-    return gens
+    raw = _coerce_point(ring, point)
+    return [ring.variable(j) - ring.const(a) for j, a in enumerate(raw)]
 
 
 @dataclass(frozen=True)
@@ -66,14 +58,19 @@ def hyperplane_member(f: VectorPoly, hyperplane: HyperplaneSubmodule) -> bool:
         raise DimensionMismatchError("vector rank does not match the covector")
     field = f.ring.field
     values = f.evaluate_raw(hyperplane.point)
-    total = field.zero_raw
-    for v, u in zip(values, hyperplane.covector):
-        total = field.add(total, field.mul(v, u))
-    return field.is_zero(total)
+    return field.is_zero(dot_raw(field, values, hyperplane.covector))
 
 
-def _constant_vector(ring: PolyRing, rank: int, values) -> VectorPoly:
-    return VectorPoly(ring, [ring.const(v) for v in values])
+def _pullback(ring: PolyRing, n: int, point, span) -> SubmodulePresentation:
+    """The vectors whose value at the point lies in the span of the given
+    constant vectors: generated by (x_j - a_j) e_i for all i, j and the
+    span vectors."""
+    field = ring.field
+    point_gens = point_ideal_generators(ring, point)
+    gens = [p * unit_vector(ring, n, i) for i in range(n) for p in point_gens]
+    for w in span:
+        gens.append(VectorPoly(ring, [ring.const(c) for c in primitive_scale(w, field)]))
+    return SubmodulePresentation(ring, n, gens)
 
 
 def hyperplane_generators(hyperplane: HyperplaneSubmodule) -> SubmodulePresentation:
@@ -82,15 +79,8 @@ def hyperplane_generators(hyperplane: HyperplaneSubmodule) -> SubmodulePresentat
     complement.  Membership against the result agrees with
     hyperplane_member."""
     ring, n = hyperplane.ring, hyperplane.rank
-    field = ring.field
-    point_gens = point_ideal_generators(ring, hyperplane.point)
-    gens = []
-    for i in range(n):
-        for p in point_gens:
-            gens.append(p * unit_vector(ring, n, i))
-    for v in kernel_basis([list(hyperplane.covector)], n, field):
-        gens.append(_constant_vector(ring, n, primitive_scale(v, field)))
-    return SubmodulePresentation(ring, n, gens)
+    complement = kernel_basis([list(hyperplane.covector)], n, ring.field)
+    return _pullback(ring, n, hyperplane.point, complement)
 
 
 @dataclass
@@ -119,14 +109,7 @@ def prime_closure_at(submodule: SubmodulePresentation, point) -> PrimeClosure:
     span = [tuple(echelon[i]) for i in range(len(pivots))]
     if len(span) == n:
         return PrimeClosure(SubmodulePresentation.unit(ring, n), span, improper=True)
-    gens = []
-    point_gens = point_ideal_generators(ring, raw)
-    for i in range(n):
-        for p in point_gens:
-            gens.append(p * unit_vector(ring, n, i))
-    for w in span:
-        gens.append(_constant_vector(ring, n, primitive_scale(w, field)))
-    return PrimeClosure(SubmodulePresentation(ring, n, gens), span, improper=False)
+    return PrimeClosure(_pullback(ring, n, raw, span), span, improper=False)
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +192,6 @@ def _candidate_vectors(ring: PolyRing, rank: int, max_degree: int, coeffs):
         vec = VectorPoly(ring, entries)
         if not vec.is_zero():
             yield vec
-
-
-def scan_semiprime_refutation(
-    submodule: SubmodulePresentation, max_degree: int = 2, coeffs=(1, -1)
-):
-    """Bounded exhaustive search for a closure-rule refutation over
-    single-monomial-entry candidates; unbounded search would not terminate."""
-    for f in _candidate_vectors(submodule.ring, submodule.rank, max_degree, coeffs):
-        witness = semiprime_refutation(submodule, f)
-        if witness is not None:
-            return witness
-    return None
 
 
 def scan_weakly_semiprime_refutation(

@@ -13,6 +13,11 @@ EXTENSION_STABLE = "extension-stable"
 SOUND_ONLY = "sound-only"
 
 
+def guarantee_for(field) -> str:
+    """The guarantee label of verdicts decided over ``field``."""
+    return EXTENSION_STABLE if field.char == 0 else SOUND_ONLY
+
+
 @dataclass(frozen=True)
 class Witness:
     """A point a and direction v with g(a).v = 0 for every generator g while

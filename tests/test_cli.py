@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from conftest import random_polynomial, random_vector
 
+import semimod
 from semimod.cli import main
 from semimod.errors import (
     DimensionMismatchError,
@@ -341,3 +345,24 @@ def test_report_schema_is_stable(tmp_path, capsys):
         "timing_ms",
         "witness",
     ]
+
+
+def test_cli_witness_search_is_lazy_over_a_huge_field(tmp_path):
+    # the witness sits at the first of 2147483629^2 points; listing the
+    # field before the first point would never finish
+    path = write(tmp_path, """\
+ring F2147483629[x, y];
+vec g = [x, 0];
+vec f = [0, 1];
+query semiprime-member f in {g};
+""")
+    src = os.path.dirname(os.path.dirname(semimod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "semimod", "semiprime-member", path],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert done.returncode == 1
+    report = json.loads(done.stdout)
+    assert report["member"] is False
+    assert report["witness"] == {"point": ["0", "0"], "vector": ["0", "1"]}

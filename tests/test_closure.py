@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import random_generators, random_vector
 
+import semimod.closure
 from semimod.closure import (
     bilinear_encoding,
     closure_law_check,
@@ -13,6 +15,7 @@ from semimod.closure import (
     radical_member,
     semiprime_member,
 )
+from semimod.errors import InvariantViolationError
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import SubmodulePresentation, submodule_member
 from semimod.poly import PolyRing, VectorPoly, unit_vector
@@ -168,6 +171,27 @@ def test_witness_search_over_finite_field():
     witness = find_vanishing_witness(one, [VectorPoly(R3, [x])])
     assert witness is not None
     assert str(witness.point[0]) == "0"
+
+
+def test_witness_search_gives_up_at_the_cap(R, monkeypatch):
+    # the kernel is nontrivial only where x = 2, first reached at the 16th
+    # grid point (2, 0); a cap of 10 points ends the search without a witness
+    x, _ = R.variables()
+    one = VectorPoly(R, [R.one()])
+    gens = [VectorPoly(R, [x - R.const(2)])]
+    witness = find_vanishing_witness(one, gens)
+    assert [str(c) for c in witness.point] == ["2", "0"]
+    monkeypatch.setattr(semimod.closure, "DEFAULT_CAP", 10)
+    assert find_vanishing_witness(one, gens) is None
+
+
+def test_radical_unit_ideal_recheck_raises(R, monkeypatch):
+    # a normal form that claims 1 reduces to 0 over a basis that is not {1}
+    x, y = R.variables()
+    fake = SimpleNamespace(remainder=SimpleNamespace(is_zero=lambda: True))
+    monkeypatch.setattr(semimod.closure, "normal_form", lambda *args: fake)
+    with pytest.raises(InvariantViolationError):
+        radical_member(y, [x * x])
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,17 @@ import pytest
 
 from conftest import random_generators, random_vector
 
-from semimod.errors import EnumerationCapExceededError, InfiniteFieldError
+import semimod.oracle
+from semimod.closure import find_vanishing_witness
+from semimod.errors import (
+    EnumerationCapExceededError,
+    InfiniteFieldError,
+    InvariantViolationError,
+)
 from semimod.fields import QQ, PrimeField
+from semimod.linalg import kernel_basis
 from semimod.oracle import (
     agreement_check,
-    kernel_basis,
     oracle_check,
     oracle_check_escalating,
 )
@@ -165,3 +171,34 @@ def test_oracle_counterexample_forces_negative_verdict(R, twisted_gens):
         query, SubmodulePresentation(ring, 2, gens), search_witness=False
     )
     assert not verdict.member
+
+
+def test_violation_outside_the_kernel_raises(R, monkeypatch):
+    # a kernel routine that returns a vector the generator does not kill
+    # must be caught by the re-verification, never reported
+    monkeypatch.setattr(semimod.oracle, "_kernel_basis", lambda rows, n, field: [(1, 0)])
+    e1 = unit_vector(R, 2, 0)
+    with pytest.raises(InvariantViolationError):
+        oracle_check(e1, [e1], F3)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_witness_search_and_oracle_find_the_same_violation(p):
+    # both run the one vanishing scan in the one point order, so the first
+    # witness is the oracle's first counterexample
+    rng = random.Random(191 + p)
+    field = PrimeField(p)
+    coeffs = tuple(range(1, p))
+    found = 0
+    for _ in range(40):
+        ring = PolyRing(field, ("x", "y")[: rng.randint(1, 2)])
+        n = rng.randint(1, 2)
+        gens = random_generators(rng, ring, n, max_degree=2, coeffs=coeffs)
+        query = random_vector(rng, ring, n, coeffs=coeffs)
+        report = oracle_check(query, gens, field)
+        if report.passed:
+            continue
+        found += 1
+        witness = find_vanishing_witness(query, gens)
+        assert (witness.point, witness.vector) == report.counterexample
+    assert found >= 10

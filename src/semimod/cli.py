@@ -54,22 +54,21 @@ def _certificate_json(cofactors):
     return {"cofactors": [str(c) for c in cofactors]}
 
 
-def _vectors(problem, names):
-    return [problem.get(name, {"vec"}) for name in names]
-
-
 def run_query(problem, query: Query, options) -> tuple[dict, int]:
-    """Execute one query; returns the JSON-ready report and the exit code."""
+    """Execute one query; returns the JSON-ready report and the exit code.
+    The parser has already checked every name the query uses and its kind."""
     order = options.order
     limits = options.limits
     report = _base_report(query.kind, order)
     started = time.perf_counter()
     code = 0
+    args = query.args
+    objects = problem.objects
+    gens = [objects[name][1] for name in args["generators"]]
+    kind, value = objects[args["query"]] if "query" in args else (None, None)
 
     if query.kind == "member":
-        qkind, value = problem.objects[query.args["query"]]
-        gens = [problem.objects[g][1] for g in query.args["generators"]]
-        if qkind == "poly":
+        if kind == "poly":
             verdict = ideal_member(value, gens, order, limits)
         else:
             submodule = SubmodulePresentation(problem.ring, len(value), gens)
@@ -80,8 +79,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 0 if verdict.member else 1
 
     elif query.kind == "semiprime-member":
-        value = problem.objects[query.args["query"]][1]
-        gens = _vectors(problem, query.args["generators"])
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
         verdict = semiprime_member(
             value, submodule, order, limits, witness_radius=options.witness_grid
@@ -95,8 +92,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 0 if verdict.member else 1
 
     elif query.kind == "radical-member":
-        value = problem.objects[query.args["query"]][1]
-        gens = [problem.get(g, {"poly"}) for g in query.args["generators"]]
         member, stats = _radical_member(value, gens, order, limits)
         report["member"] = member
         report["guarantee"] = guarantee_for(problem.ring.field)
@@ -104,8 +99,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 0 if member else 1
 
     elif query.kind == "matrix-semiprime-member":
-        value = problem.objects[query.args["query"]][1]
-        gens = [problem.get(g, {"mat"}) for g in query.args["generators"]]
         verdict = matrix_semiprime_member(
             value, gens, order, limits, witness_radius=options.witness_grid
         )
@@ -116,8 +109,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 0 if verdict.member else 1
 
     elif query.kind == "refute-semiprime":
-        value = problem.objects[query.args["query"]][1]
-        gens = _vectors(problem, query.args["generators"])
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
         witness = semiprime_refutation(submodule, value)
         report["witness_found"] = witness is not None
@@ -125,9 +116,8 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 1 if witness else 0
 
     elif query.kind == "refute-weak":
-        scalar = problem.objects[query.args["scalar"]][1]
-        vector = problem.objects[query.args["vector"]][1]
-        gens = _vectors(problem, query.args["generators"])
+        scalar = objects[args["scalar"]][1]
+        vector = objects[args["vector"]][1]
         submodule = SubmodulePresentation(problem.ring, len(vector), gens)
         witness = weakly_semiprime_refutation(submodule, scalar, vector)
         report["witness_found"] = witness is not None
@@ -139,21 +129,16 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 1 if witness else 0
 
     elif query.kind == "k-of":
-        gens = _vectors(problem, query.args["generators"])
-        rank = len(gens[0])
-        submodule = SubmodulePresentation(problem.ring, rank, gens)
-        closure = prime_closure_at(submodule, query.args["point"])
+        submodule = SubmodulePresentation(problem.ring, len(gens[0]), gens)
+        closure = prime_closure_at(submodule, args["point"])
         field = problem.ring.field
-        report["point"] = [str(c) for c in query.args["point"]]
+        report["point"] = [str(c) for c in args["point"]]
         report["improper"] = closure.improper
         report["span"] = [[field.format(x) for x in row] for row in closure.span]
         report["generators"] = [str(g) for g in closure.submodule.generators]
         code = 0
 
     elif query.kind == "oracle":
-        value = problem.objects[query.args["query"]][1]
-        kind = problem.objects[query.args["query"]][0]
-        gens = [problem.get(g, {kind}) for g in query.args["generators"]]
         if options.field is not None:
             reports = [oracle_check(value, gens, options.field, options.cap)]
         else:
@@ -175,9 +160,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         "semiprime-member",
         "matrix-semiprime-member",
     ):
-        value = problem.objects[query.args["query"]][1]
-        kind = problem.objects[query.args["query"]][0]
-        gens = [problem.get(g, {kind}) for g in query.args["generators"]]
         oracle_field = options.field or PrimeField(3)
         report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
 
@@ -205,56 +187,64 @@ class _Options:
         self.cross_check = args.oracle
 
 
+COMMANDS = {
+    "member": "submodule or ideal membership with a cofactor certificate",
+    "semiprime-member": "membership in the smallest semiprime submodule",
+    "radical-member": "radical ideal membership via one tag variable",
+    "matrix-semiprime-member": "membership in the smallest semiprime left ideal",
+    "refute-semiprime": "check a candidate refutation of the closure rule",
+    "refute-weak": "check a candidate refutation of the classical rule",
+    "k-of": "smallest point-prime submodule containing the generators",
+    "oracle": "finite-field point enumeration of the vanishing implication",
+    "run": "run every query in the file (batch mode)",
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semimod",
         description=(
-            "Exact membership decisions for submodules of R^n, semiprime "
+            "Exact membership decisions for submodules of R^n, semiprime\n"
             "closures, and left ideals of matrix rings over polynomial rings."
         ),
+        epilog="commands:\n"
+        + "\n".join(f"  {name:<25}{text}" for name, text in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = [
-        ("member", "submodule or ideal membership with a cofactor certificate"),
-        ("semiprime-member", "membership in the smallest semiprime submodule"),
-        ("radical-member", "radical ideal membership via one tag variable"),
-        ("matrix-semiprime-member", "membership in the smallest semiprime left ideal"),
-        ("refute-semiprime", "check a candidate refutation of the closure rule"),
-        ("refute-weak", "check a candidate refutation of the classical rule"),
-        ("k-of", "smallest point-prime submodule containing the generators"),
-        ("oracle", "finite-field point enumeration of the vanishing implication"),
-        ("run", "run every query in the file (batch mode)"),
-    ]
-    for name, help_text in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("file", help="problem file (see docs/format.md)")
-        p.add_argument(
-            "--order",
-            choices=["top", "pot"],
-            default="top",
-            help="module order extension over grevlex (default: top)",
-        )
-        p.add_argument("--max-pairs", type=int, default=10_000)
-        p.add_argument("--max-degree", type=int, default=40)
-        p.add_argument(
-            "--witness-grid",
-            type=int,
-            default=2,
-            metavar="R",
-            help="search witnesses with coordinates in {-R..R} over Q",
-        )
-        p.add_argument(
-            "--field",
-            default=None,
-            metavar="P[^2]",
-            help="finite field for the oracle, e.g. 3 or 3^2",
-        )
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        p.add_argument(
-            "--oracle",
-            action="store_true",
-            help="attach an advisory oracle cross-check to closure verdicts",
-        )
+    parser.add_argument(
+        "command",
+        choices=COMMANDS,
+        metavar="command",
+        help="the kind of the file's query, or run (listed below)",
+    )
+    parser.add_argument("file", help="problem file (see docs/format.md)")
+    parser.add_argument(
+        "--order",
+        choices=["top", "pot"],
+        default="top",
+        help="module order extension over grevlex (default: top)",
+    )
+    parser.add_argument("--max-pairs", type=int, default=10_000)
+    parser.add_argument("--max-degree", type=int, default=40)
+    parser.add_argument(
+        "--witness-grid",
+        type=int,
+        default=2,
+        metavar="R",
+        help="search witnesses with coordinates in {-R..R} over Q",
+    )
+    parser.add_argument(
+        "--field",
+        default=None,
+        metavar="P[^2]",
+        help="finite field for the oracle, e.g. 3 or 3^2",
+    )
+    parser.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    parser.add_argument(
+        "--oracle",
+        action="store_true",
+        help="attach an advisory oracle cross-check to closure verdicts",
+    )
     return parser
 
 
@@ -265,21 +255,17 @@ def main(argv=None) -> int:
             text = handle.read()
         problem = parse_problem(text)
         options = _Options(args)
+        queries = problem.queries
         if args.command == "run":
-            queries = problem.queries
             if not queries:
                 raise SemimodError("problem file declares no query")
-        else:
-            if len(problem.queries) != 1:
-                raise SemimodError(
-                    "typed subcommands need exactly one query in the file"
-                )
-            queries = problem.queries
-            if queries[0].kind != args.command:
-                raise SemimodError(
-                    f"file declares a {queries[0].kind!r} query, "
-                    f"but the {args.command!r} subcommand was invoked"
-                )
+        elif len(queries) != 1:
+            raise SemimodError("typed subcommands need exactly one query in the file")
+        elif queries[0].kind != args.command:
+            raise SemimodError(
+                f"file declares a {queries[0].kind!r} query, "
+                f"but the {args.command!r} subcommand was invoked"
+            )
         reports = []
         code = 0
         for query in queries:

@@ -36,7 +36,7 @@ from .groebner import (
     normal_form,
     submodule_member,
 )
-from .oracle import DEFAULT_CAP, odometer, vanishing_scan
+from .oracle import odometer, vanishing_scan
 from .poly import DEFAULT_ORDER, OrderSpec, Polynomial, PolyRing, VectorPoly
 from .submodules import prime_closure_at
 from .verdicts import Verdict, Witness, guarantee_for
@@ -97,6 +97,11 @@ def radical_member(
 # witness search
 # ---------------------------------------------------------------------------
 
+# A witness only decorates a verdict the algebraic test has already
+# decided, so its search gets a budget of its own, far below the oracle's.
+WITNESS_CAP = 1 << 16
+
+
 def _grid_values(radius: int):
     """Small rational coordinates, nearest to zero first, so the first
     witness found is the smallest one."""
@@ -111,7 +116,7 @@ def find_vanishing_witness(f: VectorPoly, generators, radius: int = 2):
     generator while f(a).v != 0, using the oracle's vanishing scan.  Over Q
     the points form the integer grid {-radius..radius}^d; over a finite
     field they are every point of the field, in the oracle's order.  Points
-    are enumerated lazily, and the search gives up after DEFAULT_CAP points
+    are enumerated lazily, and the search gives up after WITNESS_CAP points
     or kernel-vector evaluations.  Returns a verified Witness or None;
     absence of a witness proves nothing."""
     field = f.ring.field
@@ -121,7 +126,7 @@ def find_vanishing_witness(f: VectorPoly, generators, radius: int = 2):
         values = (e.value for e in field.elements())
     points = odometer(values, f.ring.nx)
     try:
-        scan = vanishing_scan(f, generators, field, points, DEFAULT_CAP)
+        scan = vanishing_scan(f, generators, field, points, WITNESS_CAP)
     except EnumerationCapExceededError:
         return None
     return None if scan.passed else Witness(*scan.counterexample)

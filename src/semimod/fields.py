@@ -382,22 +382,20 @@ class FieldElement:
 
 
 def field_from_name(name: str) -> Field:
-    """Resolve a field name as written in problem files: Q, F<p>, F<p>^2."""
+    """Resolve a field name as written in problem files: Q (or QQ), F<p>
+    and F<p>^2."""
     if name in ("Q", "QQ"):
         return QQ
-    if name.startswith("F"):
-        body = name[1:]
-        if body.endswith("^2"):
-            return QuadraticField(int(body[:-2]))
-        return PrimeField(int(body))
-    raise ValueError(f"unknown field name {name!r}")
+    squared = name.endswith("^2")
+    body = name[:-2] if squared else name
+    if not (body.startswith("F") and body[1:].isdecimal()):
+        raise ValueError(f"unknown field name {name!r}")
+    p = int(body[1:])
+    return QuadraticField(p) if squared else PrimeField(p)
 
 
 def field_from_flag(text: str) -> Field:
-    """Resolve the --field flag syntax: "p" or "p^2" (also accepts Q/F names)."""
+    """Resolve the --field flag syntax: "p" or "p^2" (also accepts field
+    names)."""
     text = text.strip()
-    if text and (text[0].isdigit()):
-        if text.endswith("^2"):
-            return QuadraticField(int(text[:-2]))
-        return PrimeField(int(text))
-    return field_from_name(text)
+    return field_from_name("F" + text if text[:1].isdecimal() else text)

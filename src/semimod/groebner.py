@@ -223,7 +223,6 @@ class GroebnerBasis:
         self.elements = elements  # list[VectorPoly], monic, sorted by lead
         self.input_reps = input_reps  # per element: list of Polynomial per input
         self.inputs = inputs  # the nonzero generators the basis was built from
-        self.reduced = True
         self.stats = stats
 
     def __len__(self):
@@ -231,13 +230,6 @@ class GroebnerBasis:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def as_json(self):
-        return {
-            "basis": [str(g) for g in self.elements],
-            "order": {"scalar": self.order.scalar, "module": self.order.module},
-            "rank": self.rank,
-        }
 
 
 def _single_component(m):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .closure import find_vanishing_witness, semiprime_member
+from .closure import semiprime_member
 from .errors import (
     DimensionMismatchError,
     MismatchedRingError,
@@ -117,16 +117,14 @@ def matrix_semiprime_member(
     guarantee = guarantee_for(f.ring.field)
     for row in f.row_vectors():
         verdict = semiprime_member(
-            row, module, order, limits, search_witness=False
+            row, module, order, limits, search_witness, witness_radius
         )
         if not verdict.member:
-            witness = (
-                find_vanishing_witness(row, module.generators, witness_radius)
-                if search_witness
-                else None
-            )
             return Verdict(
-                member=False, witness=witness, guarantee=guarantee, method="radical"
+                member=False,
+                witness=verdict.witness,
+                guarantee=guarantee,
+                method="radical",
             )
     return Verdict(member=True, guarantee=guarantee, method="radical")
 

@@ -16,7 +16,7 @@ from .errors import (
     ProblemSyntaxError,
     UndefinedNameError,
 )
-from .fields import QQ, Field, FieldElement, PrimeField, QuadraticField
+from .fields import QQ, Field, FieldElement, PrimeField, QuadraticField, field_from_name
 from .poly import Polynomial, PolyMatrix, PolyRing, VectorPoly
 
 KEYWORDS = {"ring", "poly", "vec", "mat", "query", "in", "at"}
@@ -77,7 +77,7 @@ class ProblemFile:
     queries: list = dataclass_field(default_factory=list)
     rank: int | None = None  # fixed by the first vector or matrix
 
-    def get(self, name: str, wanted_kinds, where: Token | None = None):
+    def get(self, name: str, wanted_kinds):
         if name not in self.objects:
             raise UndefinedNameError(f"name {name!r} is not declared")
         kind, value = self.objects[name]
@@ -176,22 +176,14 @@ class _Parser:
 
     def parse_field_name(self) -> Field:
         tok = self.expect("name")
-        if tok.text in ("Q", "QQ"):
-            return QQ
-        if tok.text.startswith("F") and tok.text[1:].isdigit():
-            p = int(tok.text[1:])
-            squared = False
-            if self.at_punct("^"):
-                self.advance()
-                power = self.expect("int")
-                if power.text != "2":
-                    self.fail("only quadratic field extensions are supported", power)
-                squared = True
-            try:
-                return QuadraticField(p) if squared else PrimeField(p)
-            except ValueError as exc:
-                self.fail(str(exc), tok)
-        self.fail(f"unknown field {tok.text!r}", tok)
+        name = tok.text
+        if self.at_punct("^"):
+            self.advance()
+            name += "^" + self.expect("int").text
+        try:
+            return field_from_name(name)
+        except ValueError as exc:
+            self.fail(str(exc), tok)
 
     def parse_object(self, problem: ProblemFile):
         kind = self.advance().text

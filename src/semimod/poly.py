@@ -53,10 +53,6 @@ def mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a):
-    return sum(a)
-
-
 @dataclass(frozen=True)
 class OrderSpec:
     """A total multiplicative well-order on monomials and module monomials.
@@ -89,7 +85,6 @@ class OrderSpec:
 
 
 DEFAULT_ORDER = OrderSpec()
-POT_ORDER = OrderSpec(module=POT)
 
 
 def compare_monomials(a, b, order: OrderSpec = DEFAULT_ORDER) -> int:
@@ -132,14 +127,6 @@ class PolyRing:
     @property
     def num_vars(self) -> int:
         return len(self.names)
-
-    @property
-    def xnames(self):
-        return self.names[: self.nx]
-
-    @property
-    def vnames(self):
-        return self.names[self.nx : self.nx + self.nv]
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
@@ -334,9 +321,6 @@ class Polynomial:
     def leading_monomial(self, order: OrderSpec = DEFAULT_ORDER):
         return max(self.terms, key=order.mono_key)
 
-    def leading_coefficient(self, order: OrderSpec = DEFAULT_ORDER):
-        return self.terms[self.leading_monomial(order)]
-
     def evaluate_raw(self, point):
         """Evaluate at raw x-block values; rejects terms outside the x-block."""
         ring = self.ring
@@ -509,10 +493,6 @@ class VectorPoly:
 
 def unit_vector(ring: PolyRing, rank: int, i: int) -> VectorPoly:
     return VectorPoly(ring, [ring.one() if j == i else ring.zero() for j in range(rank)])
-
-
-def dot(f: VectorPoly, v) -> Polynomial:
-    return f.dot(v)
 
 
 class PolyMatrix:

@@ -9,14 +9,14 @@ import pytest
 from conftest import random_polynomial, random_vector
 
 import semimod
-from semimod.cli import main
+from semimod.cli import build_arg_parser, main
 from semimod.errors import (
     DimensionMismatchError,
     ProblemSyntaxError,
     UndefinedNameError,
 )
 from semimod.fields import QQ, PrimeField, QuadraticField
-from semimod.parser import format_problem, parse_polynomial, parse_problem
+from semimod.parser import QUERY_KINDS, format_problem, parse_polynomial, parse_problem
 from semimod.poly import PolyRing
 
 TWISTED_PAIR_PROBLEM = """\
@@ -366,3 +366,59 @@ query semiprime-member f in {g};
     report = json.loads(done.stdout)
     assert report["member"] is False
     assert report["witness"] == {"point": ["0", "0"], "vector": ["0", "1"]}
+
+
+def test_cli_witness_search_stops_at_its_own_budget(tmp_path):
+    # no witness exists before x = 5000000; the search must give up after
+    # its own small budget rather than the oracle's 10^6 points
+    path = write(tmp_path, """\
+ring F2147483629[x];
+vec g = [x - 5000000];
+vec f = [1];
+query semiprime-member f in {g};
+""")
+    src = os.path.dirname(os.path.dirname(semimod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "semimod", "semiprime-member", path],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 1
+    report = json.loads(done.stdout)
+    assert report["member"] is False
+    assert report["witness"] is None
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command", sorted(QUERY_KINDS) + ["run"])
+def test_every_query_kind_is_a_command(command):
+    args = build_arg_parser().parse_args([command, "problem.sm"])
+    assert args.command == command and args.file == "problem.sm"
+
+
+def test_flags_may_come_before_or_after_the_command():
+    parser = build_arg_parser()
+    before = parser.parse_args(["--order", "pot", "member", "problem.sm"])
+    after = parser.parse_args(["member", "problem.sm", "--order", "pot"])
+    assert vars(before) == vars(after)
+    assert before.order == "pot"
+
+
+def test_unknown_command_exits_with_status_2(tmp_path, capsys):
+    path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="member"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["membership", path])
+    assert exit_info.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for command in sorted(QUERY_KINDS) + ["run"]:
+        assert f"\n  {command} " in out

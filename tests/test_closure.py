@@ -181,7 +181,7 @@ def test_witness_search_gives_up_at_the_cap(R, monkeypatch):
     gens = [VectorPoly(R, [x - R.const(2)])]
     witness = find_vanishing_witness(one, gens)
     assert [str(c) for c in witness.point] == ["2", "0"]
-    monkeypatch.setattr(semimod.closure, "DEFAULT_CAP", 10)
+    monkeypatch.setattr(semimod.closure, "WITNESS_CAP", 10)
     assert find_vanishing_witness(one, gens) is None
 
 

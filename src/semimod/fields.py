@@ -35,16 +35,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _irreducible_quadratic(p: int, b: int, c: int) -> bool:
+    """Whether t^2 + b*t + c has no root in F_p.
+
+    For odd p this is Euler's criterion on the discriminant: the quadratic
+    is irreducible iff b^2 - 4c is a non-residue mod p.  In characteristic
+    2 the discriminant says nothing, so both elements of F_2 are tried.
+    """
+    if p == 2:
+        return all((a * a + b * a + c) % p for a in range(p))
+    return pow((b * b - 4 * c) % p, (p - 1) // 2, p) == p - 1
+
+
 def quadratic_modulus(p: int) -> tuple[int, int]:
     """Coefficients (b, c) of the lexicographically smallest monic
     irreducible quadratic t^2 + b*t + c over F_p.
 
-    A degree-2 polynomial is irreducible iff it has no root, so an
-    exhaustive root check is a complete test.
+    For odd p the search ends at b = 0, at the smallest c for which -c is
+    a non-residue.
     """
     for b in range(p):
         for c in range(p):
-            if all((a * a + b * a + c) % p for a in range(p)):
+            if _irreducible_quadratic(p, b, c):
                 return (b, c)
     raise AssertionError(f"no irreducible quadratic over F_{p}")
 
@@ -226,7 +238,7 @@ class QuadraticField(Field):
         if modulus is None:
             modulus = quadratic_modulus(p)
         b, c = modulus[0] % p, modulus[1] % p
-        if any((a * a + b * a + c) % p == 0 for a in range(p)):
+        if not _irreducible_quadratic(p, b, c):
             raise ValueError(f"t^2 + {b}*t + {c} is reducible over F_{p}")
         self.modulus = (b, c)
         self.char = p

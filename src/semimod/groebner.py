@@ -8,17 +8,37 @@ be expressed over the original presentation.
 
 Pair selection is the normal strategy (smallest lcm degree first) with a
 deterministic insertion-order tie-break, so repeated runs produce identical
-bases.  The coprimality criterion is applied only when both elements of a
-pair live entirely in one common component; for genuinely mixed module
-elements the classical proof does not carry over and skipping such pairs
-can produce an incomplete basis.  Each invocation owns its working state;
-separate invocations may run concurrently.
+bases.  Pairs are only formed between elements whose leads share a
+component.  Two criteria drop a pair without reducing its S-vector:
+
+* coprimality: the leads are coprime and both elements live entirely in
+  one common component.  For genuinely mixed module elements the classical
+  proof does not carry over and skipping such pairs can produce an
+  incomplete basis.
+* chain (Buchberger's second criterion, Gebauer & Moeller, JSC 1988): some
+  third element k has its lead in the same component, lead(k) divides
+  lcm(lead i, lead j), and the pairs (i, k) and (j, k) have both already
+  left the queue.  Every pair and every divisibility test stays inside one
+  component, so the argument for ideals carries over to modules unchanged.
+
+The reducer keeps the terms still to be divided in a heap (Yan, JSC 1998)
+keyed by the order's module key negated, so each step pops the leading term
+instead of scanning for it.  A term is pushed when it enters the map;
+entries whose term has since cancelled are skipped when popped.  Reduction
+only adds terms below the current lead, so the heap never misses one.
+
+``GroebnerBasis.stats`` counts ``pairs_processed`` (pairs taken off the
+queue, the quantity ``GroebnerLimits.max_pairs`` bounds), ``pairs_skipped``
+(those dropped by either criterion), ``zero_reductions`` (S-vectors that
+reduced to zero) and ``basis_size`` (elements of the reduced basis).  Each
+invocation owns its working state; separate invocations may run
+concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappush, heappop
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DimensionMismatchError,
@@ -27,6 +47,8 @@ from .errors import (
 )
 from .poly import (
     DEFAULT_ORDER,
+    GREVLEX,
+    TOP,
     OrderSpec,
     Polynomial,
     PolyRing,
@@ -112,22 +134,37 @@ def _map_degree(m) -> int:
 # division
 # ---------------------------------------------------------------------------
 
-def _reduce(fmap, infos, order: OrderSpec, field):
+def _heap_key(order: OrderSpec):
+    """Key under which a min-heap pops the largest module monomial first:
+    ``order.module_key`` flattened, with every entry negated."""
+    if order.scalar == GREVLEX:
+        if order.module == TOP:
+            return lambda mm: (-sum(mm[1]), *mm[1][::-1], mm[0])
+        return lambda mm: (mm[0], -sum(mm[1]), *mm[1][::-1])
+    if order.module == TOP:
+        return lambda mm: (*[-e for e in mm[1]], mm[0])
+    return lambda mm: (mm[0], *[-e for e in mm[1]])
+
+
+def _reduce(fmap, infos, hkey, field):
     """Full reduction of a flattened map against basis ``infos``.
 
-    infos is a list of (lead_modmono, lead_coeff, map).  Returns
-    (remainder_map, cofactor_maps); the identity
-    input = sum(cofactor_k * basis_k) + remainder holds exactly.
+    infos is a list of (lead_modmono, lead_coeff, map) and hkey the
+    ``_heap_key`` of the order.  Returns (remainder_map, cofactor_maps); the
+    identity input = sum(cofactor_k * basis_k) + remainder holds exactly.
     """
-    mkey = order.module_key
     add, mul, neg, div = field.add, field.mul, field.neg, field.div
     is_zero = field.is_zero
     p = dict(fmap)
+    heap = [(hkey(mm), mm) for mm in p]
+    heapify(heap)
     rem = {}
     cofs = [dict() for _ in infos]
-    while p:
-        cm = max(p, key=mkey)
-        c = p[cm]
+    while heap:
+        cm = heappop(heap)[1]
+        c = p.get(cm)
+        if c is None:
+            continue  # cancelled since it was pushed
         comp, exps = cm
         for k, (bmm, blc, bmap) in enumerate(infos):
             if bmm[0] == comp and mono_divides(bmm[1], exps):
@@ -136,7 +173,18 @@ def _reduce(fmap, infos, order: OrderSpec, field):
                 _acc(cofs[k], t, q, add, is_zero)
                 qn = neg(q)
                 for (bc, be), bco in bmap.items():
-                    _acc(p, (bc, mono_mul(t, be)), mul(qn, bco), add, is_zero)
+                    mm = (bc, mono_mul(t, be))
+                    val = mul(qn, bco)
+                    cur = p.get(mm)
+                    if cur is None:
+                        p[mm] = val
+                        heappush(heap, (hkey(mm), mm))
+                    else:
+                        val = add(cur, val)
+                        if is_zero(val):
+                            del p[mm]
+                        else:
+                            p[mm] = val
                 break
         else:
             rem[cm] = c
@@ -153,11 +201,10 @@ class NormalFormResult:
     cofactors: list
 
 
-def _basis_infos(maps, order: OrderSpec):
-    mkey = order.module_key
+def _basis_infos(maps, hkey):
     infos = []
     for m in maps:
-        lead = max(m, key=mkey)
+        lead = min(m, key=hkey)
         infos.append((lead, m[lead], m))
     return infos
 
@@ -175,7 +222,8 @@ def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> Norma
         if g.is_zero():
             raise ValueError("basis elements must be nonzero")
         maps.append(_vec_to_map(g))
-    rem, cofs = _reduce(_vec_to_map(f), _basis_infos(maps, order), order, ring.field)
+    hkey = _heap_key(order)
+    rem, cofs = _reduce(_vec_to_map(f), _basis_infos(maps, hkey), hkey, ring.field)
     return NormalFormResult(
         remainder=_map_to_vec(ring, rank, rem),
         cofactors=[Polynomial(ring, c) for c in cofs],
@@ -255,12 +303,13 @@ def buchberger(
             raise MismatchedRingError("generators share neither ring nor rank")
         if not g.is_zero():
             kept.append(g)
-    stats = {"pairs_processed": 0, "zero_reductions": 0}
+    stats = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0}
     if not kept:
         return GroebnerBasis(ring, rank, order, [], [], [], stats)
 
     field = ring.field
     mkey = order.module_key
+    hkey = _heap_key(order)
     nin = len(kept)
     zero_exps = ring._zero_exps
 
@@ -270,6 +319,7 @@ def buchberger(
     reps = []  # per element: list of nin scalar maps
     heap = []
     counter = 0
+    done = set()  # pairs (i, j), i < j, already taken off the queue
 
     def push_pairs(new_idx):
         nonlocal counter
@@ -281,7 +331,7 @@ def buchberger(
             counter += 1
 
     def add_element(emap, rep):
-        lead = max(emap, key=mkey)
+        lead = min(emap, key=hkey)
         lc = emap[lead]
         if lc != field.one_raw:
             inv = field.inv(lc)
@@ -307,15 +357,25 @@ def buchberger(
             )
         _, _, i, j = heappop(heap)
         stats["pairs_processed"] += 1
+        done.add((i, j))
         li, lj = leads[i], leads[j]
-        # coprimality criterion, valid only inside a single shared component
+        lcm = mono_lcm(li[1], lj[1])
         if (
+            # coprimality, valid only inside a single shared component
             singles[i] is not None
             and singles[i] == singles[j]
             and all(min(a, b) == 0 for a, b in zip(li[1], lj[1]))
+        ) or any(
+            # chain: the pair's S-vector follows from (i, k) and (j, k).
+            # Pairs join two distinct elements with leads in one component,
+            # so k is neither i nor j and its lead shares their component.
+            mono_divides(lk[1], lcm)
+            and (min(i, k), max(i, k)) in done
+            and (min(j, k), max(j, k)) in done
+            for k, lk in enumerate(leads)
         ):
+            stats["pairs_skipped"] += 1
             continue
-        lcm = mono_lcm(li[1], lj[1])
         ti, tj = mono_div(lcm, li[1]), mono_div(lcm, lj[1])
         s = {}
         for (comp, exps), c in basis[i].items():
@@ -326,7 +386,7 @@ def buchberger(
             stats["zero_reductions"] += 1
             continue
         infos = [(leads[k], field.one_raw, basis[k]) for k in range(len(basis))]
-        rem, cofs = _reduce(s, infos, order, field)
+        rem, cofs = _reduce(s, infos, hkey, field)
         if not rem:
             stats["zero_reductions"] += 1
             continue
@@ -365,7 +425,7 @@ def buchberger(
     for pos in range(len(final_maps)):
         others = [q for q in range(len(final_maps)) if q != pos]
         infos = [(final_leads[q], field.one_raw, final_maps[q]) for q in others]
-        rem, cofs = _reduce(final_maps[pos], infos, order, field)
+        rem, cofs = _reduce(final_maps[pos], infos, hkey, field)
         if rem != final_maps[pos]:
             rep = [dict(r) for r in final_reps[pos]]
             for qi, cof in enumerate(cofs):

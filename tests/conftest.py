@@ -4,7 +4,10 @@ import pytest
 
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import SubmodulePresentation
-from semimod.poly import Polynomial, PolyRing, VectorPoly
+from semimod.poly import OrderSpec, Polynomial, PolyRing, VectorPoly
+
+# every monomial order crossed with both module extensions
+ORDERS = [OrderSpec(s, m) for s in ("grevlex", "lex") for m in ("top", "pot")]
 
 
 @pytest.fixture

@@ -389,6 +389,26 @@ query semiprime-member f in {g};
     assert report["witness"] is None
 
 
+def test_cli_quadratic_extension_of_a_large_prime_answers(tmp_path):
+    # declaring F_{p^2} must not try every element of F_p as a root
+    path = write(tmp_path, """\
+ring F2147483629^2[x];
+vec g = [x + t];
+vec f = [x^2 - t^2];
+query member f in {g};
+""")
+    src = os.path.dirname(os.path.dirname(semimod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "semimod", "member", path],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert done.returncode == 0
+    report = json.loads(done.stdout)
+    assert report["member"] is True
+    assert report["certificate"]["cofactors"] == ["x + 2147483628*t"]
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------

@@ -126,6 +126,35 @@ def test_quadratic_modulus_is_smallest():
     assert quadratic_modulus(3) == (0, 1)  # t^2 + 1
 
 
+def _exhaustive_quadratic_modulus(p):
+    # reference: the smallest (b, c) such that t^2 + b*t + c has no root,
+    # found by trying every root
+    for b in range(p):
+        for c in range(p):
+            if all((a * a + b * a + c) % p for a in range(p)):
+                return (b, c)
+    return None
+
+
+def test_quadratic_modulus_matches_exhaustive_search():
+    primes = [p for p in range(2, 300) if all(p % d for d in range(2, p))]
+    assert len(primes) == 62
+    for p in primes:
+        assert quadratic_modulus(p) == _exhaustive_quadratic_modulus(p), p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_modulus_check_matches_root_search(p):
+    for b in range(p):
+        for c in range(p):
+            has_root = any((a * a + b * a + c) % p == 0 for a in range(p))
+            if has_root:
+                with pytest.raises(ValueError):
+                    QuadraticField(p, modulus=(b, c))
+            else:
+                assert QuadraticField(p, modulus=(b, c)).modulus == (b, c)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         QuadraticField(3, modulus=(0, 2))  # t^2 + 2 = (t-1)(t+1) over F_3

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from conftest import random_generators, random_vector
+from conftest import ORDERS, random_generators, random_vector
 
 from semimod.errors import ResourceLimitExceededError
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import (
     GroebnerLimits,
     SubmodulePresentation,
+    _heap_key,
     buchberger,
     ideal_member,
     normal_form,
@@ -122,13 +123,49 @@ def assert_provenance(gb):
         assert normal_form(g, gb.elements, gb.order).remainder.is_zero()
 
 
-def test_random_bases_satisfy_s_vector_oracle(R):
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_random_bases_satisfy_s_vector_oracle(order, field, rank):
+    R = PolyRing(field, ("x", "y"))
     rng = random.Random(37)
     for _ in range(40):
-        gens = random_generators(rng, R, rng.randint(1, 2))
-        gb = buchberger(gens)
+        gens = random_generators(rng, R, rank)
+        gb = buchberger(gens, order)
         assert_is_groebner(gb)
         assert_provenance(gb)
+
+
+def test_chain_criterion_skips_pairs_of_a_known_basis():
+    # every element of x*(y^2 - z, yz - x, z^2 - y) is a multiple of x, so
+    # no two leads are coprime and every skipped pair is a chain skip;
+    # basis frozen from an independent computer algebra system
+    R = PolyRing(QQ, ("x", "y", "z"))
+    x, y, z = R.variables()
+    gens = [x * (y * y - z), x * (y * z - x), x * (z * z - y)]
+    gb = buchberger([VectorPoly(R, [g]) for g in gens])
+    assert gb.stats["pairs_skipped"] > 0
+    expected = {
+        x**3 - x * x,
+        x * x * y - x * y,
+        x * y * y - x * z,
+        x * x * z - x * z,
+        x * y * z - x * x,
+        x * z * z - x * y,
+    }
+    assert {e.entries[0] for e in gb.elements} == expected
+    assert_is_groebner(gb)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_heap_key_sorts_like_the_module_order(order):
+    rng = random.Random(71)
+    mms = {
+        (rng.randrange(3), tuple(rng.randrange(4) for _ in range(3)))
+        for _ in range(200)
+    }
+    hkey = _heap_key(order)
+    assert sorted(mms, key=hkey) == sorted(mms, key=order.module_key, reverse=True)
 
 
 def test_basis_is_reduced_and_monic(R):

@@ -1,0 +1,81 @@
+"""Property-based differential tests of the semiprime-closure pipeline.
+
+Inputs are small rank-2 problems over Q[x, y]; half of them adjoin
+f_i * f to the generators, which puts f in the semiprime closure, so both
+verdicts occur.  Examples are derandomized and bounded, so every run
+checks the same cases.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import settings, strategies as st
+
+try:
+    import sympy
+except ImportError:
+    sympy = None
+
+from conftest import ORDERS
+
+from semimod.closure import bilinear_encoding, radical_member, semiprime_member
+from semimod.fields import QQ
+from semimod.groebner import SubmodulePresentation
+from semimod.poly import Polynomial, PolyRing, VectorPoly
+
+R = PolyRing(QQ, ("x", "y"))
+BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+exponents = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2)
+polynomials = st.dictionaries(exponents, st.integers(-2, 2), max_size=2).map(
+    lambda terms: Polynomial(R, {e: Fraction(c) for e, c in terms.items()})
+)
+vectors = st.lists(polynomials, min_size=2, max_size=2).filter(
+    lambda entries: any(not e.is_zero() for e in entries)
+).map(lambda entries: VectorPoly(R, entries))
+
+
+@st.composite
+def problems(draw):
+    """(f, generators) with f in the closure whenever f_i * f are adjoined."""
+    gens = draw(st.lists(vectors, min_size=1, max_size=2))
+    f = draw(vectors)
+    if draw(st.booleans()):
+        gens += [entry * f for entry in f.entries if not entry.is_zero()]
+    return f, gens
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy")
+@BOUNDED
+@hypothesis.given(problems())
+def test_radical_member_matches_sympy_rabinowitsch(problem):
+    f, gens = problem
+    enc = bilinear_encoding(f, gens)
+    syms = sympy.symbols(enc.ring.names)
+    t = sympy.Symbol("t_tag")
+
+    def to_sympy(poly):
+        return sum(
+            sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+            for m, c in poly.terms.items()
+        )
+
+    ideal = [to_sympy(g) for g in enc.encoded_generators]
+    ideal.append(1 - t * to_sympy(enc.encoded_query))
+    theirs = list(sympy.groebner(ideal, *syms, t, order="grevlex").exprs) == [1]
+    assert radical_member(enc.encoded_query, enc.encoded_generators) == theirs
+
+
+@BOUNDED
+@hypothesis.given(problems())
+def test_semiprime_verdicts_agree_across_orders(problem):
+    f, gens = problem
+    verdicts = {
+        semiprime_member(
+            f, SubmodulePresentation(R, 2, gens), order, search_witness=False
+        ).member
+        for order in ORDERS
+    }
+    assert len(verdicts) == 1

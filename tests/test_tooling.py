@@ -1,5 +1,8 @@
 import ast
 import pathlib
+import sys
+
+import pytest
 
 import semimod
 
@@ -16,3 +19,27 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert)
         )
     assert found == []
+
+
+def test_test_extra_declares_every_test_dependency():
+    # a dependency missing from the extra makes importorskip skip silently
+    tomllib = pytest.importorskip("tomllib")
+    repo = pathlib.Path(__file__).parent.parent
+    declared = set(
+        tomllib.loads((repo / "pyproject.toml").read_text(encoding="utf-8"))
+        ["project"]["optional-dependencies"]["test"]
+    )
+    local = {p.stem for p in (repo / "tests").glob("*.py")} | {"semimod"}
+    used = set()
+    for path in (repo / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                used.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                used.add(node.module.split(".")[0])
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "importorskip"
+            ):
+                used.add(node.args[0].value)
+    assert used - set(sys.stdlib_module_names) - local <= declared

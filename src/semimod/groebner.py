@@ -2,9 +2,12 @@
 
 Ideals are the rank-1 case.  The engine works on a flattened term map
 {(component, exponents): coefficient} per module element and converts back
-to VectorPoly at the boundary.  Every basis element carries an explicit
-combination of the input generators, so membership certificates can always
-be expressed over the original presentation.
+to VectorPoly at the boundary.  Each working element keeps a recipe, the
+(scalar map, earlier index) pairs it was made from: an input points at
+itself, an S-pair remainder is ti*b_i - tj*b_j - sum cof_k*b_k, a
+tail-reduced element is b_pos - sum cof_q*b_q.  Only a certificate
+multiplies recipes out, through ``_combine``, into combinations of the input
+generators; radical tests, refutation checks and prime closures never do.
 
 Pair selection is the normal strategy (smallest lcm degree first) with a
 deterministic insertion-order tie-break, so repeated runs produce identical
@@ -38,6 +41,7 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -101,24 +105,6 @@ def _acc(d, key, val, add, is_zero):
             del d[key]
         else:
             d[key] = s
-
-
-def _pmul(a, b, field):
-    """Product of two scalar polynomial maps {exps: coeff}."""
-    if not a or not b:
-        return {}
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            _acc(out, mono_mul(m1, m2), mul(c1, c2), add, is_zero)
-    return out
-
-
-def _psub_into(dst, src, field):
-    add, neg, is_zero = field.add, field.neg, field.is_zero
-    for m, c in src.items():
-        _acc(dst, m, neg(c), add, is_zero)
 
 
 def _pscale(a, c, field):
@@ -260,24 +246,66 @@ def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
 # Buchberger
 # ---------------------------------------------------------------------------
 
+def _combine(recipe, reps, nin, field):
+    """Sum of c * reps[k] over a recipe's (scalar map, index) pairs, where
+    reps[k] holds one scalar map per input.  The only routine that
+    multiplies representations out."""
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    out = [dict() for _ in range(nin)]
+    for c, k in recipe:
+        for dst, src in zip(out, reps[k]):
+            for m1, c1 in c.items():
+                for m2, c2 in src.items():
+                    _acc(dst, mono_mul(m1, m2), mul(c1, c2), add, is_zero)
+    return out
+
+
 class GroebnerBasis:
     """Reduced, monic basis together with the order it was computed under
-    and, for each element, its combination of the kept input generators."""
+    and the recipes of the working elements it was made from; ``final[k]``
+    indexes the working element equal to ``elements[k]``.  The first
+    certificate expands every recipe and keeps the result.  That cache is
+    written once, whole, so two threads racing for it only compute it twice."""
 
-    def __init__(self, ring, rank, order, elements, input_reps, inputs, stats):
+    def __init__(self, ring, rank, order, elements, inputs, stats,
+                 recipes=(), final=()):
         self.ring = ring
         self.rank = rank
         self.order = order
         self.elements = elements  # list[VectorPoly], monic, sorted by lead
-        self.input_reps = input_reps  # per element: list of Polynomial per input
         self.inputs = inputs  # the nonzero generators the basis was built from
         self.stats = stats
+        self._recipes = recipes  # per working element: [(scalar map, index)]
+        self._final = final
 
     def __len__(self):
         return len(self.elements)
 
     def __iter__(self):
         return iter(self.elements)
+
+    @cached_property
+    def _element_reps(self):
+        """Per element, one scalar map per input."""
+        field, nin = self.ring.field, len(self.inputs)
+        # slot j starts as input j itself, which the input's recipe points at
+        work = [[{self.ring._zero_exps: field.one_raw} if jj == j else {}
+                 for jj in range(nin)] for j in range(nin)]
+        work += [None] * (len(self._recipes) - nin)
+        for idx, recipe in enumerate(self._recipes):
+            work[idx] = _combine(recipe, work, nin, field)
+        return [work[k] for k in self._final]
+
+    @property
+    def input_reps(self):
+        """Per element, its combination of the inputs as Polynomials."""
+        return [[Polynomial(self.ring, r) for r in rep] for rep in self._element_reps]
+
+    def certificate(self, cofactors):
+        """Cofactors over the inputs of sum(cofactors[k] * elements[k])."""
+        recipe = [(q.terms, k) for k, q in enumerate(cofactors) if q.terms]
+        maps = _combine(recipe, self._element_reps, len(self.inputs), self.ring.field)
+        return [Polynomial(self.ring, m) for m in maps]
 
 
 def _single_component(m):
@@ -305,18 +333,18 @@ def buchberger(
             kept.append(g)
     stats = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0}
     if not kept:
-        return GroebnerBasis(ring, rank, order, [], [], [], stats)
+        return GroebnerBasis(ring, rank, order, [], [], stats)
 
     field = ring.field
     mkey = order.module_key
     hkey = _heap_key(order)
-    nin = len(kept)
+    one, neg_one = field.one_raw, field.neg(field.one_raw)
     zero_exps = ring._zero_exps
 
     basis = []  # flattened maps, always monic
     leads = []  # (modmono) per element
     singles = []  # single component index or None
-    reps = []  # per element: list of nin scalar maps
+    recipes = []  # per working element: [(scalar map, earlier index)]
     heap = []
     counter = 0
     done = set()  # pairs (i, j), i < j, already taken off the queue
@@ -330,24 +358,22 @@ def buchberger(
             heappush(heap, (deg, counter, old_idx, new_idx))
             counter += 1
 
-    def add_element(emap, rep):
+    def add_element(emap, recipe):
         lead = min(emap, key=hkey)
         lc = emap[lead]
-        if lc != field.one_raw:
+        if lc != one:
             inv = field.inv(lc)
             emap = {k: field.mul(inv, v) for k, v in emap.items()}
-            rep = [_pscale(r, inv, field) for r in rep]
+            recipe = [(_pscale(c, inv, field), k) for c, k in recipe]
         idx = len(basis)
         basis.append(emap)
         leads.append(lead)
         singles.append(_single_component(emap))
-        reps.append(rep)
+        recipes.append(recipe)
         push_pairs(idx)
 
     for j, g in enumerate(kept):
-        rep = [dict() for _ in range(nin)]
-        rep[j][zero_exps] = field.one_raw
-        add_element(_vec_to_map(g), rep)
+        add_element(_vec_to_map(g), [({zero_exps: one}, j)])
 
     add, neg, is_zero = field.add, field.neg, field.is_zero
     while heap:
@@ -382,10 +408,7 @@ def buchberger(
             _acc(s, (comp, mono_mul(ti, exps)), c, add, is_zero)
         for (comp, exps), c in basis[j].items():
             _acc(s, (comp, mono_mul(tj, exps)), neg(c), add, is_zero)
-        if not s:
-            stats["zero_reductions"] += 1
-            continue
-        infos = [(leads[k], field.one_raw, basis[k]) for k in range(len(basis))]
+        infos = [(leads[k], one, basis[k]) for k in range(len(basis))]
         rem, cofs = _reduce(s, infos, hkey, field)
         if not rem:
             stats["zero_reductions"] += 1
@@ -394,18 +417,9 @@ def buchberger(
             raise ResourceLimitExceededError(
                 f"degree cap {limits.max_degree} crossed; instance is beyond desk scale"
             )
-        rep = [dict() for _ in range(nin)]
-        for jj in range(nin):
-            r = {}
-            for m, c in reps[i][jj].items():
-                _acc(r, mono_mul(ti, m), c, add, is_zero)
-            for m, c in reps[j][jj].items():
-                _acc(r, mono_mul(tj, m), neg(c), add, is_zero)
-            for k, cof in enumerate(cofs):
-                if cof:
-                    _psub_into(r, _pmul(cof, reps[k][jj], field), field)
-            rep[jj] = r
-        add_element(rem, rep)
+        recipe = [({ti: one}, i), ({tj: neg_one}, j)]
+        recipe += [(_pscale(cof, neg_one, field), k) for k, cof in enumerate(cofs) if cof]
+        add_element(rem, recipe)
 
     # -- minimal basis: drop elements whose lead is divisible by another's --
     order_idx = sorted(range(len(basis)), key=lambda k: mkey(leads[k]))
@@ -420,29 +434,22 @@ def buchberger(
 
     # -- tail reduction: ascending leads, so smaller elements are final --
     final_maps = [basis[k] for k in kept_idx]
-    final_reps = [reps[k] for k in kept_idx]
     final_leads = [leads[k] for k in kept_idx]
     for pos in range(len(final_maps)):
         others = [q for q in range(len(final_maps)) if q != pos]
-        infos = [(final_leads[q], field.one_raw, final_maps[q]) for q in others]
+        infos = [(final_leads[q], one, final_maps[q]) for q in others]
         rem, cofs = _reduce(final_maps[pos], infos, hkey, field)
         if rem != final_maps[pos]:
-            rep = [dict(r) for r in final_reps[pos]]
-            for qi, cof in enumerate(cofs):
-                if not cof:
-                    continue
-                other_rep = final_reps[others[qi]]
-                for jj in range(nin):
-                    _psub_into(rep[jj], _pmul(cof, other_rep[jj], field), field)
+            recipe = [({zero_exps: one}, kept_idx[pos])]
+            recipe += [(_pscale(cof, neg_one, field), kept_idx[others[qi]])
+                       for qi, cof in enumerate(cofs) if cof]
             final_maps[pos] = rem
-            final_reps[pos] = rep
+            kept_idx[pos] = len(recipes)
+            recipes.append(recipe)
 
     elements = [_map_to_vec(ring, rank, m) for m in final_maps]
-    input_reps = [
-        [Polynomial(ring, r) for r in rep] for rep in final_reps
-    ]
     stats["basis_size"] = len(elements)
-    return GroebnerBasis(ring, rank, order, elements, input_reps, kept, stats)
+    return GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +495,7 @@ class SubmodulePresentation:
         gb = self._bases.get(order)
         if gb is None:
             if not self.generators:
-                gb = GroebnerBasis(self.ring, self.rank, order, [], [], [], {})
+                gb = GroebnerBasis(self.ring, self.rank, order, [], [], {})
             else:
                 gb = buchberger(self.generators, order, limits)
             self._bases[order] = gb
@@ -511,20 +518,11 @@ def submodule_member(
     if f.ring != submodule.ring or len(f) != submodule.rank:
         raise MismatchedRingError("query does not match the submodule's ring/rank")
     gb = submodule.groebner(order, limits)
-    if not gb.elements:
-        zero_cofs = [f.ring.zero() for _ in submodule.generators]
-        return Verdict(member=f.is_zero(), certificate=zero_cofs if f.is_zero() else None)
     nf = normal_form(f, gb.elements, order)
     if not nf.remainder.is_zero():
         return Verdict(member=False, stats=dict(gb.stats))
-    cofactors = []
-    for j in range(len(submodule.generators)):
-        total = f.ring.zero()
-        for k, q in enumerate(nf.cofactors):
-            if not q.is_zero():
-                total = total + q * gb.input_reps[k][j]
-        cofactors.append(total)
-    return Verdict(member=True, certificate=cofactors, stats=dict(gb.stats))
+    certificate = gb.certificate(nf.cofactors)
+    return Verdict(member=True, certificate=certificate, stats=dict(gb.stats))
 
 
 def ideal_presentation(ring: PolyRing, polys) -> SubmodulePresentation:

@@ -12,6 +12,7 @@ could run concurrently, with the verdict their deterministic conjunction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 
 from .closure import semiprime_member
@@ -27,7 +28,7 @@ from .groebner import (
     submodule_member,
 )
 from .linalg import dot_raw
-from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing
+from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, _coerce_point
 from .verdicts import Verdict, guarantee_for
 
 
@@ -115,31 +116,31 @@ def matrix_semiprime_member(
     ideal = LeftIdealPresentation(f.ring, f.size, generators)
     module = ideal.row_module()
     guarantee = guarantee_for(f.ring.field)
+    stats = Counter()  # each counter summed over the rows checked
     for row in f.row_vectors():
         verdict = semiprime_member(
             row, module, order, limits, search_witness, witness_radius
         )
+        stats.update(verdict.stats)
         if not verdict.member:
             return Verdict(
                 member=False,
                 witness=verdict.witness,
                 guarantee=guarantee,
                 method="radical",
+                stats=stats,
             )
-    return Verdict(member=True, guarantee=guarantee, method="radical")
+    return Verdict(member=True, guarantee=guarantee, method="radical", stats=stats)
 
 
 def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
     """Membership in the maximal left ideal of matrices annihilating the
     covector at the point: true iff X(a) u = 0."""
     field = x.ring.field
-    raw_point = [field.coerce(p) for p in point]
     raw_u = [field.coerce(u) for u in covector]
     if len(raw_u) != x.size:
         raise DimensionMismatchError("covector length does not match matrix size")
     if all(field.is_zero(u) for u in raw_u):
         raise ZeroCovectorError("covector must be nonzero")
-    if len(raw_point) != x.ring.nx:
-        raise DimensionMismatchError("point does not match the ring's x-block")
-    values = x.evaluate_raw(raw_point)
+    values = x.evaluate_raw(_coerce_point(x.ring, point))
     return all(field.is_zero(dot_raw(field, row, raw_u)) for row in values)

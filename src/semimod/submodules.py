@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, ZeroCovectorError
 from .groebner import SubmodulePresentation, submodule_member
-from .linalg import dot_raw, kernel_basis, primitive_scale, rref
+from .linalg import dot_raw, kernel_basis, primitive_scale, row_space_basis
 from .poly import Polynomial, PolyRing, VectorPoly, _coerce_point, unit_vector
 
 
@@ -36,14 +36,10 @@ class HyperplaneSubmodule:
 
     def __post_init__(self):
         field = self.ring.field
-        object.__setattr__(
-            self, "point", tuple(field.coerce(x) for x in self.point)
-        )
+        object.__setattr__(self, "point", _coerce_point(self.ring, self.point))
         object.__setattr__(
             self, "covector", tuple(field.coerce(x) for x in self.covector)
         )
-        if len(self.point) != self.ring.nx:
-            raise DimensionMismatchError("point does not match the ring's x-block")
         if all(field.is_zero(u) for u in self.covector):
             raise ZeroCovectorError("covector must be nonzero")
 
@@ -100,13 +96,8 @@ def prime_closure_at(submodule: SubmodulePresentation, point) -> PrimeClosure:
     """Smallest point-prime submodule containing the given one: evaluate the
     generators at the point, span them in k^n, and pull the span back."""
     ring, n = submodule.ring, submodule.rank
-    field = ring.field
-    raw = [field.coerce(x) for x in point]
-    if len(raw) != ring.nx:
-        raise DimensionMismatchError("point does not match the ring's x-block")
-    rows = [g.evaluate_raw(raw) for g in submodule.generators]
-    echelon, pivots = rref(rows, field)
-    span = [tuple(echelon[i]) for i in range(len(pivots))]
+    raw = _coerce_point(ring, point)
+    span = row_space_basis([g.evaluate_raw(raw) for g in submodule.generators], ring.field)
     if len(span) == n:
         return PrimeClosure(SubmodulePresentation.unit(ring, n), span, improper=True)
     return PrimeClosure(_pullback(ring, n, raw, span), span, improper=False)

@@ -229,6 +229,7 @@ def test_cli_matrix_semiprime(tmp_path, capsys):
     assert code == 1
     assert report["member"] is False
     assert report["witness"]["point"] == ["0"]
+    assert report["counters"]["pairs_processed"] > 0
 
 
 def test_cli_quadratic_extension_pipeline(tmp_path, capsys):

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import ORDERS, random_generators, random_vector
 
+from semimod import groebner
+from semimod.closure import radical_member, semiprime_member
 from semimod.errors import ResourceLimitExceededError
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import (
@@ -246,6 +248,34 @@ def test_membership_certificates_reproduce(R):
         verdict = submodule_member(f, N)
         assert verdict.member
         assert combine(verdict.certificate, N.generators) == f
+
+
+def test_representations_are_built_only_for_certificates(R, pair_basis, monkeypatch):
+    x, y = R.variables()
+    gens = [VectorPoly(R, [x * x, x * y]), VectorPoly(R, [x * y, y * y + x])]
+    f = combine([y, x + y], gens)
+    # the basis has elements made from S-pairs, so the certificate must
+    # expand recipes beyond the inputs
+    assert len(buchberger(gens).elements) > len(gens)
+
+    def refuse(*args):
+        raise AssertionError("a representation was built")
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_combine", refuse)
+        assert radical_member(x, [x * x, x * y])
+        assert not radical_member(y, [x * x])
+        # not a direct member, so the verdict comes from the radical test
+        verdict = semiprime_member(
+            VectorPoly(R, [x, y]), SubmodulePresentation(R, 2, pair_basis),
+            search_witness=False,
+        )
+        assert verdict.member and verdict.method == "radical"
+        N = SubmodulePresentation(R, 2, gens)
+        assert not submodule_member(VectorPoly(R, [x, y]), N).member
+    verdict = submodule_member(f, SubmodulePresentation(R, 2, gens))
+    assert verdict.member
+    assert combine(verdict.certificate, gens) == f
 
 
 def test_membership_invariances(R):

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_polynomial, random_vector
 
+from semimod.closure import semiprime_member
 from semimod.errors import ZeroCovectorError
 from semimod.fields import QQ
 from semimod.groebner import SubmodulePresentation, submodule_member
@@ -138,6 +139,22 @@ def test_matrix_semiprime_member_positive(R, twisted_matrix_ideal):
     F = PolyMatrix(R, [[x, y], [R.zero(), R.zero()]])
     verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
     assert verdict.member
+
+
+def test_matrix_semiprime_member_sums_row_counters(R, twisted_matrix_ideal):
+    x, y = R.variables()
+    F = PolyMatrix(R, [[x, y], [y * y, x * x]])
+    verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
+    assert not verdict.member
+    # the first row is a member, the second is not: both rows ran
+    rows = [
+        semiprime_member(row, twisted_matrix_ideal.row_module(), search_witness=False)
+        for row in F.row_vectors()
+    ]
+    assert [r.member for r in rows] == [True, False]
+    for key in ("pairs_processed", "pairs_skipped", "zero_reductions", "basis_size"):
+        assert verdict.stats[key] == sum(r.stats[key] for r in rows)
+    assert verdict.stats["pairs_processed"] > 0
 
 
 def test_matrix_semiprime_member_generator(R, twisted_matrix_ideal):

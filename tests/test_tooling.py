@@ -1,4 +1,5 @@
 import ast
+import importlib
 import pathlib
 import sys
 
@@ -43,3 +44,39 @@ def test_test_extra_declares_every_test_dependency():
             ):
                 used.add(node.args[0].value)
     assert used - set(sys.stdlib_module_names) - local <= declared
+
+
+def test_every_traced_name_resolves_in_the_package():
+    # bench/tracing.py wraps these names; bench is not importable here, so
+    # read its target tables with ast and resolve each entry in semimod
+    path = pathlib.Path(__file__).parent.parent / "bench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.name: node.module
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semimod")
+        for alias in node.names
+    }
+    names = {"SPAN_TARGETS", "COUNT_TARGETS", "LEAF_TARGETS"}
+    tables = {
+        node.targets[0].id: node.value.elts
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) in names
+    }
+    assert set(tables) == names
+    missing = []
+    for table, entries in tables.items():
+        for entry in entries:
+            owner, fname = entry.elts[0], entry.elts[1].value
+            if isinstance(owner, ast.Constant):
+                module = importlib.import_module(f"semimod.{owner.value}")
+                found = callable(getattr(module, fname, None))
+                label = f"{owner.value}.{fname}"
+            else:
+                cls = getattr(importlib.import_module(imported[owner.id]), owner.id)
+                found = callable(vars(cls).get(fname))
+                label = f"{owner.id}.{fname}"
+            if not found:
+                missing.append(f"{table}: {label}")
+    assert missing == []

@@ -9,6 +9,7 @@ invocation, and ``run`` executes a file's queries in order (batch mode).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -248,8 +249,15 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _arg_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: parsing neither changes it nor
+    depends on an earlier call, so one serves every ``main`` call."""
+    return build_arg_parser()
+
+
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    args = _arg_parser().parse_args(argv)
     try:
         with open(args.file, encoding="utf-8") as handle:
             text = handle.read()

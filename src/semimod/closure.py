@@ -24,6 +24,7 @@ caps and independent queries may run in parallel.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,16 +164,17 @@ def semiprime_member(
             method="cofactor",
             stats=direct.stats,
         )
-    if not submodule.generators:
-        verdict = Verdict(member=False, guarantee=guarantee, method="radical")
-    else:
+    stats = Counter(direct.stats)  # each counter summed over both phases
+    member = False
+    if submodule.generators:
         enc = bilinear_encoding(f, submodule.generators)
-        member, stats = _radical_member(
+        member, radical_stats = _radical_member(
             enc.encoded_query, enc.encoded_generators, order, limits
         )
-        verdict = Verdict(
-            member=member, guarantee=guarantee, method="radical", stats=stats
-        )
+        stats.update(radical_stats)
+    verdict = Verdict(
+        member=member, guarantee=guarantee, method="radical", stats=dict(stats)
+    )
     if not verdict.member and search_witness:
         verdict.witness = find_vanishing_witness(
             f, submodule.generators, witness_radius

@@ -12,6 +12,7 @@ is immutable and pure, so values can be shared freely across threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import (
     DivisionByZeroError,
@@ -106,6 +107,25 @@ class Field:
         """Iterate every element exactly once, in canonical order."""
         raise InfiniteFieldError(f"{self} is infinite")
 
+    # -- Groebner hooks: the reducer's division steps ----------------------
+    def normalize(self, m, lc):
+        """``(scale * m, scale)`` for a nonzero ``scale``, where ``m`` is a
+        coefficient map led by the coefficient ``lc``.  Here scale = 1/lc,
+        so the map comes back monic."""
+        one = self.one_raw
+        if lc == one:
+            return m, one
+        inv = self.inv(lc)
+        mul = self.mul
+        return {k: mul(inv, v) for k, v in m.items()}, inv
+
+    def pseudo_quotient(self, c, lead):
+        """``(a, q)`` with ``a * c == q * lead`` and ``a`` nonzero, for a
+        division step p <- a*p - q*t*b that cancels the term c against the
+        lead coefficient of b.  Over a field ``a`` is 1."""
+        one = self.one_raw
+        return one, (c if lead == one else self.div(c, lead))
+
     # -- hooks -----------------------------------------------------------
     def add(self, a, b):
         raise NotImplementedError
@@ -141,10 +161,33 @@ class RationalField(Field):
     def neg(self, a):
         return -a
 
+    def is_zero(self, a) -> bool:
+        # also takes the integers of fraction-free reduction, which an
+        # equality test against Fraction(0) would route through Fraction
+        return not a
+
     def inv(self, a):
         if a == 0:
             raise DivisionByZeroError("inverse of 0")
-        return 1 / a
+        return Fraction(1) / a
+
+    def normalize(self, m, lc):
+        """The primitive integer multiple of ``m`` whose coefficient ``lc``
+        is positive: denominators cleared, content divided out."""
+        den = lcm(*[v.denominator for v in m.values()])
+        ints = {k: v.numerator * (den // v.denominator) for k, v in m.items()}
+        content = gcd(*ints.values())
+        if lc < 0:
+            content = -content
+        if content != 1:
+            ints = {k: v // content for k, v in ints.items()}
+        return ints, Fraction(den, content)
+
+    def pseudo_quotient(self, c, lead):
+        """Integer (a, q) with a > 0, for an integer c and the positive lead
+        that ``normalize`` leaves."""
+        g = gcd(c, lead)
+        return lead // g, c // g
 
     def coerce(self, value):
         if isinstance(value, FieldElement):

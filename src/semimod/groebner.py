@@ -2,12 +2,35 @@
 
 Ideals are the rank-1 case.  The engine works on a flattened term map
 {(component, exponents): coefficient} per module element and converts back
-to VectorPoly at the boundary.  Each working element keeps a recipe, the
-(scalar map, earlier index) pairs it was made from: an input points at
-itself, an S-pair remainder is ti*b_i - tj*b_j - sum cof_k*b_k, a
-tail-reduced element is b_pos - sum cof_q*b_q.  Only a certificate
-multiplies recipes out, through ``_combine``, into combinations of the input
-generators; radical tests, refutation checks and prime closures never do.
+to VectorPoly at the boundary.
+
+Working elements are kept as ``field.normalize`` leaves them: over Q a
+primitive integer map (denominators cleared, content divided out with
+``math.gcd``, lead coefficient L > 0), over F_p and F_{p^2} a monic map.
+The one reducer, ``_reduce``, divides fraction-free: a step cancelling a
+term c against the lead L of b is p <- a*p - q*t*b with (a, q) from
+``field.pseudo_quotient``, over Q a = L/g and q = c/g for g = gcd(c, L), so
+integer maps never meet a Fraction.  It returns the product S of the a's
+with the remainder, so S*input = sum(cof_k*b_k) + rem exactly; over a finite
+field a and S are always 1.  S-vectors are a*ti*b_i - q*tj*b_j in the same
+way.  Only ``buchberger``'s last step turns the reduced basis into monic
+Fraction vectors, and ``normal_form`` scales its cofactors and remainder
+back by 1/S.
+
+Each working element keeps a recipe, the (scalar map, earlier index) pairs
+it was made from, with every scale factor in it: an input points at itself,
+an S-pair remainder is S*a*ti*b_i - S*q*tj*b_j - sum cof_k*b_k, a
+tail-reduced element is S*b_pos - sum cof_q*b_q, each times the scale its
+normalization applied, and a basis element that is not monic gets one more
+step scaling by 1/L.  Only a certificate multiplies recipes out, through
+``_combine``, into combinations of the input generators; radical tests,
+refutation checks and prime closures never do.
+
+Every divisor lead carries a support mask, bit i set when variable i has a
+positive exponent (the "divmask" of Roune & Stillman, ISSAC 2012).  A lead
+whose mask has a bit outside a term's mask cannot divide it, so the reducer
+and the chain criterion reject most candidates with one integer test before
+``mono_divides``.
 
 Pair selection is the normal strategy (smallest lcm degree first) with a
 deterministic insertion-order tie-break, so repeated runs produce identical
@@ -132,50 +155,86 @@ def _heap_key(order: OrderSpec):
     return lambda mm: (mm[0], *[-e for e in mm[1]])
 
 
-def _reduce(fmap, infos, hkey, field):
-    """Full reduction of a flattened map against basis ``infos``.
+def _support_mask(exps) -> int:
+    """Bit i set iff variable i occurs: a monomial can divide another only
+    if its mask has no bit outside the other's (Roune & Stillman, ISSAC
+    2012), so one integer test rejects most divisor candidates."""
+    mask = 0
+    for i, e in enumerate(exps):
+        if e:
+            mask |= 1 << i
+    return mask
 
-    infos is a list of (lead_modmono, lead_coeff, map) and hkey the
-    ``_heap_key`` of the order.  Returns (remainder_map, cofactor_maps); the
-    identity input = sum(cofactor_k * basis_k) + remainder holds exactly.
+
+def _info(lead, m):
+    """A divisor as ``_reduce`` reads it: (lead, lead mask, lead coefficient,
+    map)."""
+    return (lead, _support_mask(lead[1]), m[lead], m)
+
+
+def _normalized(m, hkey, field):
+    """(lead, field.normalize of m, its scale) for a nonzero map."""
+    lead = min(m, key=hkey)
+    m, scale = field.normalize(m, m[lead])
+    return lead, m, scale
+
+
+def _reduce(fmap, infos, hkey, field):
+    """Full reduction of a flattened map against the ``_info`` divisors in
+    ``infos``; hkey is the ``_heap_key`` of the order.
+
+    Each step p <- a*p - q*t*b takes (a, q) from ``field.pseudo_quotient``,
+    so over Q integer maps stay integral.  Returns (remainder, cofactors, S):
+    cofactors maps the index k of each divisor used to its cofactor map, and
+    S * input = sum(cofactor_k * basis_k) + remainder exactly.  Over a finite
+    field a is always 1, so S is 1.
     """
-    add, mul, neg, div = field.add, field.mul, field.neg, field.div
-    is_zero = field.is_zero
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+    pseudo_quotient = field.pseudo_quotient
+    one = scale = field.one_raw
     p = dict(fmap)
     heap = [(hkey(mm), mm) for mm in p]
     heapify(heap)
     rem = {}
-    cofs = [dict() for _ in infos]
+    cofs = {}
     while heap:
         cm = heappop(heap)[1]
         c = p.get(cm)
         if c is None:
             continue  # cancelled since it was pushed
         comp, exps = cm
-        for k, (bmm, blc, bmap) in enumerate(infos):
-            if bmm[0] == comp and mono_divides(bmm[1], exps):
-                t = mono_div(exps, bmm[1])
-                q = div(c, blc)
-                _acc(cofs[k], t, q, add, is_zero)
-                qn = neg(q)
-                for (bc, be), bco in bmap.items():
-                    mm = (bc, mono_mul(t, be))
-                    val = mul(qn, bco)
-                    cur = p.get(mm)
-                    if cur is None:
-                        p[mm] = val
-                        heappush(heap, (hkey(mm), mm))
+        outside = ~_support_mask(exps)
+        for k, (bmm, bmask, blc, bmap) in enumerate(infos):
+            if bmask & outside or bmm[0] != comp or not mono_divides(bmm[1], exps):
+                continue
+            a, q = pseudo_quotient(c, blc)
+            if a != one:
+                scale = mul(a, scale)
+                for part in (p, rem, *cofs.values()):
+                    for key, val in part.items():
+                        part[key] = mul(a, val)
+            t = mono_div(exps, bmm[1])
+            # popped terms strictly descend, so t is new to cofactor k
+            cofs.setdefault(k, {})[t] = q
+            qn = neg(q)
+            for (bc, be), bco in bmap.items():
+                mm = (bc, mono_mul(t, be))
+                val = mul(qn, bco)
+                cur = p.get(mm)
+                if cur is None:
+                    p[mm] = val
+                    heappush(heap, (hkey(mm), mm))
+                else:
+                    val = add(cur, val)
+                    if is_zero(val):
+                        del p[mm]
                     else:
-                        val = add(cur, val)
-                        if is_zero(val):
-                            del p[mm]
-                        else:
-                            p[mm] = val
-                break
+                        p[mm] = val
+            break
         else:
             rem[cm] = c
             del p[cm]
-    return rem, cofs
+    return rem, cofs, scale
 
 
 @dataclass
@@ -187,19 +246,13 @@ class NormalFormResult:
     cofactors: list
 
 
-def _basis_infos(maps, hkey):
-    infos = []
-    for m in maps:
-        lead = min(m, key=hkey)
-        infos.append((lead, m[lead], m))
-    return infos
-
-
 def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> NormalFormResult:
     """Divide f by a list of module elements; no remainder term is divisible
     by any basis leading module-monomial."""
     ring, rank = f.ring, len(f)
-    maps = []
+    field = ring.field
+    hkey = _heap_key(order)
+    infos, scales = [], []
     for g in basis:
         if g.ring != ring:
             raise MismatchedRingError("basis element from a different ring")
@@ -207,12 +260,19 @@ def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> Norma
             raise DimensionMismatchError("basis element of a different rank")
         if g.is_zero():
             raise ValueError("basis elements must be nonzero")
-        maps.append(_vec_to_map(g))
-    hkey = _heap_key(order)
-    rem, cofs = _reduce(_vec_to_map(f), _basis_infos(maps, hkey), hkey, ring.field)
+        lead, m, s = _normalized(_vec_to_map(g), hkey, field)
+        infos.append(_info(lead, m))
+        scales.append(s)
+    fmap, fscale = _vec_to_map(f), field.one_raw
+    if fmap:
+        _, fmap, fscale = _normalized(fmap, hkey, field)
+    rem, cofs, scale = _reduce(fmap, infos, hkey, field)
+    # the reducer saw fscale*f and s_k*g_k: S*fscale*f = sum(cof_k*s_k*g_k) + rem
+    back, mul = field.inv(field.mul(scale, fscale)), field.mul
     return NormalFormResult(
-        remainder=_map_to_vec(ring, rank, rem),
-        cofactors=[Polynomial(ring, c) for c in cofs],
+        remainder=_map_to_vec(ring, rank, _pscale(rem, back, field)),
+        cofactors=[Polynomial(ring, _pscale(cofs.get(k, {}), mul(back, s), field))
+                   for k, s in enumerate(scales)],
     )
 
 
@@ -263,7 +323,13 @@ def _combine(recipe, reps, nin, field):
 class GroebnerBasis:
     """Reduced, monic basis together with the order it was computed under
     and the recipes of the working elements it was made from; ``final[k]``
-    indexes the working element equal to ``elements[k]``.  The first
+    indexes the working element equal to ``elements[k]``.
+
+    Over Q the working elements were primitive integer maps with support
+    masks on their leads; ``elements`` are their monic forms, with Fraction
+    coefficients, and the recipe of each one whose lead coefficient L was
+    not 1 ends in a step scaling by 1/L.  Recipe scalars carry every scale
+    factor of the integer reduction, so certificates are exact.  The first
     certificate expands every recipe and keeps the result.  That cache is
     written once, whole, so two threads racing for it only compute it twice."""
 
@@ -338,44 +404,43 @@ def buchberger(
     field = ring.field
     mkey = order.module_key
     hkey = _heap_key(order)
-    one, neg_one = field.one_raw, field.neg(field.one_raw)
+    one = field.one_raw
+    add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
+    neg_one = neg(one)
     zero_exps = ring._zero_exps
 
-    basis = []  # flattened maps, always monic
-    leads = []  # (modmono) per element
+    infos = []  # per working element: its _info, the map normalized
     singles = []  # single component index or None
     recipes = []  # per working element: [(scalar map, earlier index)]
     heap = []
     counter = 0
     done = set()  # pairs (i, j), i < j, already taken off the queue
 
-    def push_pairs(new_idx):
-        nonlocal counter
-        for old_idx in range(new_idx):
-            if leads[old_idx][0] != leads[new_idx][0]:
-                continue
-            deg = sum(mono_lcm(leads[old_idx][1], leads[new_idx][1]))
-            heappush(heap, (deg, counter, old_idx, new_idx))
-            counter += 1
+    def normalized_info(emap, recipe):
+        """The _info of field.normalize(emap), with the recipe scaled alike."""
+        lead, emap, scale = _normalized(emap, hkey, field)
+        if scale != one:
+            recipe = [(_pscale(c, scale, field), k) for c, k in recipe]
+        return _info(lead, emap), recipe
 
     def add_element(emap, recipe):
-        lead = min(emap, key=hkey)
-        lc = emap[lead]
-        if lc != one:
-            inv = field.inv(lc)
-            emap = {k: field.mul(inv, v) for k, v in emap.items()}
-            recipe = [(_pscale(c, inv, field), k) for c, k in recipe]
-        idx = len(basis)
-        basis.append(emap)
-        leads.append(lead)
+        nonlocal counter
+        info, recipe = normalized_info(emap, recipe)
+        new_idx = len(infos)
+        infos.append(info)
         singles.append(_single_component(emap))
         recipes.append(recipe)
-        push_pairs(idx)
+        lead = info[0]
+        for old_idx in range(new_idx):
+            old = infos[old_idx][0]
+            if old[0] == lead[0]:
+                deg = sum(mono_lcm(old[1], lead[1]))
+                heappush(heap, (deg, counter, old_idx, new_idx))
+                counter += 1
 
     for j, g in enumerate(kept):
         add_element(_vec_to_map(g), [({zero_exps: one}, j)])
 
-    add, neg, is_zero = field.add, field.neg, field.is_zero
     while heap:
         if stats["pairs_processed"] >= limits.max_pairs:
             raise ResourceLimitExceededError(
@@ -384,8 +449,9 @@ def buchberger(
         _, _, i, j = heappop(heap)
         stats["pairs_processed"] += 1
         done.add((i, j))
-        li, lj = leads[i], leads[j]
+        (li, mask_i, lc_i, map_i), (lj, mask_j, lc_j, map_j) = infos[i], infos[j]
         lcm = mono_lcm(li[1], lj[1])
+        outside = ~(mask_i | mask_j)
         if (
             # coprimality, valid only inside a single shared component
             singles[i] is not None
@@ -395,21 +461,24 @@ def buchberger(
             # chain: the pair's S-vector follows from (i, k) and (j, k).
             # Pairs join two distinct elements with leads in one component,
             # so k is neither i nor j and its lead shares their component.
-            mono_divides(lk[1], lcm)
+            not mask_k & outside
+            and mono_divides(lk[1], lcm)
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
-            for k, lk in enumerate(leads)
+            for k, (lk, mask_k, _, _) in enumerate(infos)
         ):
             stats["pairs_skipped"] += 1
             continue
         ti, tj = mono_div(lcm, li[1]), mono_div(lcm, lj[1])
+        # a*lc_i == q*lc_j, so the leads cancel in a*ti*b_i - q*tj*b_j
+        a, q = field.pseudo_quotient(lc_i, lc_j)
+        qn = neg(q)
         s = {}
-        for (comp, exps), c in basis[i].items():
-            _acc(s, (comp, mono_mul(ti, exps)), c, add, is_zero)
-        for (comp, exps), c in basis[j].items():
-            _acc(s, (comp, mono_mul(tj, exps)), neg(c), add, is_zero)
-        infos = [(leads[k], one, basis[k]) for k in range(len(basis))]
-        rem, cofs = _reduce(s, infos, hkey, field)
+        for (comp, exps), c in map_i.items():
+            _acc(s, (comp, mono_mul(ti, exps)), mul(a, c), add, is_zero)
+        for (comp, exps), c in map_j.items():
+            _acc(s, (comp, mono_mul(tj, exps)), mul(qn, c), add, is_zero)
+        rem, cofs, scale = _reduce(s, infos, hkey, field)
         if not rem:
             stats["zero_reductions"] += 1
             continue
@@ -417,12 +486,14 @@ def buchberger(
             raise ResourceLimitExceededError(
                 f"degree cap {limits.max_degree} crossed; instance is beyond desk scale"
             )
-        recipe = [({ti: one}, i), ({tj: neg_one}, j)]
-        recipe += [(_pscale(cof, neg_one, field), k) for k, cof in enumerate(cofs) if cof]
+        # rem = scale*(a*ti*b_i - q*tj*b_j) - sum cof_k*b_k
+        recipe = [({ti: mul(scale, a)}, i), ({tj: mul(scale, qn)}, j)]
+        recipe += [(_pscale(cof, neg_one, field), k) for k, cof in cofs.items()]
         add_element(rem, recipe)
 
     # -- minimal basis: drop elements whose lead is divisible by another's --
-    order_idx = sorted(range(len(basis)), key=lambda k: mkey(leads[k]))
+    leads = [info[0] for info in infos]
+    order_idx = sorted(range(len(leads)), key=lambda k: mkey(leads[k]))
     kept_idx = []
     for k in order_idx:
         ck, ek = leads[k]
@@ -433,21 +504,27 @@ def buchberger(
             kept_idx.append(k)
 
     # -- tail reduction: ascending leads, so smaller elements are final --
-    final_maps = [basis[k] for k in kept_idx]
-    final_leads = [leads[k] for k in kept_idx]
-    for pos in range(len(final_maps)):
-        others = [q for q in range(len(final_maps)) if q != pos]
-        infos = [(final_leads[q], one, final_maps[q]) for q in others]
-        rem, cofs = _reduce(final_maps[pos], infos, hkey, field)
-        if rem != final_maps[pos]:
-            recipe = [({zero_exps: one}, kept_idx[pos])]
+    final = [infos[k] for k in kept_idx]
+    for pos in range(len(final)):
+        others = [q for q in range(len(final)) if q != pos]
+        rem, cofs, scale = _reduce(final[pos][3], [final[q] for q in others], hkey, field)
+        if cofs:
+            # rem = scale*b_pos - sum cof_q*b_q, with b_pos's lead
+            recipe = [({zero_exps: scale}, kept_idx[pos])]
             recipe += [(_pscale(cof, neg_one, field), kept_idx[others[qi]])
-                       for qi, cof in enumerate(cofs) if cof]
-            final_maps[pos] = rem
+                       for qi, cof in cofs.items()]
+            final[pos], recipe = normalized_info(rem, recipe)
             kept_idx[pos] = len(recipes)
             recipes.append(recipe)
 
-    elements = [_map_to_vec(ring, rank, m) for m in final_maps]
+    # -- the boundary: monic elements, one last recipe step scaling by 1/lc --
+    elements = []
+    for pos, (_, _, lc, m) in enumerate(final):
+        inv = field.inv(lc)
+        elements.append(_map_to_vec(ring, rank, _pscale(m, inv, field)))
+        if lc != one:
+            recipes.append([({zero_exps: inv}, kept_idx[pos])])
+            kept_idx[pos] = len(recipes) - 1
     stats["basis_size"] = len(elements)
     return GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx)
 

@@ -428,6 +428,24 @@ def test_flags_may_come_before_or_after_the_command():
     assert before.order == "pot"
 
 
+def test_main_builds_the_parser_once(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_arg_parser()
+
+    path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="member"))
+    monkeypatch.setattr(semimod.cli, "build_arg_parser", counting)
+    semimod.cli._arg_parser.cache_clear()
+    try:
+        assert run(capsys, "member", path)[0] == 1
+        assert run(capsys, "member", path, "--order", "pot")[0] == 1
+    finally:
+        semimod.cli._arg_parser.cache_clear()
+    assert built == [1]
+
+
 def test_unknown_command_exits_with_status_2(tmp_path, capsys):
     path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="member"))
     with pytest.raises(SystemExit) as exit_info:

@@ -99,6 +99,17 @@ def test_twisted_pair_query_is_semiprime_member(R, twisted):
     assert verdict.guarantee == EXTENSION_STABLE
 
 
+def test_semiprime_counters_sum_the_direct_and_radical_phases(R, twisted):
+    x, y = R.variables()
+    f = VectorPoly(R, [y * y, x * x])
+    direct = submodule_member(f, twisted)
+    assert not direct.member and direct.stats["pairs_processed"] == 1
+    verdict = semiprime_member(f, twisted, search_witness=False)
+    assert verdict.method == "radical"
+    # the radical basis alone processes 10 pairs
+    assert verdict.stats["pairs_processed"] == 11
+
+
 def test_generators_are_members_with_certificates(R, twisted):
     verdict = semiprime_member(twisted.generators[0], twisted)
     assert verdict.member

@@ -9,6 +9,7 @@ g_k.e and the e_i*e_j (match the degree-1 parts in e of any representation).
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -32,15 +33,13 @@ def to_sympy(poly, syms):
     return expr
 
 
-@pytest.mark.parametrize("order_name", ["grevlex", "lex"])
-def test_ideal_bases_match_sympy(order_name):
-    rng = random.Random(211)
+def assert_ideal_bases_match_sympy(rng, order_name, coeffs, count):
     R = PolyRing(QQ, ("x", "y"))
     syms = sympy.symbols("x y")
     order = OrderSpec(scalar=order_name)
-    for _ in range(25):
+    for _ in range(count):
         gens = [
-            random_polynomial(rng, R, max_degree=3, max_terms=3)
+            random_polynomial(rng, R, max_degree=3, max_terms=3, coeffs=coeffs)
             for _ in range(rng.randint(1, 3))
         ]
         mine = buchberger([VectorPoly(R, [g]) for g in gens], order)
@@ -62,6 +61,19 @@ def test_ideal_bases_match_sympy(order_name):
         assert len(ours) == len(theirs)
         for a, b in zip(ours, theirs):
             assert sympy.expand(a - b) == 0
+
+
+@pytest.mark.parametrize("order_name", ["grevlex", "lex"])
+def test_ideal_bases_match_sympy(order_name):
+    assert_ideal_bases_match_sympy(random.Random(211), order_name, (-2, -1, 1, 2), 25)
+
+
+@pytest.mark.parametrize("order_name", ["grevlex", "lex"])
+def test_rational_ideal_bases_match_sympy(order_name):
+    # denominators, a large prime numerator and non-unit leads exercise the
+    # integer reduction and the monic boundary
+    coeffs = (Fraction(7, 3), Fraction(-12, 5), Fraction(1000003, 2), 3, -4)
+    assert_ideal_bases_match_sympy(random.Random(227), order_name, coeffs, 20)
 
 
 def test_module_membership_matches_sympy_encoding():

@@ -28,6 +28,17 @@ def test_prime_inverse():
     assert F5.element(2).inverse() == F5.element(3)
 
 
+def test_rational_inverse_is_an_exact_fraction():
+    for value in (3, Fraction(3), Fraction(-2, 7)):
+        inverse = QQ.inv(value)
+        assert type(inverse) is Fraction
+        assert inverse * value == 1
+    assert QQ.inv(3) == Fraction(1, 3)
+    assert QQ.div(Fraction(1), 3) == Fraction(1, 3)
+    with pytest.raises(DivisionByZeroError):
+        QQ.inv(0)
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(DivisionByZeroError):
         QQ.element(0).inverse()

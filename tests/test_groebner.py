@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 
@@ -12,15 +14,31 @@ from semimod.groebner import (
     GroebnerLimits,
     SubmodulePresentation,
     _heap_key,
+    _support_mask,
+    _vec_to_map,
     buchberger,
     ideal_member,
     normal_form,
     s_vector,
     submodule_member,
 )
-from semimod.poly import OrderSpec, PolyRing, VectorPoly, unit_vector
+from semimod.poly import (
+    OrderSpec,
+    PolyRing,
+    VectorPoly,
+    mono_div,
+    mono_divides,
+    mono_mul,
+    unit_vector,
+)
 
 POT = OrderSpec(module="pot")
+
+# rational coefficients with denominators, a large prime numerator and
+# non-unit integers, so leads are rarely 1 and contents are nontrivial
+RATIONAL_COEFFS = (
+    Fraction(7, 3), Fraction(-12, 5), Fraction(1000003, 2), 3, -4, Fraction(-1, 6),
+)
 
 
 @pytest.fixture
@@ -88,6 +106,86 @@ def test_normal_form_is_idempotent(R):
             assert normal_form(rem, basis).remainder == rem
 
 
+def reference_reduce(fmap, infos, hkey, field):
+    """The field-division reducer that fraction-free reduction replaced,
+    kept as the reference: infos holds (lead, lead coefficient, map), and
+    input = sum(cofactor_k * basis_k) + remainder."""
+    add, mul, neg, div = field.add, field.mul, field.neg, field.div
+    is_zero = field.is_zero
+    p = dict(fmap)
+    heap = [(hkey(mm), mm) for mm in p]
+    heapify(heap)
+    rem = {}
+    cofs = [dict() for _ in infos]
+    while heap:
+        cm = heappop(heap)[1]
+        c = p.get(cm)
+        if c is None:
+            continue
+        comp, exps = cm
+        for k, (bmm, blc, bmap) in enumerate(infos):
+            if bmm[0] == comp and mono_divides(bmm[1], exps):
+                t = mono_div(exps, bmm[1])
+                q = div(c, blc)
+                cofs[k][t] = add(cofs[k].get(t, field.zero_raw), q)
+                qn = neg(q)
+                for (bc, be), bco in bmap.items():
+                    mm = (bc, mono_mul(t, be))
+                    val = mul(qn, bco)
+                    cur = p.get(mm)
+                    if cur is None:
+                        p[mm] = val
+                        heappush(heap, (hkey(mm), mm))
+                    else:
+                        val = add(cur, val)
+                        if is_zero(val):
+                            del p[mm]
+                        else:
+                            p[mm] = val
+                break
+        else:
+            rem[cm] = c
+            del p[cm]
+    return rem, cofs
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_normal_form_matches_the_field_division_reference(order, rank):
+    R = PolyRing(QQ, ("x", "y"))
+    hkey = _heap_key(order)
+    rng = random.Random(83 + rank)
+    for _ in range(25):
+        basis = random_generators(rng, R, rank, coeffs=RATIONAL_COEFFS)
+        f = random_vector(rng, R, rank, max_degree=3, coeffs=RATIONAL_COEFFS)
+        infos = []
+        for g in basis:
+            m = _vec_to_map(g)
+            lead = min(m, key=hkey)
+            infos.append((lead, m[lead], m))
+        rem, cofs = reference_reduce(_vec_to_map(f), infos, hkey, QQ)
+        nf = normal_form(f, basis, order)
+        assert _vec_to_map(nf.remainder) == rem
+        assert [c.terms for c in nf.cofactors] == cofs
+        assert combine(nf.cofactors, basis) + nf.remainder == f
+        assert all(type(c) is Fraction for c in _vec_to_map(nf.remainder).values())
+
+
+def test_support_mask_rejects_only_non_divisors():
+    rng = random.Random(89)
+    rejected = 0
+    for n in range(1, 9):
+        for _ in range(500):
+            a = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+            b = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+            if _support_mask(a) & ~_support_mask(b):
+                rejected += 1
+                assert not mono_divides(a, b)
+            if mono_divides(a, b):
+                assert not _support_mask(a) & ~_support_mask(b)
+    assert rejected > 1000
+
+
 # ---------------------------------------------------------------------------
 # buchberger
 # ---------------------------------------------------------------------------
@@ -136,6 +234,29 @@ def test_random_bases_satisfy_s_vector_oracle(order, field, rank):
         gb = buchberger(gens, order)
         assert_is_groebner(gb)
         assert_provenance(gb)
+
+
+def assert_monic_over_fractions(gb):
+    for g in gb.elements:
+        lead = max(
+            ((i, m) for i, e in enumerate(g.entries) for m in e.terms),
+            key=gb.order.module_key,
+        )
+        assert g.entries[lead[0]].terms[lead[1]] == 1
+        assert all(type(c) is Fraction for e in g.entries for c in e.terms.values())
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_rational_bases_satisfy_s_vector_oracle(order, rank):
+    R = PolyRing(QQ, ("x", "y"))
+    rng = random.Random(97 + rank)
+    for _ in range(25):
+        gens = random_generators(rng, R, rank, coeffs=RATIONAL_COEFFS)
+        gb = buchberger(gens, order)
+        assert_is_groebner(gb)
+        assert_provenance(gb)
+        assert_monic_over_fractions(gb)
 
 
 def test_chain_criterion_skips_pairs_of_a_known_basis():
@@ -248,6 +369,21 @@ def test_membership_certificates_reproduce(R):
         verdict = submodule_member(f, N)
         assert verdict.member
         assert combine(verdict.certificate, N.generators) == f
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_rational_certificates_recombine_exactly(order, rank):
+    R = PolyRing(QQ, ("x", "y"))
+    rng = random.Random(101 + rank)
+    for _ in range(15):
+        gens = random_generators(rng, R, rank, coeffs=RATIONAL_COEFFS)
+        coeffs = [random_vector(rng, R, 1, coeffs=RATIONAL_COEFFS)[0] for _ in gens]
+        f = combine(coeffs, gens)
+        verdict = submodule_member(f, SubmodulePresentation(R, rank, gens), order)
+        assert verdict.member
+        assert combine(verdict.certificate, gens) == f
+        assert all(type(c) is Fraction for q in verdict.certificate for c in q.terms.values())
 
 
 def test_representations_are_built_only_for_certificates(R, pair_basis, monkeypatch):

@@ -27,7 +27,6 @@ from .matrixideals import matrix_semiprime_member
 from .oracle import DEFAULT_CAP, oracle_check, oracle_check_escalating
 from .parser import Query, parse_problem
 from .poly import OrderSpec
-from .verdicts import guarantee_for
 from .submodules import (
     prime_closure_at,
     semiprime_refutation,
@@ -93,11 +92,11 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 0 if verdict.member else 1
 
     elif query.kind == "radical-member":
-        member, stats = _radical_member(value, gens, order, limits)
-        report["member"] = member
-        report["guarantee"] = guarantee_for(problem.ring.field)
-        report["counters"] = stats
-        code = 0 if member else 1
+        verdict = _radical_member(value, gens, order, limits)
+        report["member"] = verdict.member
+        report["guarantee"] = verdict.guarantee
+        report["counters"] = verdict.stats
+        code = 0 if verdict.member else 1
 
     elif query.kind == "matrix-semiprime-member":
         verdict = matrix_semiprime_member(

@@ -63,7 +63,9 @@ def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
     return BilinearEncoding(ext, enc_gens, f.embed_into(ext).dot(vblock))
 
 
-def _radical_member(f, gens, order, limits):
+def _radical_member(f, gens, order, limits) -> Verdict:
+    """The radical test with its evidence: the guarantee of the field and
+    the counters of the basis of I + <1 - t*f>."""
     ring = f.ring
     for g in gens:
         if g.ring != ring:
@@ -79,7 +81,12 @@ def _radical_member(f, gens, order, limits):
     # soundness re-check: the reduced basis of the unit ideal is exactly {1}
     if member and (len(gb.elements) != 1 or gb.elements[0] != one):
         raise InvariantViolationError("unit ideal without the reduced basis {1}")
-    return member, dict(gb.stats)
+    return Verdict(
+        member=member,
+        guarantee=guarantee_for(ring.field),
+        method="radical",
+        stats=dict(gb.stats),
+    )
 
 
 def radical_member(
@@ -91,7 +98,7 @@ def radical_member(
     """True iff f lies in the radical of the ideal generated by ``gens``,
     decided by whether 1 - t*f together with the generators produce the
     unit ideal in one extra variable."""
-    return _radical_member(f, gens, order, limits)[0]
+    return _radical_member(f, gens, order, limits).member
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +171,14 @@ def semiprime_member(
             method="cofactor",
             stats=direct.stats,
         )
-    stats = Counter(direct.stats)  # each counter summed over both phases
-    member = False
     if submodule.generators:
         enc = bilinear_encoding(f, submodule.generators)
-        member, radical_stats = _radical_member(
-            enc.encoded_query, enc.encoded_generators, order, limits
-        )
-        stats.update(radical_stats)
-    verdict = Verdict(
-        member=member, guarantee=guarantee, method="radical", stats=dict(stats)
-    )
+        verdict = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
+    else:
+        verdict = Verdict(member=False, guarantee=guarantee, method="radical")
+    stats = Counter(direct.stats)  # each counter summed over both phases
+    stats.update(verdict.stats)
+    verdict.stats = dict(stats)
     if not verdict.member and search_witness:
         verdict.witness = find_vanishing_witness(
             f, submodule.generators, witness_radius

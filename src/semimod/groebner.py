@@ -456,7 +456,7 @@ def buchberger(
             # coprimality, valid only inside a single shared component
             singles[i] is not None
             and singles[i] == singles[j]
-            and all(min(a, b) == 0 for a, b in zip(li[1], lj[1]))
+            and not any(map(min, li[1], lj[1]))
         ) or any(
             # chain: the pair's S-vector follows from (i, k) and (j, k).
             # Pairs join two distinct elements with leads in one component,

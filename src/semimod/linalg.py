@@ -8,10 +8,7 @@ nonzero entry.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
-
-from .fields import Field, RationalField
+from .fields import Field
 
 
 def dot_raw(field: Field, xs, ys):
@@ -73,30 +70,3 @@ def kernel_basis(rows, ncols: int, field: Field):
         basis.append(tuple(v))
     return basis
 
-
-def primitive_scale(vec, field: Field):
-    """Rescale a nonzero vector by a nonzero constant into a canonical form.
-
-    Over Q: clear denominators, divide by the content, make the first
-    nonzero entry positive (so (1/2, 1) becomes (1, 2)).  Over finite
-    fields: make the first nonzero entry 1.  Membership in any submodule is
-    unchanged by such scaling.
-    """
-    if all(field.is_zero(x) for x in vec):
-        return tuple(vec)
-    if isinstance(field, RationalField):
-        den = 1
-        for x in vec:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
-        ints = [x // g for x in ints]
-        lead = next(x for x in ints if x)
-        if lead < 0:
-            ints = [-x for x in ints]
-        return tuple(Fraction(x) for x in ints)
-    lead = next(x for x in vec if not field.is_zero(x))
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in vec)

@@ -30,6 +30,7 @@ from .errors import (
 from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
 from .linalg import dot_raw, kernel_basis as _kernel_basis
 from .poly import PolyMatrix
+from .verdicts import Witness
 
 DEFAULT_CAP = 1_000_000
 
@@ -60,11 +61,7 @@ class OracleReport:
             "result": "pass" if self.passed else "counterexample",
         }
         if self.counterexample is not None:
-            a, v = self.counterexample
-            out["counterexample"] = {
-                "point": [str(x) for x in a],
-                "vector": [str(x) for x in v],
-            }
+            out["counterexample"] = Witness(*self.counterexample).as_json()
         return out
 
 

@@ -4,12 +4,16 @@ A problem file declares one ring, then named polynomials, vectors and
 matrices over it, then queries.  The printer emits the same format back;
 printing and re-parsing reproduces every object exactly.  The full grammar
 lives in docs/format.md.
+
+Tokens keep only their offset into the text.  A line and column are
+computed from it only when an error needs one (``line_column``).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -28,39 +32,34 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<punct>[;=,\[\](){}^*+\-/])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "int" | "punct" | "eof"
     text: str
-    line: int
-    column: int
+    offset: int  # index of the token's first character in the text
+
+
+def line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``text[offset]``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str):
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ProblemSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "bad":
+            raise ProblemSyntaxError(
+                f"unexpected character {m.group()!r}", *line_column(text, m.start())
+            )
+        if kind != "ws" and kind != "comment":
+            tokens.append(Token(kind, m.group(), m.start()))
+    tokens.append(Token("eof", "", len(text)))
     return tokens
 
 
@@ -102,6 +101,7 @@ QUERY_KINDS = {
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -115,8 +115,8 @@ class _Parser:
         return tok
 
     def fail(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise ProblemSyntaxError(message, tok.line, tok.column)
+        offset = (tok or self.peek()).offset
+        raise ProblemSyntaxError(message, *line_column(self.text, offset))
 
     def expect(self, kind: str, text: str | None = None) -> Token:
         tok = self.peek()
@@ -127,8 +127,21 @@ class _Parser:
         return self.advance()
 
     def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+        # no name, int or eof token has the text of a punctuation mark
+        return self.tokens[self.pos].text == text
+
+    def name(self) -> str:
+        return self.expect("name").text
+
+    def comma_list(self, open_: str, item, close: str) -> list:
+        """``open_ item (, item)* close``; returns the items."""
+        self.expect("punct", open_)
+        items = [item()]
+        while self.at_punct(","):
+            self.advance()
+            items.append(item())
+        self.expect("punct", close)
+        return items
 
     # -- problem structure ---------------------------------------------------
     def parse_problem(self) -> ProblemFile:
@@ -158,12 +171,7 @@ class _Parser:
     def parse_ring(self) -> ProblemFile:
         self.expect("name", "ring")
         field = self.parse_field_name()
-        self.expect("punct", "[")
-        names = [self.expect("name").text]
-        while self.at_punct(","):
-            self.advance()
-            names.append(self.expect("name").text)
-        self.expect("punct", "]")
+        names = self.comma_list("[", self.name, "]")
         self.expect("punct", ";")
         for name in names:
             if name in KEYWORDS:
@@ -209,17 +217,18 @@ class _Parser:
         if problem.rank is None:
             problem.rank = rank
         elif problem.rank != rank:
+            line = line_column(self.text, tok.offset)[0]
             raise DimensionMismatchError(
-                f"rank {rank} at line {tok.line} conflicts with earlier rank {problem.rank}"
+                f"rank {rank} at line {line} conflicts with earlier rank {problem.rank}"
             )
 
     # -- queries -------------------------------------------------------------
     def parse_query(self, problem: ProblemFile):
         self.expect("name", "query")
-        kind = self.expect("name").text
+        kind = self.name()
         while self.at_punct("-"):
             self.advance()
-            kind += "-" + self.expect("name").text
+            kind += "-" + self.name()
         if kind not in QUERY_KINDS:
             self.fail(f"unknown query kind {kind!r}")
         if kind == "k-of":
@@ -228,9 +237,9 @@ class _Parser:
             point = self.parse_point(problem.ring)
             args = {"generators": gens, "point": point}
         elif kind == "refute-weak":
-            scalar = self.expect("name").text
+            scalar = self.name()
             self.expect("punct", ",")
-            vector = self.expect("name").text
+            vector = self.name()
             self.expect("name", "in")
             args = {
                 "scalar": scalar,
@@ -238,7 +247,7 @@ class _Parser:
                 "generators": self.parse_name_set(),
             }
         else:
-            query_name = self.expect("name").text
+            query_name = self.name()
             self.expect("name", "in")
             args = {"query": query_name, "generators": self.parse_name_set()}
         self.expect("punct", ";")
@@ -246,21 +255,10 @@ class _Parser:
         problem.queries.append(Query(kind, args))
 
     def parse_name_set(self):
-        self.expect("punct", "{")
-        names = [self.expect("name").text]
-        while self.at_punct(","):
-            self.advance()
-            names.append(self.expect("name").text)
-        self.expect("punct", "}")
-        return names
+        return self.comma_list("{", self.name, "}")
 
     def parse_point(self, ring: PolyRing):
-        self.expect("punct", "(")
-        coords = [self.parse_scalar(ring)]
-        while self.at_punct(","):
-            self.advance()
-            coords.append(self.parse_scalar(ring))
-        self.expect("punct", ")")
+        coords = self.comma_list("(", lambda: self.parse_scalar(ring), ")")
         if len(coords) != ring.nx:
             raise DimensionMismatchError(
                 f"point has {len(coords)} coordinates, ring has {ring.nx} variables"
@@ -319,15 +317,13 @@ class _Parser:
     def parse_term(self, ring: PolyRing) -> Polynomial:
         product = self.parse_factor(ring)
         while True:
-            if self.at_punct("*"):
+            tok = self.peek()
+            if tok.text == "*":
                 self.advance()
-                product = product * self.parse_factor(ring)
-            else:
-                tok = self.peek()
-                if tok.kind in ("name", "int") or (tok.kind == "punct" and tok.text == "("):
-                    product = product * self.parse_factor(ring)
-                else:
-                    return product
+            elif tok.kind != "name" and tok.kind != "int" and tok.text != "(":
+                return product
+            # an explicit '*' or juxtaposition: the next factor multiplies
+            product = product * self.parse_factor(ring)
 
     def parse_factor(self, ring: PolyRing) -> Polynomial:
         base = self.parse_atom(ring)
@@ -360,9 +356,10 @@ class _Parser:
             if tok.text == "t" and isinstance(ring.field, QuadraticField):
                 return ring.const(ring.field.generator)
             raise UndefinedNameError(
-                f"{tok.text!r} is not a ring variable (line {tok.line})"
+                f"{tok.text!r} is not a ring variable "
+                f"(line {line_column(self.text, tok.offset)[0]})"
             )
-        if tok.kind == "punct" and tok.text == "(":
+        if tok.text == "(":
             self.advance()
             inner = self.parse_expression(ring)
             self.expect("punct", ")")
@@ -370,21 +367,10 @@ class _Parser:
         self.fail("expected a polynomial factor")
 
     def parse_vector(self, ring: PolyRing) -> VectorPoly:
-        self.expect("punct", "[")
-        entries = [self.parse_expression(ring)]
-        while self.at_punct(","):
-            self.advance()
-            entries.append(self.parse_expression(ring))
-        self.expect("punct", "]")
-        return VectorPoly(ring, entries)
+        return VectorPoly(ring, self.comma_list("[", lambda: self.parse_expression(ring), "]"))
 
     def parse_matrix(self, ring: PolyRing) -> PolyMatrix:
-        self.expect("punct", "[")
-        rows = [self.parse_vector(ring).entries]
-        while self.at_punct(","):
-            self.advance()
-            rows.append(self.parse_vector(ring).entries)
-        self.expect("punct", "]")
+        rows = self.comma_list("[", lambda: self.parse_vector(ring).entries, "]")
         return PolyMatrix(ring, rows)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, ZeroCovectorError
 from .groebner import SubmodulePresentation, submodule_member
-from .linalg import dot_raw, kernel_basis, primitive_scale, row_space_basis
+from .linalg import dot_raw, kernel_basis, row_space_basis
 from .poly import Polynomial, PolyRing, VectorPoly, _coerce_point, unit_vector
 
 
@@ -65,7 +65,11 @@ def _pullback(ring: PolyRing, n: int, point, span) -> SubmodulePresentation:
     point_gens = point_ideal_generators(ring, point)
     gens = [p * unit_vector(ring, n, i) for i in range(n) for p in point_gens]
     for w in span:
-        gens.append(VectorPoly(ring, [ring.const(c) for c in primitive_scale(w, field)]))
+        # each span vector in the canonical scaling: primitive integers with
+        # a positive lead over Q, monic over a finite field
+        lead = next(c for c in w if not field.is_zero(c))
+        scaled, _ = field.normalize(dict(enumerate(w)), lead)
+        gens.append(VectorPoly(ring, [ring.const(c) for c in scaled.values()]))
     return SubmodulePresentation(ring, n, gens)
 
 

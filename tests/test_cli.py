@@ -209,6 +209,33 @@ def test_cli_k_of(tmp_path, capsys):
     assert report["span"] == [["1", "2"]]
 
 
+@pytest.mark.parametrize(
+    "text, span, scaled",
+    [
+        (
+            "ring Q[x, y];\nvec g = [x, 3/2*y];\nquery k-of {g} at (2, 1);",
+            [["1", "3/4"]],
+            ["[4, 3]"],
+        ),
+        (
+            "ring Q[x, y];\nvec g1 = [x, 1/3, y];\nvec g2 = [-x, 1/2, 0];\n"
+            "query k-of {g1, g2} at (1, 1);",
+            [["1", "0", "3/5"], ["0", "1", "6/5"]],
+            ["[5, 0, 3]", "[0, 5, 6]"],
+        ),
+    ],
+    ids=["rank-2", "rank-3"],
+)
+def test_cli_k_of_scales_fractional_spans(tmp_path, capsys, text, span, scaled):
+    # the span is the echelon basis; its pullback generators are primitive
+    # integer vectors with a positive lead
+    code, report = run(capsys, "k-of", write(tmp_path, text))
+    assert code == 0
+    assert report["span"] == span
+    rank = len(span[0])
+    assert report["generators"][2 * rank:] == scaled
+
+
 def test_cli_oracle(tmp_path, capsys):
     path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="oracle"))
     code, report = run(capsys, "oracle", path, "--field", "3")

@@ -17,8 +17,13 @@ from semimod.closure import (
 )
 from semimod.errors import InvariantViolationError
 from semimod.fields import QQ, PrimeField
-from semimod.groebner import SubmodulePresentation, submodule_member
-from semimod.poly import PolyRing, VectorPoly, unit_vector
+from semimod.groebner import (
+    DEFAULT_LIMITS,
+    SubmodulePresentation,
+    ideal_presentation,
+    submodule_member,
+)
+from semimod.poly import DEFAULT_ORDER, PolyRing, VectorPoly, unit_vector
 from semimod.verdicts import EXTENSION_STABLE, SOUND_ONLY
 
 
@@ -68,6 +73,28 @@ def test_radical_of_squarefree_ideal_is_itself():
     assert radical_member(gen, [gen])
     assert not radical_member(x - R1.one(), [gen])
     assert radical_member((x - R1.one()) * (x - R1.const(2)) * x, [gen])
+
+
+@pytest.mark.parametrize(
+    "field, guarantee",
+    [(QQ, EXTENSION_STABLE), (PrimeField(7), SOUND_ONLY)],
+    ids=["Q", "F7"],
+)
+def test_radical_test_returns_a_verdict(field, guarantee):
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.variables()
+    gens = [x * x + y * y, x * y]
+    ext = ring.with_tag_variable()
+    for f, member in ((x, True), (x + ring.one(), False)):
+        verdict = semimod.closure._radical_member(f, gens, DEFAULT_ORDER, DEFAULT_LIMITS)
+        assert verdict.member is member
+        assert (verdict.guarantee, verdict.method) == (guarantee, "radical")
+        # the counters are those of the basis of I + <1 - t*f>
+        aug = [ext.embed(g) for g in gens]
+        aug.append(ext.one() - ext.tag_variable() * ext.embed(f))
+        basis = ideal_presentation(ext, aug).groebner(DEFAULT_ORDER, DEFAULT_LIMITS)
+        assert verdict.stats == basis.stats
+        assert radical_member(f, gens) is member
 
 
 def test_radical_member_of_encoded_twisted_pair(R, twisted):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from semimod.fields import QQ, PrimeField
-from semimod.linalg import kernel_basis, primitive_scale, row_space_basis, rref
+from semimod.linalg import kernel_basis, row_space_basis, rref
 
 
 def F(a, b=1):
@@ -58,8 +58,16 @@ def test_row_space_basis_is_canonical():
     assert row_space_basis(rows, QQ) == [(F(1), F(2))]
 
 
+def _normalized(vec, field):
+    """``field.normalize`` of a constant vector, led by its first nonzero
+    entry, as the prime closure scales its span vectors."""
+    lead = next(c for c in vec if not field.is_zero(c))
+    scaled, _ = field.normalize(dict(enumerate(vec)), lead)
+    return tuple(scaled.values())
+
+
 def test_primitive_scale_clears_denominators():
-    assert primitive_scale((F(1, 2), F(1)), QQ) == (F(1), F(2))
-    assert primitive_scale((F(-2), F(-4)), QQ) == (F(1), F(2))
+    assert _normalized((F(1, 2), F(1)), QQ) == (F(1), F(2))
+    assert _normalized((F(-2), F(-4)), QQ) == (F(1), F(2))
     F5 = PrimeField(5)
-    assert primitive_scale((2, 4), F5) == (1, 2)
+    assert _normalized((2, 4), F5) == (1, 2)

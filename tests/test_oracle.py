@@ -19,6 +19,7 @@ from semimod.oracle import (
     oracle_check_escalating,
 )
 from semimod.poly import PolyMatrix, PolyRing, VectorPoly, identity_matrix, unit_vector
+from semimod.verdicts import Witness
 
 
 @pytest.fixture
@@ -49,6 +50,7 @@ def test_oracle_counterexample_on_constant(R, twisted_gens):
     a, v = report.counterexample
     assert [str(c) for c in a] == ["0", "0"]
     assert [str(c) for c in v] == ["1", "0"]
+    assert report.as_json()["counterexample"] == Witness(a, v).as_json()
 
 
 def test_oracle_trivial_kernels_pass(R, twisted_gens):

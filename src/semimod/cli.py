@@ -54,6 +54,13 @@ def _certificate_json(cofactors):
     return {"cofactors": [str(c) for c in cofactors]}
 
 
+def _oracle_field(problem):
+    """The oracle's field when no --field is given: the problem's own field
+    if it is finite, else F3."""
+    field = problem.ring.field
+    return field if field.size else PrimeField(3)
+
+
 def run_query(problem, query: Query, options) -> tuple[dict, int]:
     """Execute one query; returns the JSON-ready report and the exit code.
     The parser has already checked every name the query uses and its kind."""
@@ -142,8 +149,9 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         if options.field is not None:
             reports = [oracle_check(value, gens, options.field, options.cap)]
         else:
-            base = problem.ring.field if problem.ring.field.size else PrimeField(3)
-            reports = oracle_check_escalating(value, gens, base, options.cap)
+            reports = oracle_check_escalating(
+                value, gens, _oracle_field(problem), options.cap
+            )
         passed = all(r.passed for r in reports)
         report["pass"] = passed
         report["reports"] = [r.as_json() for r in reports]
@@ -160,7 +168,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         "semiprime-member",
         "matrix-semiprime-member",
     ):
-        oracle_field = options.field or PrimeField(3)
+        oracle_field = options.field or _oracle_field(problem)
         report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
 
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)

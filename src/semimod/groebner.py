@@ -17,13 +17,13 @@ way.  Only ``buchberger``'s last step turns the reduced basis into monic
 Fraction vectors, and ``normal_form`` scales its cofactors and remainder
 back by 1/S.
 
-Each working element keeps a recipe, the (scalar map, earlier index) pairs
-it was made from, with every scale factor in it: an input points at itself,
-an S-pair remainder is S*a*ti*b_i - S*q*tj*b_j - sum cof_k*b_k, a
-tail-reduced element is S*b_pos - sum cof_q*b_q, each times the scale its
-normalization applied, and a basis element that is not monic gets one more
-step scaling by 1/L.  Only a certificate multiplies recipes out, through
-``_combine``, into combinations of the input generators; radical tests,
+Each working element keeps a recipe: the (scalar map, earlier index) pairs
+it was made from, and one scale factor, the one its normalization applied.
+An input points at itself, an S-pair remainder is S*a*ti*b_i - S*q*tj*b_j -
+sum cof_k*b_k, a tail-reduced element is S*b_pos - sum cof_q*b_q, and a
+basis element that is not monic gets one more step scaling by 1/L.  Only a
+certificate multiplies recipes out, through ``_combine``, which applies each
+scale once, into combinations of the input generators; radical tests,
 refutation checks and prime closures never do.
 
 Every divisor lead carries a support mask, bit i set when variable i has a
@@ -307,16 +307,19 @@ def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
 # ---------------------------------------------------------------------------
 
 def _combine(recipe, reps, nin, field):
-    """Sum of c * reps[k] over a recipe's (scalar map, index) pairs, where
-    reps[k] holds one scalar map per input.  The only routine that
+    """scale * sum of c * reps[k] over a recipe (scale, [(scalar map, index)]),
+    where reps[k] holds one scalar map per input.  The only routine that
     multiplies representations out."""
+    scale, steps = recipe
     add, mul, is_zero = field.add, field.mul, field.is_zero
     out = [dict() for _ in range(nin)]
-    for c, k in recipe:
+    for c, k in steps:
         for dst, src in zip(out, reps[k]):
             for m1, c1 in c.items():
                 for m2, c2 in src.items():
                     _acc(dst, mono_mul(m1, m2), mul(c1, c2), add, is_zero)
+    if scale != field.one_raw:
+        out = [_pscale(m, scale, field) for m in out]
     return out
 
 
@@ -341,7 +344,7 @@ class GroebnerBasis:
         self.elements = elements  # list[VectorPoly], monic, sorted by lead
         self.inputs = inputs  # the nonzero generators the basis was built from
         self.stats = stats
-        self._recipes = recipes  # per working element: [(scalar map, index)]
+        self._recipes = recipes  # per working element: (scale, [(map, index)])
         self._final = final
 
     def __len__(self):
@@ -369,8 +372,11 @@ class GroebnerBasis:
 
     def certificate(self, cofactors):
         """Cofactors over the inputs of sum(cofactors[k] * elements[k])."""
-        recipe = [(q.terms, k) for k, q in enumerate(cofactors) if q.terms]
-        maps = _combine(recipe, self._element_reps, len(self.inputs), self.ring.field)
+        field = self.ring.field
+        steps = [(q.terms, k) for k, q in enumerate(cofactors) if q.terms]
+        maps = _combine(
+            (field.one_raw, steps), self._element_reps, len(self.inputs), field
+        )
         return [Polynomial(self.ring, m) for m in maps]
 
 
@@ -411,21 +417,20 @@ def buchberger(
 
     infos = []  # per working element: its _info, the map normalized
     singles = []  # single component index or None
-    recipes = []  # per working element: [(scalar map, earlier index)]
+    recipes = []  # per working element: (scale, [(scalar map, earlier index)])
     heap = []
     counter = 0
     done = set()  # pairs (i, j), i < j, already taken off the queue
 
-    def normalized_info(emap, recipe):
-        """The _info of field.normalize(emap), with the recipe scaled alike."""
+    def normalized_info(emap, steps):
+        """The _info of field.normalize(emap), and the recipe of the
+        normalized map: its steps with the scale normalize applied."""
         lead, emap, scale = _normalized(emap, hkey, field)
-        if scale != one:
-            recipe = [(_pscale(c, scale, field), k) for c, k in recipe]
-        return _info(lead, emap), recipe
+        return _info(lead, emap), (scale, steps)
 
-    def add_element(emap, recipe):
+    def add_element(emap, steps):
         nonlocal counter
-        info, recipe = normalized_info(emap, recipe)
+        info, recipe = normalized_info(emap, steps)
         new_idx = len(infos)
         infos.append(info)
         singles.append(_single_component(emap))
@@ -487,9 +492,9 @@ def buchberger(
                 f"degree cap {limits.max_degree} crossed; instance is beyond desk scale"
             )
         # rem = scale*(a*ti*b_i - q*tj*b_j) - sum cof_k*b_k
-        recipe = [({ti: mul(scale, a)}, i), ({tj: mul(scale, qn)}, j)]
-        recipe += [(_pscale(cof, neg_one, field), k) for k, cof in cofs.items()]
-        add_element(rem, recipe)
+        steps = [({ti: mul(scale, a)}, i), ({tj: mul(scale, qn)}, j)]
+        steps += [(_pscale(cof, neg_one, field), k) for k, cof in cofs.items()]
+        add_element(rem, steps)
 
     # -- minimal basis: drop elements whose lead is divisible by another's --
     leads = [info[0] for info in infos]
@@ -510,10 +515,10 @@ def buchberger(
         rem, cofs, scale = _reduce(final[pos][3], [final[q] for q in others], hkey, field)
         if cofs:
             # rem = scale*b_pos - sum cof_q*b_q, with b_pos's lead
-            recipe = [({zero_exps: scale}, kept_idx[pos])]
-            recipe += [(_pscale(cof, neg_one, field), kept_idx[others[qi]])
-                       for qi, cof in cofs.items()]
-            final[pos], recipe = normalized_info(rem, recipe)
+            steps = [({zero_exps: scale}, kept_idx[pos])]
+            steps += [(_pscale(cof, neg_one, field), kept_idx[others[qi]])
+                      for qi, cof in cofs.items()]
+            final[pos], recipe = normalized_info(rem, steps)
             kept_idx[pos] = len(recipes)
             recipes.append(recipe)
 
@@ -523,7 +528,7 @@ def buchberger(
         inv = field.inv(lc)
         elements.append(_map_to_vec(ring, rank, _pscale(m, inv, field)))
         if lc != one:
-            recipes.append([({zero_exps: inv}, kept_idx[pos])])
+            recipes.append((one, [({zero_exps: inv}, kept_idx[pos])]))
             kept_idx[pos] = len(recipes) - 1
     stats["basis_size"] = len(elements)
     return GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx)

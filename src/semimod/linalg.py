@@ -8,6 +8,8 @@ nonzero entry.
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .fields import Field
 
 
@@ -42,6 +44,25 @@ def rref(rows, field: Field):
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def echelon_insert(echelon, row, field: Field) -> int:
+    """Add ``row`` to ``echelon``, a list of (pivot column, row) pairs sorted
+    by pivot column, each row zero before its nonzero pivot.  The row is
+    reduced fraction-free, row <- pivot * row - row[pc] * pivot_row, by every
+    pivot in column order, and kept if anything is left.  Returns the rank
+    of the rows seen so far."""
+    is_zero, sub, mul = field.is_zero, field.sub, field.mul
+    for pc, prow in echelon:
+        c = row[pc]
+        if not is_zero(c):
+            lead = prow[pc]
+            row = [sub(mul(lead, x), mul(c, y)) for x, y in zip(row, prow)]
+    for col, x in enumerate(row):
+        if not is_zero(x):
+            insort(echelon, (col, row))
+            break
+    return len(echelon)
 
 
 def row_space_basis(rows, field: Field):

@@ -2,19 +2,26 @@
 
 The semiprime Nullstellensatz reduces closure membership to one test: if
 G_i(a)v = 0 for every generator, then F(a)v = 0.  ``vanishing_scan`` runs
-that test over any lazy source of points.  At each point it stacks the
-evaluated generators, computes a basis of the joint kernel, evaluates the
-query once, and checks that the query annihilates every kernel basis vector
-(linearity makes basis vectors sufficient).  The first violation in
-enumeration order is re-verified and returned, so results are fully
-deterministic; a parallel implementation would have to reconcile to the same
-minimal index.  The witness search in ``closure`` and the oracle below are
-thin wrappers over this one loop.
+that test over any lazy source of points.  It compiles the query and the
+generators once per scan into flat (coefficient, ((variable, exponent),
+...)) terms over the x-block, and at each point builds one power table per
+coordinate that every entry shares.  Generator rows are evaluated one at a
+time into an echelon form; once its rank reaches n the joint kernel is
+trivial, so the remaining generators, the kernel and the query are skipped.
+Only where the rank stays below n does the scan compute a basis of the joint
+kernel from all the evaluated rows, evaluate the query, and check that it
+annihilates every kernel basis vector (linearity makes basis vectors
+sufficient).  The first violation in enumeration order is re-verified on an
+independent path, ``Polynomial.evaluate_raw`` and a dot product, and
+returned, so results are fully deterministic; a parallel implementation
+would have to reconcile to the same minimal index.  The witness search in
+``closure`` and the oracle below are thin wrappers over this one loop.
 
 The oracle enumerates every point of the field's d-fold product.
 Finite-field points are not points of the characteristic-0 variety, so
 over Q-based problems the oracle is advisory only; agreement tests run the
-whole pipeline over one finite field instead.
+whole pipeline over one finite field instead.  Coefficients move between
+fields only within one characteristic, or out of Q.
 """
 
 from __future__ import annotations
@@ -23,12 +30,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    DimensionMismatchError,
     EnumerationCapExceededError,
     InfiniteFieldError,
     InvariantViolationError,
 )
 from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
-from .linalg import dot_raw, kernel_basis as _kernel_basis
+from .linalg import dot_raw, echelon_insert, kernel_basis as _kernel_basis
 from .poly import PolyMatrix
 from .verdicts import Witness
 
@@ -88,38 +96,94 @@ def _rows_at(obj, point):
     return [obj.evaluate_raw(point)]
 
 
+def _compile(obj, degrees):
+    """The rows of a vector (one row) or a matrix, each entry flattened to
+    (coefficient, ((variable, exponent), ...)) terms over the x-block.
+    ``degrees`` is raised to the largest exponent of each variable."""
+    rows = obj.rows if isinstance(obj, PolyMatrix) else (obj.entries,)
+    nx = obj.ring.nx
+    compiled = []
+    for row in rows:
+        entries = []
+        for poly in row:
+            terms = []
+            for exps, c in poly.terms.items():
+                if any(exps[nx:]):
+                    raise DimensionMismatchError(
+                        "polynomial involves variables outside the x-block"
+                    )
+                mono = tuple((i, e) for i, e in enumerate(exps) if e)
+                for i, e in mono:
+                    if e > degrees[i]:
+                        degrees[i] = e
+                terms.append((c, mono))
+            entries.append(terms)
+        compiled.append(entries)
+    return compiled
+
+
+def _evaluate_row(entries, powers, field):
+    """Evaluate one compiled row, given powers[i][e] = a_i ** e."""
+    add, mul = field.add, field.mul
+    values = []
+    for terms in entries:
+        total = field.zero_raw
+        for c, mono in terms:
+            for i, e in mono:
+                c = mul(c, powers[i][e])
+            total = add(total, c)
+        values.append(total)
+    return values
+
+
 def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleReport:
     """Test the vanishing implication at each of ``points`` (raw coordinate
     tuples) until the first violation.  The query and the generators may be
     vectors or matrices over ``field``.  Raises EnumerationCapExceededError
     once more than ``cap`` points or kernel-vector evaluations are needed."""
     n = query.size if isinstance(query, PolyMatrix) else len(query)
+    degrees = [0] * query.ring.nx
+    compiled_query = _compile(query, degrees)
+    compiled_rows = [row for g in generators for row in _compile(g, degrees)]
+    mul = field.mul
     count = evaluations = nontrivial = 0
     for point in points:
         count += 1
         if count > cap:
             raise EnumerationCapExceededError(f"point cap of {cap} crossed")
+        powers = []
+        for a, top in zip(point, degrees):
+            table = [field.one_raw, a]
+            for _ in range(top - 1):
+                table.append(mul(table[-1], a))
+            powers.append(table)
         rows = []
-        for g in generators:
-            rows.extend(_rows_at(g, point))
-        kernel = _kernel_basis(rows, n, field)
-        if not kernel:
-            continue
-        nontrivial += 1
-        values = _rows_at(query, point)
-        for v in kernel:
-            evaluations += 1
-            if evaluations > cap:
-                raise EnumerationCapExceededError(
-                    f"evaluation cap of {cap} crossed"
-                )
-            if any(not field.is_zero(dot_raw(field, row, v)) for row in values):
-                _verify_violation(query, generators, field, point, v)
-                violation = (
-                    tuple(FieldElement(field, x) for x in point),
-                    tuple(FieldElement(field, x) for x in v),
-                )
-                return OracleReport(field, count, evaluations, nontrivial, violation)
+        echelon = []
+        for row in compiled_rows:
+            values = _evaluate_row(row, powers, field)
+            rows.append(values)
+            if echelon_insert(echelon, values, field) == n:
+                break
+        else:
+            # the rank stayed below n, so the kernel is nontrivial
+            kernel = _kernel_basis(rows, n, field)
+            nontrivial += 1
+            values = [_evaluate_row(row, powers, field) for row in compiled_query]
+            for v in kernel:
+                evaluations += 1
+                if evaluations > cap:
+                    raise EnumerationCapExceededError(
+                        f"evaluation cap of {cap} crossed"
+                    )
+                if any(not field.is_zero(dot_raw(field, row, v)) for row in values):
+                    _verify_violation(query, generators, field, point, v)
+                    violation = (
+                        tuple(FieldElement(field, x) for x in point),
+                        tuple(FieldElement(field, x) for x in v),
+                    )
+                    return OracleReport(
+                        field, count, evaluations, nontrivial, violation
+                    )
     return OracleReport(field, count, evaluations, nontrivial, None)
 
 
@@ -165,14 +229,18 @@ def _next_prime(p: int) -> int:
 def oracle_check_escalating(
     query, generators, field: Field | None = None, cap: int = DEFAULT_CAP
 ):
-    """Run the oracle, escalating to the next prime field and then to the
-    quadratic extension while the pass stays vacuous (every kernel
-    trivial).  Returns the list of reports in the order they were run."""
+    """Run the oracle, escalating while the pass stays vacuous (every kernel
+    trivial): a rational problem goes on to the next prime field and then to
+    the quadratic extension, a problem over F_p only to F_{p^2}, since its
+    coefficients have no image in another characteristic.  Returns the list
+    of reports in the order they were run."""
     if field is None:
         field = PrimeField(3)
     reports = [oracle_check(query, generators, field, cap)]
     if isinstance(field, PrimeField):
-        ladder = [PrimeField(_next_prime(field.p)), QuadraticField(field.p)]
+        ladder = [QuadraticField(field.p)]
+        if query.ring.field.char == 0:
+            ladder.insert(0, PrimeField(_next_prime(field.p)))
         for bigger in ladder:
             if not reports[-1].vacuous:
                 break

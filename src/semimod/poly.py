@@ -22,6 +22,7 @@ from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
+    MismatchedFieldError,
     MismatchedRingError,
 )
 from .fields import Field, FieldElement
@@ -356,10 +357,18 @@ class Polynomial:
     def map_coefficients(self, target: Field) -> "Polynomial":
         """Transport into another coefficient field (e.g. Q -> F_p).
 
-        Raises DivisionByZero when a denominator vanishes in the target.
+        Raises DivisionByZero when a denominator vanishes in the target, and
+        MismatchedField when the target of a finite source is not an
+        extension of it: a residue mod p is no element of F_q, and an element
+        of F_{p^2} none of F_p.
         """
-        if target == self.ring.field:
+        source = self.ring.field
+        if target == source:
             return self
+        if source.char and (target.char != source.char or target.size < source.size):
+            raise MismatchedFieldError(
+                f"cannot carry coefficients of {source!r} into {target!r}"
+            )
         ring = PolyRing(
             target, self.ring.names, nx=self.ring.nx, nv=self.ring.nv,
             has_tag=self.ring.has_tag,

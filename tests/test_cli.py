@@ -330,6 +330,47 @@ def test_cli_invalid_field_flag(tmp_path, capsys):
     assert "prime" in report["error"]["message"]
 
 
+def test_cli_oracle_keeps_the_characteristic_of_a_prime_field_problem(tmp_path, capsys):
+    # f = (x^2 + 1)(x^2 + x + 2) over F3; read as integers in F5 it is no
+    # multiple of g1, which once gave a false counterexample at x = 2
+    text = (
+        "ring F3[x];\n"
+        "vec g1 = [x^2 + 1];\n"
+        "vec f = [x^4 + x^3 + x + 2];\n"
+        "query {query} f in {{g1}};"
+    )
+    path = write(tmp_path, text.format(query="semiprime-member"))
+    code, report = run(capsys, "semiprime-member", path)
+    assert code == 0 and report["certificate"]["cofactors"] == ["x^2 + x + 2"]
+    path = write(tmp_path, text.format(query="oracle"), name="oracle.sm")
+    code, report = run(capsys, "oracle", path)
+    assert code == 0 and report["pass"] is True
+    assert [r["field"] for r in report["reports"]] == ["F3", "F3^2"]
+    code, report = run(capsys, "oracle", path, "--field", "5")
+    assert code == 2 and report["error"]["type"] == "MismatchedField"
+
+
+def test_cli_oracle_field_of_a_subfield_is_an_error(tmp_path, capsys):
+    text = (
+        "ring F3^2[x];\nvec g1 = [x + t];\nvec f = [x^2 + 1];\n"
+        "query oracle f in {g1};"
+    )
+    code, report = run(capsys, "oracle", write(tmp_path, text), "--field", "3")
+    assert code == 2 and report["error"]["type"] == "MismatchedField"
+
+
+def test_cli_cross_check_runs_in_the_problem_field(tmp_path, capsys):
+    text = (
+        "ring F7[x];\nvec g1 = [x + 1];\nvec f = [x^2 + 6];\n"
+        "query semiprime-member f in {g1};"
+    )
+    path = write(tmp_path, text)
+    code, report = run(capsys, "semiprime-member", path, "--oracle")
+    assert code == 0 and report["certificate"]["cofactors"] == ["x + 6"]
+    assert report["oracle"]["field"] == "F7"
+    assert report["oracle"]["result"] == "pass"
+
+
 def test_cli_resource_cap_is_an_error(tmp_path, capsys):
     path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="semiprime-member"))
     code, report = run(capsys, "semiprime-member", path, "--max-pairs", "1")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,18 +8,30 @@ from conftest import random_generators, random_vector
 import semimod.oracle
 from semimod.closure import find_vanishing_witness
 from semimod.errors import (
+    DimensionMismatchError,
     EnumerationCapExceededError,
     InfiniteFieldError,
     InvariantViolationError,
 )
-from semimod.fields import QQ, PrimeField
-from semimod.linalg import kernel_basis
+from semimod.fields import QQ, FieldElement, PrimeField, QuadraticField
+from semimod.linalg import dot_raw, kernel_basis
 from semimod.oracle import (
+    OracleReport,
+    _rows_at,
     agreement_check,
+    odometer,
     oracle_check,
     oracle_check_escalating,
+    vanishing_scan,
 )
-from semimod.poly import PolyMatrix, PolyRing, VectorPoly, identity_matrix, unit_vector
+from semimod.poly import (
+    Polynomial,
+    PolyMatrix,
+    PolyRing,
+    VectorPoly,
+    identity_matrix,
+    unit_vector,
+)
 from semimod.verdicts import Witness
 
 
@@ -108,6 +121,13 @@ def test_escalation_on_vacuous_pass(R):
     reports = oracle_check_escalating(unit_vector(R, 2, 0), gens, F3)
     assert [repr(r.field) for r in reports] == ["F3", "F5", "F3^2"]
     assert all(r.vacuous for r in reports)
+
+
+def test_escalation_over_a_prime_field_stays_in_its_characteristic():
+    R3 = PolyRing(F3, ("x", "y"))
+    gens = [unit_vector(R3, 2, 0), unit_vector(R3, 2, 1)]
+    reports = oracle_check_escalating(unit_vector(R3, 2, 0), gens, F3)
+    assert [repr(r.field) for r in reports] == ["F3", "F3^2"]
 
 
 def test_no_escalation_when_kernels_appear(R, twisted_gens):
@@ -204,3 +224,147 @@ def test_witness_search_and_oracle_find_the_same_violation(p):
         witness = find_vanishing_witness(query, gens)
         assert (witness.point, witness.vector) == report.counterexample
     assert found >= 10
+
+
+# ---------------------------------------------------------------------------
+# the compiled scan against the plain loop it replaced
+# ---------------------------------------------------------------------------
+
+def reference_scan(query, generators, field, points, cap):
+    """The scan without compilation or early exit: evaluate every generator
+    through ``evaluate_raw``, take the kernel of all rows, test the query."""
+    n = query.size if isinstance(query, PolyMatrix) else len(query)
+    count = evaluations = nontrivial = 0
+    for point in points:
+        count += 1
+        if count > cap:
+            raise EnumerationCapExceededError(f"point cap of {cap} crossed")
+        rows = [row for g in generators for row in _rows_at(g, point)]
+        kernel = kernel_basis(rows, n, field)
+        if not kernel:
+            continue
+        nontrivial += 1
+        values = _rows_at(query, point)
+        for v in kernel:
+            evaluations += 1
+            if evaluations > cap:
+                raise EnumerationCapExceededError(f"evaluation cap of {cap} crossed")
+            if any(not field.is_zero(dot_raw(field, row, v)) for row in values):
+                violation = (
+                    tuple(FieldElement(field, x) for x in point),
+                    tuple(FieldElement(field, x) for x in v),
+                )
+                return OracleReport(field, count, evaluations, nontrivial, violation)
+    return OracleReport(field, count, evaluations, nontrivial, None)
+
+
+def scan_outcome(scan, query, gens, field, values, cap):
+    points = odometer(values, query.ring.nx)
+    try:
+        r = scan(query, gens, field, points, cap)
+    except EnumerationCapExceededError as exc:
+        return ("cap", str(exc))
+    return (r.points, r.evaluations, r.nontrivial_kernels, r.counterexample)
+
+
+def random_entry(rng, ring, coeffs):
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        exps = [0] * ring.nx
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(ring.nx)] += 1
+        terms[tuple(exps)] = rng.choice(coeffs)
+    return Polynomial(ring, terms)
+
+
+def random_problem(rng, ring, coeffs, matrix):
+    """A query and one to three generators of rank or size 1..3.  Half the
+    queries are combinations of the generators, so scans meet passes with
+    nontrivial kernels as well as counterexamples; some generators repeat a
+    multiple of another, so the rank stays low at many points."""
+    n = rng.randint(1, 3)
+
+    def row():
+        return [random_entry(rng, ring, coeffs) for _ in range(n)]
+
+    def draw():
+        if matrix:
+            return PolyMatrix(ring, [row() for _ in range(n)])
+        return VectorPoly(ring, row())
+
+    gens = [draw() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        gens.append(random_entry(rng, ring, coeffs) * gens[0])
+    if rng.random() < 0.5:
+        query = draw()
+    elif matrix:
+        query = draw() @ gens[0]
+        for g in gens[1:]:
+            query = query + draw() @ g
+    else:
+        query = random_entry(rng, ring, coeffs) * gens[0]
+        for g in gens[1:]:
+            query = query + random_entry(rng, ring, coeffs) * g
+    return query, gens
+
+
+def _raw_values(field):
+    if field.size is None:
+        return [Fraction(k) for k in (0, 1, -1, 2, -2)]  # the grid of radius 2
+    return [e.value for e in field.elements()]
+
+
+SCAN_FIELDS = [PrimeField(3), PrimeField(5), QuadraticField(3), QuadraticField(5), QQ]
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
+def test_scan_matches_the_reference_loop(field, matrix):
+    rng = random.Random(f"scan:{field!r}:{matrix}")
+    values = _raw_values(field)
+    coeffs = [v for v in values if v] + (
+        [Fraction(1, 2), Fraction(-3, 4)] if field.size is None else []
+    )
+    outcomes = set()
+    for _ in range(30):
+        d = rng.randint(1, 2)
+        ring = PolyRing(field, ("x", "y")[:d])
+        query, gens = random_problem(rng, ring, coeffs, matrix)
+        def both(cap):
+            expected = scan_outcome(reference_scan, query, gens, field, values, cap)
+            assert scan_outcome(vanishing_scan, query, gens, field, values, cap) == expected
+            return expected
+
+        full = both(10**6)
+        outcomes.add("pass" if full[3] is None else "counterexample")
+        # a cap crossed part way, by points or by kernel-vector evaluations
+        for cap in {max(1, full[0] // 2), max(1, full[1] - 1)}:
+            if both(cap)[0] == "cap":
+                outcomes.add("cap")
+    assert {"pass", "counterexample", "cap"} <= outcomes
+
+
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
+def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
+    # a zero generator of rank 3 leaves a three-dimensional kernel at every
+    # point, so kernel-vector evaluations outrun points
+    values = _raw_values(field)
+    ring = PolyRing(field, ("x",))
+    x = ring.variable(0)
+    gens = [VectorPoly(ring, [0, 0, 0]), VectorPoly(ring, [x, 0, 0])]
+    query = VectorPoly(ring, [x * x, 0, 0])
+    full = scan_outcome(reference_scan, query, gens, field, values, 10**6)
+    cap = full[0] + 1
+    expected = scan_outcome(reference_scan, query, gens, field, values, cap)
+    assert expected[0] == "cap" and expected[1].startswith("evaluation")
+    assert scan_outcome(vanishing_scan, query, gens, field, values, cap) == expected
+
+
+@pytest.mark.parametrize("where", ["query", "generator"])
+def test_scan_rejects_variables_outside_the_x_block(where):
+    ring = PolyRing(F3, ("x", "v"), nv=1)
+    x, v = ring.variables()
+    inside, outside = VectorPoly(ring, [x]), VectorPoly(ring, [v])
+    query, gens = (outside, [inside]) if where == "query" else (inside, [outside])
+    with pytest.raises(DimensionMismatchError):
+        oracle_check(query, gens, F3)

@@ -5,7 +5,11 @@ import pytest
 
 from conftest import random_polynomial, random_vector
 
-from semimod.errors import DimensionMismatchError, MismatchedRingError
+from semimod.errors import (
+    DimensionMismatchError,
+    MismatchedFieldError,
+    MismatchedRingError,
+)
 from semimod.fields import QQ, PrimeField, QuadraticField
 from semimod.poly import (
     DEFAULT_ORDER,
@@ -241,3 +245,13 @@ def test_coefficient_transport():
     g = f.map_coefficients(PrimeField(3))
     # 1/2 = 2 mod 3, 4 = 1 mod 3
     assert str(g) == "2*x + 1"
+
+
+def test_coefficient_transport_keeps_the_characteristic():
+    f = PolyRing(PrimeField(3), ("x",)).variable(0) + 2
+    assert str(f.map_coefficients(QuadraticField(3))) == "x + 2"
+    for target in (PrimeField(5), QuadraticField(5), QQ):
+        with pytest.raises(MismatchedFieldError):
+            f.map_coefficients(target)
+    with pytest.raises(MismatchedFieldError):
+        f.map_coefficients(QuadraticField(3)).map_coefficients(PrimeField(3))

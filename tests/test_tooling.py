@@ -22,6 +22,31 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_package_imports_only_the_standard_library():
+    # pyproject.toml declares no dependencies, so every import in the
+    # package is from the standard library or from semimod itself
+    tomllib = pytest.importorskip("tomllib")
+    repo = pathlib.Path(__file__).parent.parent
+    project = tomllib.loads((repo / "pyproject.toml").read_text(encoding="utf-8"))
+    assert project["project"]["dependencies"] == []
+    root = pathlib.Path(semimod.__file__).parent
+    outside = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.extend(
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names | {"semimod"}
+            )
+    assert outside == []
+
+
 def test_test_extra_declares_every_test_dependency():
     # a dependency missing from the extra makes importorskip skip silently
     tomllib = pytest.importorskip("tomllib")

@@ -185,6 +185,9 @@ def _error_report(exc: Exception) -> dict:
 
 class _Options:
     def __init__(self, args):
+        for flag, value in (("--cap", args.cap), ("--witness-grid", args.witness_grid)):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
         self.order = OrderSpec(module=args.order)
         self.limits = GroebnerLimits(
             max_pairs=args.max_pairs, max_degree=args.max_degree

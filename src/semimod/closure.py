@@ -77,7 +77,7 @@ def _radical_member(f, gens, order, limits) -> Verdict:
     presentation = ideal_presentation(ext, aug)
     gb = presentation.groebner(order, limits)
     one = VectorPoly(ext, [ext.one()])
-    member = normal_form(one, gb.elements, order).remainder.is_zero() if gb.elements else False
+    member = normal_form(one, gb, order).remainder.is_zero() if gb.elements else False
     # soundness re-check: the reduced basis of the unit ideal is exactly {1}
     if member and (len(gb.elements) != 1 or gb.elements[0] != one):
         raise InvariantViolationError("unit ideal without the reduced basis {1}")

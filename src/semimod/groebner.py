@@ -1,7 +1,7 @@
 """Division algorithm and Buchberger's algorithm for submodules of R^n.
 
 Ideals are the rank-1 case.  The engine works on a flattened term map
-{(component, exponents): coefficient} per module element and converts back
+{packed module monomial: coefficient} per module element and converts back
 to VectorPoly at the boundary.
 
 Working elements are kept as ``field.normalize`` leaves them: over Q a
@@ -13,9 +13,11 @@ term c against the lead L of b is p <- a*p - q*t*b with (a, q) from
 integer maps never meet a Fraction.  It returns the product S of the a's
 with the remainder, so S*input = sum(cof_k*b_k) + rem exactly; over a finite
 field a and S are always 1.  S-vectors are a*ti*b_i - q*tj*b_j in the same
-way.  Only ``buchberger``'s last step turns the reduced basis into monic
-Fraction vectors, and ``normal_form`` scales its cofactors and remainder
-back by 1/S.
+way.  The engine's 1 is ``field.normalize``'s image of 1 (over Q the
+integer 1), so scales and recipe scalars stay integers too.  Only
+``buchberger``'s last step turns the reduced basis into monic Fraction
+vectors, and ``normal_form`` scales its cofactors and remainder back by
+1/S.
 
 Each working element keeps a recipe: the (scalar map, earlier index) pairs
 it was made from, and one scale factor, the one its normalization applied.
@@ -26,11 +28,34 @@ certificate multiplies recipes out, through ``_combine``, which applies each
 scale once, into combinations of the input generators; radical tests,
 refutation checks and prime closures never do.
 
-Every divisor lead carries a support mask, bit i set when variable i has a
-positive exponent (the "divmask" of Roune & Stillman, ISSAC 2012).  A lead
-whose mask has a bit outside a term's mask cannot divide it, so the reducer
-and the chain criterion reject most candidates with one integer test before
-``mono_divides``.
+Inside the engine a module monomial (component, exponents) is one
+non-negative int, laid out by a ``_Packing`` that is cached per (number of
+variables, rank, order, digit width).  The int is a row of digits of
+``bits`` bits each, and the top bit of every digit is a guard bit that a
+valid monomial leaves clear.  The high digits hold the order key: under
+grevlex the prefix sums s_n, ..., s_1 with s_k = e_1 + ... + e_k, under lex
+e_1, ..., e_n, and a component digit rank-1-comp, below them under top and
+above them under pot.  The low digits hold e_1, ..., e_n, the component and
+the total degree.  Every digit is linear in the exponents (Monagan &
+Pearce, JSC 2011), so:
+
+* multiplying by a scalar monomial, whose component digits are 0, is one
+  addition;
+* the ints sort exactly as ``OrderSpec.module_key``, so a lead is ``max``
+  of its map;
+* b divides m, in the same component, iff (m - b) & guard is 0, and the
+  difference is then the packed quotient; one integer test replaces the
+  component comparison and the exponent walk;
+* the component and the degree are each one shift and mask.
+
+Digits start wide enough for 2*max(input degree, ``max_degree``), which
+no term exceeds under grevlex and top.  Other orders can outgrow that
+inside a reduction: a new key with a guard bit set raises ``_Overflow``,
+and the call starts over with digits twice as wide.  Nothing the engine
+decides depends on the width, so the retry gives the same result.
+Monomials are packed and unpacked only at the boundary: ``_vec_to_map``
+and ``_map_to_vec``, ``normal_form``'s cofactors, and the recipe maps when
+``_element_reps`` expands them for a certificate.
 
 Pair selection is the normal strategy (smallest lcm degree first) with a
 deterministic insertion-order tie-break, so repeated runs produce identical
@@ -42,13 +67,13 @@ component.  Two criteria drop a pair without reducing its S-vector:
   proof does not carry over and skipping such pairs can produce an
   incomplete basis.
 * chain (Buchberger's second criterion, Gebauer & Moeller, JSC 1988): some
-  third element k has its lead in the same component, lead(k) divides
-  lcm(lead i, lead j), and the pairs (i, k) and (j, k) have both already
+  third element k has lead(k) dividing lcm(lead i, lead j), which puts it
+  in their component, and the pairs (i, k) and (j, k) have both already
   left the queue.  Every pair and every divisibility test stays inside one
   component, so the argument for ideals carries over to modules unchanged.
 
-The reducer keeps the terms still to be divided in a heap (Yan, JSC 1998)
-keyed by the order's module key negated, so each step pops the leading term
+The reducer keeps the terms still to be divided in a min-heap of negated
+packed monomials (Yan, JSC 1998), so each step pops the leading term
 instead of scanning for it.  A term is pushed when it enters the map;
 entries whose term has since cancelled are skipped when popped.  Reduction
 only adds terms below the current lead, so the heap never misses one.
@@ -64,8 +89,9 @@ concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
+from operator import mul as _imul
 
 from .errors import (
     DimensionMismatchError,
@@ -81,7 +107,6 @@ from .poly import (
     PolyRing,
     VectorPoly,
     mono_div,
-    mono_divides,
     mono_lcm,
     mono_mul,
 )
@@ -95,26 +120,116 @@ class GroebnerLimits:
     max_pairs: int = 10_000
     max_degree: int = 40
 
+    def __post_init__(self):
+        for name, value in (("max_pairs", self.max_pairs), ("max_degree", self.max_degree)):
+            if value < 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
 
 DEFAULT_LIMITS = GroebnerLimits()
+
+
+# ---------------------------------------------------------------------------
+# packed module monomials
+# ---------------------------------------------------------------------------
+
+class _Overflow(Exception):
+    """A new packed key has a digit past its width; the caller retries with
+    a wider ``_Packing``."""
+
+
+class _Packing:
+    """The packed layout for one (number of variables, rank, order, digit
+    width); see the module docstring."""
+
+    def __init__(self, nvars, rank, order, bits):
+        self.key = (nvars, rank, order, bits)
+        self.bits = bits
+        self.limit = 1 << (bits - 1)  # every digit stays below this
+        self.mask = self.limit - 1
+        ndigits = 2 * nvars + 3
+        self.guard = sum(self.limit << (bits * d) for d in range(ndigits))
+        # digits from the bottom: degree, component, e_1..e_n, order key
+        key_digits = list(range(nvars + 2, ndigits))  # most significant last
+        if order.module == TOP:
+            comp_digit, mono_digits = key_digits[0], key_digits[:0:-1]
+        else:
+            comp_digit, mono_digits = key_digits[-1], key_digits[-2::-1]
+        # mono_digits[j] holds key entry j: s_{n-j} under grevlex, e_{j+1} under lex
+        weights = []
+        for i in range(nvars):
+            digits = [0, 2 + i]
+            if order.scalar == GREVLEX:
+                digits += [mono_digits[j] for j in range(nvars - i)]
+            else:
+                digits.append(mono_digits[i])
+            weights.append(sum(1 << (bits * d) for d in digits))
+        self.weights = tuple(weights)
+        self.comps = tuple(
+            (c << bits) + ((rank - 1 - c) << (bits * comp_digit)) for c in range(rank)
+        )
+        self.exp_shifts = tuple(bits * (2 + i) for i in range(nvars))
+
+    def wider(self) -> "_Packing":
+        nvars, rank, order, bits = self.key
+        return _packing(nvars, rank, order, 2 * bits)
+
+    def pack(self, comp, exps) -> int:
+        """The module monomial (comp, exps); a scalar monomial when comp is
+        None."""
+        if sum(exps) >= self.limit:
+            raise _Overflow
+        m = sum(map(_imul, exps, self.weights))
+        return m if comp is None else m + self.comps[comp]
+
+    def exps(self, m) -> tuple:
+        mask = self.mask
+        return tuple((m >> s) & mask for s in self.exp_shifts)
+
+    def comp(self, m) -> int:
+        return (m >> self.bits) & self.mask
+
+
+@cache
+def _packing(nvars, rank, order, bits) -> _Packing:
+    return _Packing(nvars, rank, order, bits)
+
+
+def _first_packing(ring, rank, order, degree) -> _Packing:
+    """Digits wide enough for the degree bound ``degree`` and the rank."""
+    bits = max(degree, rank - 1, 1).bit_length() + 1
+    return _packing(ring.num_vars, rank, order, bits)
+
+
+def _vector_degree(v: VectorPoly) -> int:
+    return max(e.degree() for e in v.entries)
+
+
+@cache
+def _engine_one(field):
+    """1 as the engine holds it: ``field.normalize``'s image of 1, over Q
+    the integer 1 rather than Fraction(1)."""
+    one = field.one_raw
+    return field.normalize({0: one}, one)[0][0]
 
 
 # ---------------------------------------------------------------------------
 # flattened term maps
 # ---------------------------------------------------------------------------
 
-def _vec_to_map(v: VectorPoly):
+def _vec_to_map(v: VectorPoly, pk: _Packing):
+    pack = pk.pack
     out = {}
     for comp, entry in enumerate(v.entries):
         for exps, c in entry.terms.items():
-            out[(comp, exps)] = c
+            out[pack(comp, exps)] = c
     return out
 
 
-def _map_to_vec(ring: PolyRing, rank: int, m) -> VectorPoly:
+def _map_to_vec(ring: PolyRing, rank: int, m, pk: _Packing) -> VectorPoly:
     entries = [dict() for _ in range(rank)]
-    for (comp, exps), c in m.items():
-        entries[comp][exps] = c
+    for key, c in m.items():
+        entries[pk.comp(key)][pk.exps(key)] = c
     return VectorPoly(ring, [Polynomial(ring, e) for e in entries])
 
 
@@ -135,53 +250,26 @@ def _pscale(a, c, field):
     return {m: mul(c, v) for m, v in a.items()}
 
 
-def _map_degree(m) -> int:
-    return max((sum(exps) for (_, exps) in m), default=-1)
+def _negated(a, field):
+    neg = field.neg
+    return {m: neg(v) for m, v in a.items()}
 
 
 # ---------------------------------------------------------------------------
 # division
 # ---------------------------------------------------------------------------
 
-def _heap_key(order: OrderSpec):
-    """Key under which a min-heap pops the largest module monomial first:
-    ``order.module_key`` flattened, with every entry negated."""
-    if order.scalar == GREVLEX:
-        if order.module == TOP:
-            return lambda mm: (-sum(mm[1]), *mm[1][::-1], mm[0])
-        return lambda mm: (mm[0], -sum(mm[1]), *mm[1][::-1])
-    if order.module == TOP:
-        return lambda mm: (*[-e for e in mm[1]], mm[0])
-    return lambda mm: (mm[0], *[-e for e in mm[1]])
-
-
-def _support_mask(exps) -> int:
-    """Bit i set iff variable i occurs: a monomial can divide another only
-    if its mask has no bit outside the other's (Roune & Stillman, ISSAC
-    2012), so one integer test rejects most divisor candidates."""
-    mask = 0
-    for i, e in enumerate(exps):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-def _info(lead, m):
-    """A divisor as ``_reduce`` reads it: (lead, lead mask, lead coefficient,
-    map)."""
-    return (lead, _support_mask(lead[1]), m[lead], m)
-
-
-def _normalized(m, hkey, field):
-    """(lead, field.normalize of m, its scale) for a nonzero map."""
-    lead = min(m, key=hkey)
+def _normalized(m, field):
+    """(the ``_info`` of field.normalize(m), its scale) for a nonzero map:
+    a divisor as ``_reduce`` reads it is (lead, lead coefficient, map)."""
+    lead = max(m)
     m, scale = field.normalize(m, m[lead])
-    return lead, m, scale
+    return (lead, m[lead], m), scale
 
 
-def _reduce(fmap, infos, hkey, field):
+def _reduce(fmap, infos, field, guard):
     """Full reduction of a flattened map against the ``_info`` divisors in
-    ``infos``; hkey is the ``_heap_key`` of the order.
+    ``infos``; guard is the packing's guard mask.
 
     Each step p <- a*p - q*t*b takes (a, q) from ``field.pseudo_quotient``,
     so over Q integer maps stay integral.  Returns (remainder, cofactors, S):
@@ -191,21 +279,20 @@ def _reduce(fmap, infos, hkey, field):
     """
     add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     pseudo_quotient = field.pseudo_quotient
-    one = scale = field.one_raw
+    one = scale = _engine_one(field)
     p = dict(fmap)
-    heap = [(hkey(mm), mm) for mm in p]
+    heap = [-mm for mm in p]
     heapify(heap)
     rem = {}
     cofs = {}
     while heap:
-        cm = heappop(heap)[1]
+        cm = -heappop(heap)
         c = p.get(cm)
         if c is None:
             continue  # cancelled since it was pushed
-        comp, exps = cm
-        outside = ~_support_mask(exps)
-        for k, (bmm, bmask, blc, bmap) in enumerate(infos):
-            if bmask & outside or bmm[0] != comp or not mono_divides(bmm[1], exps):
+        for k, (blead, blc, bmap) in enumerate(infos):
+            t = cm - blead
+            if t & guard:
                 continue
             a, q = pseudo_quotient(c, blc)
             if a != one:
@@ -213,17 +300,18 @@ def _reduce(fmap, infos, hkey, field):
                 for part in (p, rem, *cofs.values()):
                     for key, val in part.items():
                         part[key] = mul(a, val)
-            t = mono_div(exps, bmm[1])
             # popped terms strictly descend, so t is new to cofactor k
             cofs.setdefault(k, {})[t] = q
             qn = neg(q)
-            for (bc, be), bco in bmap.items():
-                mm = (bc, mono_mul(t, be))
+            for be, bco in bmap.items():
+                mm = t + be
                 val = mul(qn, bco)
                 cur = p.get(mm)
                 if cur is None:
+                    if mm & guard:
+                        raise _Overflow
                     p[mm] = val
-                    heappush(heap, (hkey(mm), mm))
+                    heappush(heap, -mm)
                 else:
                     val = add(cur, val)
                     if is_zero(val):
@@ -247,59 +335,78 @@ class NormalFormResult:
 
 
 def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> NormalFormResult:
-    """Divide f by a list of module elements; no remainder term is divisible
-    by any basis leading module-monomial."""
+    """Divide f by a ``GroebnerBasis`` or a list of module elements; no
+    remainder term is divisible by any basis leading module-monomial.  A
+    basis computed under ``order`` lends its packed integer divisors; a list
+    is packed and normalized here."""
     ring, rank = f.ring, len(f)
     field = ring.field
-    hkey = _heap_key(order)
-    infos, scales = [], []
-    for g in basis:
-        if g.ring != ring:
-            raise MismatchedRingError("basis element from a different ring")
-        if len(g) != rank:
-            raise DimensionMismatchError("basis element of a different rank")
-        if g.is_zero():
-            raise ValueError("basis elements must be nonzero")
-        lead, m, s = _normalized(_vec_to_map(g), hkey, field)
-        infos.append(_info(lead, m))
-        scales.append(s)
-    fmap, fscale = _vec_to_map(f), field.one_raw
-    if fmap:
-        _, fmap, fscale = _normalized(fmap, hkey, field)
-    rem, cofs, scale = _reduce(fmap, infos, hkey, field)
+    if isinstance(basis, GroebnerBasis) and basis.order == order and basis._packing:
+        if basis.ring != ring:
+            raise MismatchedRingError("basis from a different ring")
+        if basis.rank != rank:
+            raise DimensionMismatchError("basis of a different rank")
+        pk, infos = basis._packing, basis._divisors
+        scales = [lc for (_, lc, _) in infos]
+        basis = basis.elements  # repacked only if f outgrows pk
+    else:
+        basis = list(basis)
+        for g in basis:
+            if g.ring != ring:
+                raise MismatchedRingError("basis element from a different ring")
+            if len(g) != rank:
+                raise DimensionMismatchError("basis element of a different rank")
+            if g.is_zero():
+                raise ValueError("basis elements must be nonzero")
+        degree = 2 * max(map(_vector_degree, [f, *basis]))
+        pk, infos = _first_packing(ring, rank, order, degree), None
+    while True:
+        try:
+            if infos is None:
+                normalized = [_normalized(_vec_to_map(g, pk), field) for g in basis]
+                infos = [info for info, _ in normalized]
+                scales = [s for _, s in normalized]
+            fmap, fscale = _vec_to_map(f, pk), field.one_raw
+            if fmap:
+                (_, _, fmap), fscale = _normalized(fmap, field)
+            rem, cofs, scale = _reduce(fmap, infos, field, pk.guard)
+            break
+        except _Overflow:
+            pk, infos = pk.wider(), None
     # the reducer saw fscale*f and s_k*g_k: S*fscale*f = sum(cof_k*s_k*g_k) + rem
     back, mul = field.inv(field.mul(scale, fscale)), field.mul
+    exps = pk.exps
     return NormalFormResult(
-        remainder=_map_to_vec(ring, rank, _pscale(rem, back, field)),
-        cofactors=[Polynomial(ring, _pscale(cofs.get(k, {}), mul(back, s), field))
-                   for k, s in enumerate(scales)],
+        remainder=_map_to_vec(ring, rank, _pscale(rem, back, field), pk),
+        cofactors=[
+            Polynomial(ring, {exps(t): mul(b, c) for t, c in cofs.get(k, {}).items()})
+            for k, b in enumerate(mul(back, s) for s in scales)
+        ],
     )
 
 
 def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
     """The S-vector of two module elements, or None when their leading
-    components differ (no cancellation is possible)."""
+    components differ (no cancellation is possible).  Tuple-based, as an
+    independent check of the packed engine."""
     if g1.ring != g2.ring or len(g1) != len(g2):
         raise MismatchedRingError("S-vector over mismatched rings or ranks")
     if g1.is_zero() or g2.is_zero():
         raise ValueError("S-vector of a zero vector")
-    field = g1.ring.field
-    m1, m2 = _vec_to_map(g1), _vec_to_map(g2)
-    mkey = order.module_key
-    l1, l2 = max(m1, key=mkey), max(m2, key=mkey)
-    if l1[0] != l2[0]:
+    ring, field, mkey = g1.ring, g1.ring.field, order.module_key
+
+    def lead(g):
+        return max(
+            ((comp, exps) for comp, e in enumerate(g.entries) for exps in e.terms), key=mkey
+        )
+
+    (comp1, l1), (comp2, l2) = lead(g1), lead(g2)
+    if comp1 != comp2:
         return None
-    lcm = mono_lcm(l1[1], l2[1])
-    t1, t2 = mono_div(lcm, l1[1]), mono_div(lcm, l2[1])
-    c1, c2 = field.inv(m1[l1]), field.inv(m2[l2])
-    out = {}
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    for (comp, exps), c in m1.items():
-        _acc(out, (comp, mono_mul(t1, exps)), mul(c1, c), add, is_zero)
-    neg = field.neg
-    for (comp, exps), c in m2.items():
-        _acc(out, (comp, mono_mul(t2, exps)), neg(mul(c2, c)), add, is_zero)
-    return _map_to_vec(g1.ring, len(g1), out)
+    lcm = mono_lcm(l1, l2)
+    t1 = Polynomial(ring, {mono_div(lcm, l1): field.inv(g1.entries[comp1].terms[l1])})
+    t2 = Polynomial(ring, {mono_div(lcm, l2): field.inv(g2.entries[comp2].terms[l2])})
+    return t1 * g1 - t2 * g2
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +414,9 @@ def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
 # ---------------------------------------------------------------------------
 
 def _combine(recipe, reps, nin, field):
-    """scale * sum of c * reps[k] over a recipe (scale, [(scalar map, index)]),
-    where reps[k] holds one scalar map per input.  The only routine that
-    multiplies representations out."""
+    """scale * sum of c * reps[k] over a recipe (scale, [(scalar map, index)])
+    with exponent-tuple keys, where reps[k] holds one scalar map per input.
+    The only routine that multiplies representations out."""
     scale, steps = recipe
     add, mul, is_zero = field.add, field.mul, field.is_zero
     out = [dict() for _ in range(nin)]
@@ -328,10 +435,11 @@ class GroebnerBasis:
     and the recipes of the working elements it was made from; ``final[k]``
     indexes the working element equal to ``elements[k]``.
 
-    Over Q the working elements were primitive integer maps with support
-    masks on their leads; ``elements`` are their monic forms, with Fraction
-    coefficients, and the recipe of each one whose lead coefficient L was
-    not 1 ends in a step scaling by 1/L.  Recipe scalars carry every scale
+    Over Q the working elements were primitive integer maps; ``elements``
+    are their monic forms, with Fraction coefficients, and the recipe of
+    each one whose lead coefficient L was not 1 ends in a step scaling by
+    1/L.  The basis keeps the packed divisors (lead, L, primitive map) of
+    its elements for ``normal_form``.  Recipe scalars carry every scale
     factor of the integer reduction, so certificates are exact.  The first
     certificate expands every recipe and keeps the result.  That cache is
     written once, whole, so two threads racing for it only compute it twice."""
@@ -346,6 +454,9 @@ class GroebnerBasis:
         self.stats = stats
         self._recipes = recipes  # per working element: (scale, [(map, index)])
         self._final = final
+        # set by buchberger: per element its packed _info, and the packing
+        self._divisors = ()
+        self._packing = None
 
     def __len__(self):
         return len(self.elements)
@@ -356,13 +467,14 @@ class GroebnerBasis:
     @cached_property
     def _element_reps(self):
         """Per element, one scalar map per input."""
-        field, nin = self.ring.field, len(self.inputs)
+        field, nin, pk = self.ring.field, len(self.inputs), self._packing
         # slot j starts as input j itself, which the input's recipe points at
         work = [[{self.ring._zero_exps: field.one_raw} if jj == j else {}
                  for jj in range(nin)] for j in range(nin)]
         work += [None] * (len(self._recipes) - nin)
-        for idx, recipe in enumerate(self._recipes):
-            work[idx] = _combine(recipe, work, nin, field)
+        for idx, (scale, steps) in enumerate(self._recipes):
+            steps = [({pk.exps(t): c for t, c in m.items()}, k) for m, k in steps]
+            work[idx] = _combine((scale, steps), work, nin, field)
         return [work[k] for k in self._final]
 
     @property
@@ -378,11 +490,6 @@ class GroebnerBasis:
             (field.one_raw, steps), self._element_reps, len(self.inputs), field
         )
         return [Polynomial(self.ring, m) for m in maps]
-
-
-def _single_component(m):
-    comps = {comp for (comp, _) in m}
-    return comps.pop() if len(comps) == 1 else None
 
 
 def buchberger(
@@ -403,135 +510,138 @@ def buchberger(
             raise MismatchedRingError("generators share neither ring nor rank")
         if not g.is_zero():
             kept.append(g)
-    stats = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0}
     if not kept:
+        stats = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0}
         return GroebnerBasis(ring, rank, order, [], [], stats)
+    degree = 2 * max(limits.max_degree, *map(_vector_degree, kept))
+    pk = _first_packing(ring, rank, order, degree)
+    while True:
+        try:
+            return _buchberger(ring, rank, kept, order, limits, pk)
+        except _Overflow:
+            pk = pk.wider()
 
+
+def _buchberger(ring, rank, kept, order, limits, pk):
+    """``buchberger`` under one packing; raises _Overflow when a key
+    outgrows it."""
     field = ring.field
-    mkey = order.module_key
-    hkey = _heap_key(order)
-    one = field.one_raw
+    one = _engine_one(field)
     add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
-    neg_one = neg(one)
-    zero_exps = ring._zero_exps
+    guard, mask, comp_of = pk.guard, pk.mask, pk.comp
+    stats = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0}
 
     infos = []  # per working element: its _info, the map normalized
+    leads = []  # per working element: its packed lead
+    lead_exps = []  # per working element: its lead's exponent tuple
     singles = []  # single component index or None
     recipes = []  # per working element: (scale, [(scalar map, earlier index)])
     heap = []
     counter = 0
     done = set()  # pairs (i, j), i < j, already taken off the queue
 
-    def normalized_info(emap, steps):
-        """The _info of field.normalize(emap), and the recipe of the
-        normalized map: its steps with the scale normalize applied."""
-        lead, emap, scale = _normalized(emap, hkey, field)
-        return _info(lead, emap), (scale, steps)
-
     def add_element(emap, steps):
         nonlocal counter
-        info, recipe = normalized_info(emap, steps)
+        info, scale = _normalized(emap, field)
+        lead = info[0]
+        comp, exps = comp_of(lead), pk.exps(lead)
         new_idx = len(infos)
         infos.append(info)
-        singles.append(_single_component(emap))
-        recipes.append(recipe)
-        lead = info[0]
+        comps = {comp_of(m) for m in emap}
+        singles.append(comp if len(comps) == 1 else None)
+        recipes.append((scale, steps))
         for old_idx in range(new_idx):
-            old = infos[old_idx][0]
-            if old[0] == lead[0]:
-                deg = sum(mono_lcm(old[1], lead[1]))
+            if comp_of(leads[old_idx]) == comp:
+                deg = sum(map(max, lead_exps[old_idx], exps))
                 heappush(heap, (deg, counter, old_idx, new_idx))
                 counter += 1
+        leads.append(lead)
+        lead_exps.append(exps)
 
     for j, g in enumerate(kept):
-        add_element(_vec_to_map(g), [({zero_exps: one}, j)])
+        add_element(_vec_to_map(g, pk), [({0: one}, j)])
 
     while heap:
         if stats["pairs_processed"] >= limits.max_pairs:
             raise ResourceLimitExceededError(
                 f"pair cap {limits.max_pairs} crossed; instance is beyond desk scale"
             )
-        _, _, i, j = heappop(heap)
+        deg, _, i, j = heappop(heap)
         stats["pairs_processed"] += 1
         done.add((i, j))
-        (li, mask_i, lc_i, map_i), (lj, mask_j, lc_j, map_j) = infos[i], infos[j]
-        lcm = mono_lcm(li[1], lj[1])
-        outside = ~(mask_i | mask_j)
+        (li, lc_i, map_i), (lj, lc_j, map_j) = infos[i], infos[j]
+        lcm = pk.pack(comp_of(li), tuple(map(max, lead_exps[i], lead_exps[j])))
         if (
             # coprimality, valid only inside a single shared component
             singles[i] is not None
             and singles[i] == singles[j]
-            and not any(map(min, li[1], lj[1]))
+            and deg == (li & mask) + (lj & mask)
         ) or any(
             # chain: the pair's S-vector follows from (i, k) and (j, k).
-            # Pairs join two distinct elements with leads in one component,
-            # so k is neither i nor j and its lead shares their component.
-            not mask_k & outside
-            and mono_divides(lk[1], lcm)
+            # lead(k) divides the lcm, so it shares the pair's component,
+            # and k is neither i nor j, since (i, i) never leaves the queue.
+            not (lcm - lk) & guard
             and (min(i, k), max(i, k)) in done
             and (min(j, k), max(j, k)) in done
-            for k, (lk, mask_k, _, _) in enumerate(infos)
+            for k, lk in enumerate(leads)
         ):
             stats["pairs_skipped"] += 1
             continue
-        ti, tj = mono_div(lcm, li[1]), mono_div(lcm, lj[1])
+        ti, tj = lcm - li, lcm - lj
         # a*lc_i == q*lc_j, so the leads cancel in a*ti*b_i - q*tj*b_j
         a, q = field.pseudo_quotient(lc_i, lc_j)
         qn = neg(q)
-        s = {}
-        for (comp, exps), c in map_i.items():
-            _acc(s, (comp, mono_mul(ti, exps)), mul(a, c), add, is_zero)
-        for (comp, exps), c in map_j.items():
-            _acc(s, (comp, mono_mul(tj, exps)), mul(qn, c), add, is_zero)
-        rem, cofs, scale = _reduce(s, infos, hkey, field)
+        s = {ti + m: mul(a, c) for m, c in map_i.items()}
+        for m, c in map_j.items():
+            _acc(s, tj + m, mul(qn, c), add, is_zero)
+        if any(m & guard for m in s):
+            raise _Overflow
+        rem, cofs, scale = _reduce(s, infos, field, guard)
         if not rem:
             stats["zero_reductions"] += 1
             continue
-        if _map_degree(rem) > limits.max_degree:
+        if max(m & mask for m in rem) > limits.max_degree:
             raise ResourceLimitExceededError(
                 f"degree cap {limits.max_degree} crossed; instance is beyond desk scale"
             )
         # rem = scale*(a*ti*b_i - q*tj*b_j) - sum cof_k*b_k
         steps = [({ti: mul(scale, a)}, i), ({tj: mul(scale, qn)}, j)]
-        steps += [(_pscale(cof, neg_one, field), k) for k, cof in cofs.items()]
+        steps += [(_negated(cof, field), k) for k, cof in cofs.items()]
         add_element(rem, steps)
 
     # -- minimal basis: drop elements whose lead is divisible by another's --
-    leads = [info[0] for info in infos]
-    order_idx = sorted(range(len(leads)), key=lambda k: mkey(leads[k]))
     kept_idx = []
-    for k in order_idx:
-        ck, ek = leads[k]
-        dominated = any(
-            leads[k2][0] == ck and mono_divides(leads[k2][1], ek) for k2 in kept_idx
-        )
-        if not dominated:
+    for k in sorted(range(len(leads)), key=leads.__getitem__):
+        lk = leads[k]
+        if all((lk - leads[k2]) & guard for k2 in kept_idx):
             kept_idx.append(k)
 
     # -- tail reduction: ascending leads, so smaller elements are final --
     final = [infos[k] for k in kept_idx]
     for pos in range(len(final)):
         others = [q for q in range(len(final)) if q != pos]
-        rem, cofs, scale = _reduce(final[pos][3], [final[q] for q in others], hkey, field)
+        rem, cofs, scale = _reduce(final[pos][2], [final[q] for q in others], field, guard)
         if cofs:
             # rem = scale*b_pos - sum cof_q*b_q, with b_pos's lead
-            steps = [({zero_exps: scale}, kept_idx[pos])]
-            steps += [(_pscale(cof, neg_one, field), kept_idx[others[qi]])
+            steps = [({0: scale}, kept_idx[pos])]
+            steps += [(_negated(cof, field), kept_idx[others[qi]])
                       for qi, cof in cofs.items()]
-            final[pos], recipe = normalized_info(rem, steps)
+            final[pos], rscale = _normalized(rem, field)
             kept_idx[pos] = len(recipes)
-            recipes.append(recipe)
+            recipes.append((rscale, steps))
 
     # -- the boundary: monic elements, one last recipe step scaling by 1/lc --
     elements = []
-    for pos, (_, _, lc, m) in enumerate(final):
+    for pos, (_, lc, m) in enumerate(final):
         inv = field.inv(lc)
-        elements.append(_map_to_vec(ring, rank, _pscale(m, inv, field)))
+        elements.append(_map_to_vec(ring, rank, _pscale(m, inv, field), pk))
         if lc != one:
-            recipes.append((one, [({zero_exps: inv}, kept_idx[pos])]))
+            recipes.append((field.one_raw, [({0: inv}, kept_idx[pos])]))
             kept_idx[pos] = len(recipes) - 1
     stats["basis_size"] = len(elements)
-    return GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx)
+    gb = GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx)
+    gb._divisors, gb._packing = final, pk
+    return gb
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +710,7 @@ def submodule_member(
     if f.ring != submodule.ring or len(f) != submodule.rank:
         raise MismatchedRingError("query does not match the submodule's ring/rank")
     gb = submodule.groebner(order, limits)
-    nf = normal_form(f, gb.elements, order)
+    nf = normal_form(f, gb, order)
     if not nf.remainder.is_zero():
         return Verdict(member=False, stats=dict(gb.stats))
     certificate = gb.certificate(nf.cofactors)

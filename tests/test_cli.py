@@ -378,6 +378,15 @@ def test_cli_resource_cap_is_an_error(tmp_path, capsys):
     assert report["error"]["type"] == "ResourceLimitExceeded"
 
 
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-degree", "--witness-grid", "--cap"])
+def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag):
+    path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="semiprime-member"))
+    code, report = run(capsys, "semiprime-member", path, flag, "-1")
+    assert code == 2
+    assert report["error"]["type"] == "Error"
+    assert "must be non-negative, got -1" in report["error"]["message"]
+
+
 def test_reports_validate_against_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     import pathlib

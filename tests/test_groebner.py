@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -9,13 +10,11 @@ from conftest import ORDERS, random_generators, random_vector
 from semimod import groebner
 from semimod.closure import radical_member, semiprime_member
 from semimod.errors import ResourceLimitExceededError
-from semimod.fields import QQ, PrimeField
+from semimod.fields import QQ, PrimeField, field_from_name
 from semimod.groebner import (
     GroebnerLimits,
     SubmodulePresentation,
-    _heap_key,
-    _support_mask,
-    _vec_to_map,
+    _vector_degree,
     buchberger,
     ideal_member,
     normal_form,
@@ -23,7 +22,10 @@ from semimod.groebner import (
     submodule_member,
 )
 from semimod.poly import (
+    GREVLEX,
+    TOP,
     OrderSpec,
+    Polynomial,
     PolyRing,
     VectorPoly,
     mono_div,
@@ -58,6 +60,24 @@ def combine(cofactors, gens):
         piece = c * g
         total = piece if total is None else total + piece
     return total
+
+
+def tuple_map(v):
+    """A vector as the flattened {(component, exponents): coefficient} map
+    the reference reducer reads."""
+    return {(comp, exps): c for comp, e in enumerate(v.entries) for exps, c in e.terms.items()}
+
+
+def tuple_heap_key(order: OrderSpec):
+    """Key under which a min-heap pops the largest module monomial first:
+    ``order.module_key`` flattened, with every entry negated."""
+    if order.scalar == GREVLEX:
+        if order.module == TOP:
+            return lambda mm: (-sum(mm[1]), *mm[1][::-1], mm[0])
+        return lambda mm: (mm[0], -sum(mm[1]), *mm[1][::-1])
+    if order.module == TOP:
+        return lambda mm: (*[-e for e in mm[1]], mm[0])
+    return lambda mm: (mm[0], *[-e for e in mm[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -153,37 +173,113 @@ def reference_reduce(fmap, infos, hkey, field):
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
 def test_normal_form_matches_the_field_division_reference(order, rank):
     R = PolyRing(QQ, ("x", "y"))
-    hkey = _heap_key(order)
+    hkey = tuple_heap_key(order)
     rng = random.Random(83 + rank)
     for _ in range(25):
         basis = random_generators(rng, R, rank, coeffs=RATIONAL_COEFFS)
         f = random_vector(rng, R, rank, max_degree=3, coeffs=RATIONAL_COEFFS)
         infos = []
         for g in basis:
-            m = _vec_to_map(g)
+            m = tuple_map(g)
             lead = min(m, key=hkey)
             infos.append((lead, m[lead], m))
-        rem, cofs = reference_reduce(_vec_to_map(f), infos, hkey, QQ)
+        rem, cofs = reference_reduce(tuple_map(f), infos, hkey, QQ)
         nf = normal_form(f, basis, order)
-        assert _vec_to_map(nf.remainder) == rem
+        assert tuple_map(nf.remainder) == rem
         assert [c.terms for c in nf.cofactors] == cofs
         assert combine(nf.cofactors, basis) + nf.remainder == f
-        assert all(type(c) is Fraction for c in _vec_to_map(nf.remainder).values())
+        assert all(type(c) is Fraction for c in tuple_map(nf.remainder).values())
 
 
-def test_support_mask_rejects_only_non_divisors():
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_packing_matches_tuple_monomials(order):
+    # the packed int sorts, divides and multiplies exactly as the
+    # (component, exponent tuple) it encodes, and unpacks back to it
     rng = random.Random(89)
-    rejected = 0
-    for n in range(1, 9):
-        for _ in range(500):
-            a = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
-            b = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
-            if _support_mask(a) & ~_support_mask(b):
-                rejected += 1
-                assert not mono_divides(a, b)
-            if mono_divides(a, b):
-                assert not _support_mask(a) & ~_support_mask(b)
-    assert rejected > 1000
+    divisible = 0
+    for nvars in range(1, 9):
+        for rank in (1, 2, 3):
+            pk = groebner._packing(nvars, rank, order, 7)
+            mms = {
+                (rng.randrange(rank), tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars)))
+                for _ in range(40)
+            }
+            packed = {mm: pk.pack(*mm) for mm in mms}
+            for (comp, exps), m in packed.items():
+                assert (pk.comp(m), pk.exps(m)) == (comp, exps)
+                assert m & pk.mask == sum(exps)
+            assert sorted(mms, key=packed.get) == sorted(mms, key=order.module_key)
+            for a in mms:
+                for b in mms:
+                    diff = packed[b] - packed[a]
+                    divides = a[0] == b[0] and mono_divides(a[1], b[1])
+                    assert (not diff & pk.guard) == divides
+                    if divides:
+                        divisible += 1
+                        assert diff == pk.pack(None, mono_div(b[1], a[1]))
+            t = tuple(rng.randrange(3) for _ in range(nvars))
+            for comp, exps in mms:
+                assert packed[(comp, exps)] + pk.pack(None, t) == pk.pack(comp, mono_mul(exps, t))
+            with pytest.raises(groebner._Overflow):
+                pk.pack(0, (pk.limit,) + (0,) * (nvars - 1))
+    assert divisible > 1000
+
+
+LEX = OrderSpec(scalar="lex")
+
+
+def test_lex_normal_form_widens_its_packing(R):
+    # the remainder of x^3 + xy by x - y^50 has degree 150, past the first
+    # packing, whose digits hold 2*50; values recorded with tuple monomials
+    x, y = R.variables()
+    assert groebner._first_packing(R, 1, LEX, 2 * 50).limit <= 150
+    nf = normal_form(VectorPoly(R, [x**3 + x * y]), [VectorPoly(R, [x - y**50])], LEX)
+    assert str(nf.remainder) == "[y^150 + y^51]"
+    assert [str(c) for c in nf.cofactors] == ["y^100 + x*y^50 + x^2 + y"]
+
+
+def test_lex_buchberger_widens_its_packing(R):
+    # the S-vector of x - y^6 and x^6 - 1 reduces through x^4*y^12 up to
+    # y^36, past the first packing, whose digits hold 2*max_degree = 12;
+    # values recorded with tuple monomials
+    x, y = R.variables()
+    gens = [x - y**6, x**6 - R.one(), y - R.one()]
+    assert groebner._first_packing(R, 1, LEX, 2 * 6).limit <= 16
+    gb = buchberger([VectorPoly(R, [p]) for p in gens], LEX, GroebnerLimits(max_degree=6))
+    assert [str(e) for e in gb.elements] == ["[y - 1]", "[x - 1]"]
+    assert gb.stats == {
+        "pairs_processed": 3, "pairs_skipped": 2, "zero_reductions": 1, "basis_size": 2,
+    }
+
+
+def test_normal_form_by_a_basis_uses_its_divisors(R, pair_basis, monkeypatch):
+    # a GroebnerBasis lends its packed divisors, so only the query is
+    # normalized, and it divides exactly as the list of its elements does
+    rng = random.Random(107)
+    normalized = []
+    real = groebner._normalized
+    monkeypatch.setattr(
+        groebner, "_normalized", lambda m, field: normalized.append(1) or real(m, field)
+    )
+    for order in ORDERS:
+        for _ in range(5):
+            gb = buchberger(random_generators(rng, R, 2, coeffs=RATIONAL_COEFFS), order)
+            f = random_vector(rng, R, 2, max_degree=3, coeffs=RATIONAL_COEFFS)
+            normalized.clear()
+            by_basis = normal_form(f, gb, order)
+            assert len(normalized) == 1
+            by_list = normal_form(f, gb.elements, order)
+            assert by_basis.remainder == by_list.remainder
+            assert by_basis.cofactors == by_list.cofactors
+    # a query past the basis's packing is divided by its elements, repacked
+    x, y = R.variables()
+    gb = buchberger(pair_basis)
+    f = VectorPoly(R, [x**200 + y, x * y**199])
+    assert _vector_degree(f) >= gb._packing.limit
+    by_basis, by_list = normal_form(f, gb), normal_form(f, gb.elements)
+    assert by_basis.remainder == by_list.remainder
+    assert by_basis.cofactors == by_list.cofactors
+    assert combine(by_basis.cofactors, gb.elements) + by_basis.remainder == f
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +376,6 @@ def test_chain_criterion_skips_pairs_of_a_known_basis():
     assert_is_groebner(gb)
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
-def test_heap_key_sorts_like_the_module_order(order):
-    rng = random.Random(71)
-    mms = {
-        (rng.randrange(3), tuple(rng.randrange(4) for _ in range(3)))
-        for _ in range(200)
-    }
-    hkey = _heap_key(order)
-    assert sorted(mms, key=hkey) == sorted(mms, key=order.module_key, reverse=True)
-
-
 def test_basis_is_reduced_and_monic(R):
     rng = random.Random(41)
     for _ in range(20):
@@ -344,6 +429,102 @@ def test_determinism(R):
     gb1 = buchberger(gens)
     gb2 = buchberger(gens)
     assert gb1.elements == gb2.elements
+
+
+def test_negative_limits_are_rejected():
+    for bad in ({"max_pairs": -3}, {"max_degree": -1}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            GroebnerLimits(**bad)
+    GroebnerLimits(max_pairs=0, max_degree=0)
+
+
+def test_rational_recipes_hold_integers_until_the_boundary(R):
+    # recipe scalars over Q are the integers of fraction-free reduction;
+    # only the step scaling a final element by 1/L is a Fraction
+    rng = random.Random(103)
+    boundary = 0
+    for _ in range(10):
+        gb = buchberger(random_generators(rng, R, 2, coeffs=RATIONAL_COEFFS))
+        for idx, (scale, steps) in enumerate(gb._recipes):
+            values = [c for m, _ in steps for c in m.values()]
+            if all(type(c) is int for c in values):
+                continue
+            boundary += 1
+            assert idx in gb._final and scale == 1
+            assert len(steps) == 1 and list(steps[0][0]) == [0]
+            assert type(values[0]) is Fraction
+    assert boundary > 0
+
+
+def pinned_problem(rng, ring, rank):
+    """Three rank-``rank`` vectors over k[x, y, z] whose entries have one to
+    three terms of degree one to three."""
+    gens = []
+    for _ in range(3):
+        entries = []
+        for _ in range(rank):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                exps = [0, 0, 0]
+                for _ in range(rng.randint(1, 3)):
+                    exps[rng.randrange(3)] += 1
+                terms[tuple(exps)] = ring.field.coerce(rng.choice((-3, -2, -1, 1, 2, 3)))
+            entries.append(Polynomial(ring, terms))
+        gens.append(VectorPoly(ring, entries))
+    return gens
+
+
+# (pairs_processed, pairs_skipped, zero_reductions, basis_size, first 16 hex
+# digits of the sha256 of the printed basis), recorded with tuple monomials
+PINNED_BASES = {
+    ("Q", "grevlex-top", 1): (45, 32, 6, 8, "544086f4486d5b28"),
+    ("Q", "grevlex-top", 2): (16, 8, 2, 7, "fb60d9f74a315d3b"),
+    ("Q", "grevlex-pot", 1): (45, 32, 6, 8, "544086f4486d5b28"),
+    ("Q", "grevlex-pot", 2): (39, 25, 5, 11, "c1aae5bcde98fe1d"),
+    ("Q", "lex-top", 1): (28, 22, 1, 5, "9b159d0b9229e5b2"),
+    ("Q", "lex-top", 2): (11, 6, 1, 5, "26e0b3b23e0b41cf"),
+    ("Q", "lex-pot", 1): (28, 22, 1, 5, "9b159d0b9229e5b2"),
+    ("Q", "lex-pot", 2): (58, 39, 8, 9, "dd3dc3a948d803e3"),
+    ("F7", "grevlex-top", 1): (45, 32, 6, 8, "532941bf3e72a218"),
+    ("F7", "grevlex-top", 2): (16, 8, 2, 7, "9525937248f59a93"),
+    ("F7", "grevlex-pot", 1): (45, 32, 6, 8, "532941bf3e72a218"),
+    ("F7", "grevlex-pot", 2): (39, 25, 5, 11, "c710816db7d7532d"),
+    ("F7", "lex-top", 1): (28, 22, 1, 5, "2175330a97b2112e"),
+    ("F7", "lex-top", 2): (11, 6, 1, 5, "191b4fc4edc11985"),
+    ("F7", "lex-pot", 1): (28, 22, 1, 5, "2175330a97b2112e"),
+    ("F7", "lex-pot", 2): (31, 17, 6, 9, "867f7e6e55aad4bd"),
+    ("F101", "grevlex-top", 1): (45, 32, 6, 8, "0dc75d58ff77d21a"),
+    ("F101", "grevlex-top", 2): (16, 8, 2, 7, "6533c4ffd06bb860"),
+    ("F101", "grevlex-pot", 1): (45, 32, 6, 8, "0dc75d58ff77d21a"),
+    ("F101", "grevlex-pot", 2): (39, 25, 5, 11, "f53fd9214c814f71"),
+    ("F101", "lex-top", 1): (28, 22, 1, 5, "f5398e888143f2d9"),
+    ("F101", "lex-top", 2): (11, 6, 1, 5, "478507b90d44ab39"),
+    ("F101", "lex-pot", 1): (28, 22, 1, 5, "f5398e888143f2d9"),
+    ("F101", "lex-pot", 2): (58, 39, 8, 9, "216af0a954ff6666"),
+    ("F3^2", "grevlex-top", 1): (36, 24, 6, 8, "6e26d1e8ecbba187"),
+    ("F3^2", "grevlex-top", 2): (11, 6, 1, 5, "19fa2aa0b70249ab"),
+    ("F3^2", "grevlex-pot", 1): (36, 24, 6, 8, "6e26d1e8ecbba187"),
+    ("F3^2", "grevlex-pot", 2): (7, 3, 1, 6, "f5f99b0fc5ac07ad"),
+    ("F3^2", "lex-top", 1): (21, 16, 1, 4, "1865967f922b545e"),
+    ("F3^2", "lex-top", 2): (11, 6, 1, 5, "9a943753168a9109"),
+    ("F3^2", "lex-pot", 1): (21, 16, 1, 4, "1865967f922b545e"),
+    ("F3^2", "lex-pot", 2): (11, 5, 2, 7, "c41102c01860823f"),
+}
+
+
+@pytest.mark.parametrize("name", ["Q", "F7", "F101", "F3^2"])
+def test_pinned_counters_and_bases(name):
+    # a changed pair order, criterion or reduction shows here, not only in
+    # the traced benchmark
+    R3 = PolyRing(QQ if name == "Q" else field_from_name(name), ("x", "y", "z"))
+    for order in ORDERS:
+        for rank in (1, 2):
+            gb = buchberger(pinned_problem(random.Random(11 * rank), R3, rank), order)
+            stats = gb.stats
+            digest = hashlib.sha256("\n".join(map(str, gb.elements)).encode()).hexdigest()
+            got = (stats["pairs_processed"], stats["pairs_skipped"],
+                   stats["zero_reductions"], stats["basis_size"], digest[:16])
+            assert got == PINNED_BASES[(name, f"{order.scalar}-{order.module}", rank)]
 
 
 # ---------------------------------------------------------------------------

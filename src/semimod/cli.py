@@ -16,7 +16,7 @@ import time
 
 from .closure import _radical_member, semiprime_member
 from .errors import ProblemSyntaxError, SemimodError
-from .fields import PrimeField, field_from_flag
+from .fields import field_from_flag
 from .groebner import (
     GroebnerLimits,
     SubmodulePresentation,
@@ -24,8 +24,8 @@ from .groebner import (
     submodule_member,
 )
 from .matrixideals import matrix_semiprime_member
-from .oracle import DEFAULT_CAP, oracle_check, oracle_check_escalating
-from .parser import Query, parse_problem
+from .oracle import DEFAULT_CAP, default_field, oracle_check, oracle_check_escalating
+from .parser import QUERY_KINDS, Query, parse_problem
 from .poly import OrderSpec
 from .submodules import (
     prime_closure_at,
@@ -52,13 +52,6 @@ def _certificate_json(cofactors):
     if cofactors is None:
         return None
     return {"cofactors": [str(c) for c in cofactors]}
-
-
-def _oracle_field(problem):
-    """The oracle's field when no --field is given: the problem's own field
-    if it is finite, else F3."""
-    field = problem.ring.field
-    return field if field.size else PrimeField(3)
 
 
 def run_query(problem, query: Query, options) -> tuple[dict, int]:
@@ -149,9 +142,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         if options.field is not None:
             reports = [oracle_check(value, gens, options.field, options.cap)]
         else:
-            reports = oracle_check_escalating(
-                value, gens, _oracle_field(problem), options.cap
-            )
+            reports = oracle_check_escalating(value, gens, cap=options.cap)
         passed = all(r.passed for r in reports)
         report["pass"] = passed
         report["reports"] = [r.as_json() for r in reports]
@@ -168,7 +159,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         "semiprime-member",
         "matrix-semiprime-member",
     ):
-        oracle_field = options.field or _oracle_field(problem)
+        oracle_field = options.field or default_field(problem.ring.field)
         report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
 
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
@@ -198,17 +189,7 @@ class _Options:
         self.cross_check = args.oracle
 
 
-COMMANDS = {
-    "member": "submodule or ideal membership with a cofactor certificate",
-    "semiprime-member": "membership in the smallest semiprime submodule",
-    "radical-member": "radical ideal membership via one tag variable",
-    "matrix-semiprime-member": "membership in the smallest semiprime left ideal",
-    "refute-semiprime": "check a candidate refutation of the closure rule",
-    "refute-weak": "check a candidate refutation of the classical rule",
-    "k-of": "smallest point-prime submodule containing the generators",
-    "oracle": "finite-field point enumeration of the vanishing implication",
-    "run": "run every query in the file (batch mode)",
-}
+COMMANDS = {**QUERY_KINDS, "run": "run every query in the file (batch mode)"}
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

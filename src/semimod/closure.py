@@ -33,7 +33,7 @@ from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
     SubmodulePresentation,
-    ideal_presentation,
+    buchberger,
     normal_form,
     submodule_member,
 )
@@ -74,10 +74,9 @@ def _radical_member(f, gens, order, limits) -> Verdict:
     t = ext.tag_variable()
     aug = [ext.embed(g) for g in gens]
     aug.append(ext.one() - t * ext.embed(f))
-    presentation = ideal_presentation(ext, aug)
-    gb = presentation.groebner(order, limits)
+    gb = buchberger([VectorPoly(ext, [g]) for g in aug], order, limits)
     one = VectorPoly(ext, [ext.one()])
-    member = normal_form(one, gb, order).remainder.is_zero() if gb.elements else False
+    member = normal_form(one, gb, order).remainder.is_zero()
     # soundness re-check: the reduced basis of the unit ideal is exactly {1}
     if member and (len(gb.elements) != 1 or gb.elements[0] != one):
         raise InvariantViolationError("unit ideal without the reduced basis {1}")
@@ -161,21 +160,17 @@ def semiprime_member(
     test alone; the optional witness search only decorates it."""
     if f.ring != submodule.ring or len(f) != submodule.rank:
         raise MismatchedRingError("query does not match the submodule's ring/rank")
-    guarantee = guarantee_for(f.ring.field)
     direct = submodule_member(f, submodule, order, limits)
     if direct.member:
         return Verdict(
             member=True,
             certificate=direct.certificate,
-            guarantee=guarantee,
+            guarantee=guarantee_for(f.ring.field),
             method="cofactor",
             stats=direct.stats,
         )
-    if submodule.generators:
-        enc = bilinear_encoding(f, submodule.generators)
-        verdict = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
-    else:
-        verdict = Verdict(member=False, guarantee=guarantee, method="radical")
+    enc = bilinear_encoding(f, submodule.generators)
+    verdict = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
     stats = Counter(direct.stats)  # each counter summed over both phases
     stats.update(verdict.stats)
     verdict.stats = dict(stats)

@@ -78,12 +78,14 @@ instead of scanning for it.  A term is pushed when it enters the map;
 entries whose term has since cancelled are skipped when popped.  Reduction
 only adds terms below the current lead, so the heap never misses one.
 
-``GroebnerBasis.stats`` counts ``pairs_processed`` (pairs taken off the
+Only ``buchberger`` builds a ``GroebnerBasis``, whole, in one constructor
+call; with every generator zero the same steps give the one empty basis.
+Every basis's ``stats`` counts ``pairs_processed`` (pairs taken off the
 queue, the quantity ``GroebnerLimits.max_pairs`` bounds), ``pairs_skipped``
 (those dropped by either criterion), ``zero_reductions`` (S-vectors that
-reduced to zero) and ``basis_size`` (elements of the reduced basis).  Each
-invocation owns its working state; separate invocations may run
-concurrently.
+reduced to zero) and ``basis_size`` (elements of the reduced basis, 0 for
+the empty one).  Each invocation owns its working state; separate
+invocations may run concurrently.
 """
 
 from __future__ import annotations
@@ -341,7 +343,7 @@ def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> Norma
     is packed and normalized here."""
     ring, rank = f.ring, len(f)
     field = ring.field
-    if isinstance(basis, GroebnerBasis) and basis.order == order and basis._packing:
+    if isinstance(basis, GroebnerBasis) and basis.order == order:
         if basis.ring != ring:
             raise MismatchedRingError("basis from a different ring")
         if basis.rank != rank:
@@ -439,13 +441,15 @@ class GroebnerBasis:
     are their monic forms, with Fraction coefficients, and the recipe of
     each one whose lead coefficient L was not 1 ends in a step scaling by
     1/L.  The basis keeps the packed divisors (lead, L, primitive map) of
-    its elements for ``normal_form``.  Recipe scalars carry every scale
-    factor of the integer reduction, so certificates are exact.  The first
-    certificate expands every recipe and keeps the result.  That cache is
-    written once, whole, so two threads racing for it only compute it twice."""
+    its elements, and their packing, for ``normal_form``.  Only
+    ``buchberger`` builds one, whole; the empty basis has no elements and
+    the same four counters.  Recipe scalars carry every scale factor of the
+    integer reduction, so certificates are exact.  The first certificate
+    expands every recipe and keeps the result.  That cache is written once,
+    whole, so two threads racing for it only compute it twice."""
 
     def __init__(self, ring, rank, order, elements, inputs, stats,
-                 recipes=(), final=()):
+                 recipes, final, divisors, packing):
         self.ring = ring
         self.rank = rank
         self.order = order
@@ -454,12 +458,8 @@ class GroebnerBasis:
         self.stats = stats
         self._recipes = recipes  # per working element: (scale, [(map, index)])
         self._final = final
-        # set by buchberger: per element its packed _info, and the packing
-        self._divisors = ()
-        self._packing = None
-
-    def __len__(self):
-        return len(self.elements)
+        self._divisors = divisors  # per element: its packed _info
+        self._packing = packing
 
     def __iter__(self):
         return iter(self.elements)
@@ -510,10 +510,7 @@ def buchberger(
             raise MismatchedRingError("generators share neither ring nor rank")
         if not g.is_zero():
             kept.append(g)
-    if not kept:
-        stats = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0}
-        return GroebnerBasis(ring, rank, order, [], [], stats)
-    degree = 2 * max(limits.max_degree, *map(_vector_degree, kept))
+    degree = 2 * max([limits.max_degree, *map(_vector_degree, kept)])
     pk = _first_packing(ring, rank, order, degree)
     while True:
         try:
@@ -639,9 +636,8 @@ def _buchberger(ring, rank, kept, order, limits, pk):
             recipes.append((field.one_raw, [({0: inv}, kept_idx[pos])]))
             kept_idx[pos] = len(recipes) - 1
     stats["basis_size"] = len(elements)
-    gb = GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx)
-    gb._divisors, gb._packing = final, pk
-    return gb
+    return GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx,
+                         final, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -686,11 +682,9 @@ class SubmodulePresentation:
     def groebner(self, order: OrderSpec = DEFAULT_ORDER, limits=DEFAULT_LIMITS) -> GroebnerBasis:
         gb = self._bases.get(order)
         if gb is None:
-            if not self.generators:
-                gb = GroebnerBasis(self.ring, self.rank, order, [], [], {})
-            else:
-                gb = buchberger(self.generators, order, limits)
-            self._bases[order] = gb
+            # an empty presentation passes one zero vector of its rank
+            gens = self.generators or [VectorPoly(self.ring, [0] * self.rank)]
+            gb = self._bases[order] = buchberger(gens, order, limits)
         return gb
 
     def __repr__(self):
@@ -730,7 +724,6 @@ def ideal_member(
 ) -> Verdict:
     """Ideal membership is submodule membership at rank 1; certificate
     cofactors come back as scalar polynomials."""
-    verdict = submodule_member(
+    return submodule_member(
         VectorPoly(f.ring, [f]), ideal_presentation(f.ring, gens), order, limits
     )
-    return verdict

@@ -13,23 +13,19 @@ could run concurrently, with the verdict their deterministic conjunction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 from .closure import semiprime_member
-from .errors import (
-    DimensionMismatchError,
-    MismatchedRingError,
-    ZeroCovectorError,
-)
+from .errors import DimensionMismatchError, MismatchedRingError
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
     SubmodulePresentation,
     submodule_member,
 )
-from .linalg import dot_raw
-from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, _coerce_point
-from .verdicts import Verdict, guarantee_for
+from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing
+from .submodules import HyperplaneSubmodule, hyperplane_member
+from .verdicts import Verdict
 
 
 @dataclass
@@ -39,9 +35,6 @@ class LeftIdealPresentation:
     ring: PolyRing
     size: int
     generators: list
-    _row_module: SubmodulePresentation | None = dataclass_field(
-        default=None, repr=False, compare=False
-    )
 
     def __post_init__(self):
         for g in self.generators:
@@ -51,11 +44,6 @@ class LeftIdealPresentation:
                 raise MismatchedRingError("generator from a different ring")
             if g.size != self.size:
                 raise DimensionMismatchError("generator of a different size")
-
-    def row_module(self) -> SubmodulePresentation:
-        if self._row_module is None:
-            self._row_module = row_module(self)
-        return self._row_module
 
 
 def row_module(ideal: LeftIdealPresentation) -> SubmodulePresentation:
@@ -90,7 +78,7 @@ def matrix_member(
     membership the certificate holds one cofactor list per row."""
     if x.ring != ideal.ring or x.size != ideal.size:
         raise MismatchedRingError("matrix does not match the ideal's ring/size")
-    module = ideal.row_module()
+    module = row_module(ideal)
     row_certificates = []
     for row in x.row_vectors():
         verdict = submodule_member(row, module, order, limits)
@@ -111,36 +99,30 @@ def matrix_semiprime_member(
     """Decide whether F lies in the smallest semiprime left ideal containing
     the generators: every row of F must lie in the semiprime closure of the
     generators' row module.  A witness, when found, is a point a and
-    direction v with G(a)v = 0 for every generator while F(a)v != 0."""
-    generators = list(generators)
-    ideal = LeftIdealPresentation(f.ring, f.size, generators)
-    module = ideal.row_module()
-    guarantee = guarantee_for(f.ring.field)
+    direction v with G(a)v = 0 for every generator while F(a)v != 0.  The
+    verdict is the deciding row's, with no certificate and the counters
+    summed over the rows checked: ``method`` is "cofactor" only when every
+    row passed by cofactors."""
+    module = row_module(LeftIdealPresentation(f.ring, f.size, list(generators)))
     stats = Counter()  # each counter summed over the rows checked
+    decided = None
     for row in f.row_vectors():
         verdict = semiprime_member(
             row, module, order, limits, search_witness, witness_radius
         )
         stats.update(verdict.stats)
+        if decided is None or verdict.method == "radical":
+            decided = verdict
         if not verdict.member:
-            return Verdict(
-                member=False,
-                witness=verdict.witness,
-                guarantee=guarantee,
-                method="radical",
-                stats=stats,
-            )
-    return Verdict(member=True, guarantee=guarantee, method="radical", stats=stats)
+            break
+    decided.certificate = None  # one row's cofactors do not certify the matrix
+    decided.stats = stats
+    return decided
 
 
 def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
     """Membership in the maximal left ideal of matrices annihilating the
-    covector at the point: true iff X(a) u = 0."""
-    field = x.ring.field
-    raw_u = [field.coerce(u) for u in covector]
-    if len(raw_u) != x.size:
-        raise DimensionMismatchError("covector length does not match matrix size")
-    if all(field.is_zero(u) for u in raw_u):
-        raise ZeroCovectorError("covector must be nonzero")
-    values = x.evaluate_raw(_coerce_point(x.ring, point))
-    return all(field.is_zero(dot_raw(field, row, raw_u)) for row in values)
+    covector at the point: true iff X(a) u = 0, that is, iff every row lies
+    in the hyperplane submodule of the point and covector."""
+    hyperplane = HyperplaneSubmodule(x.ring, point, covector)
+    return all(hyperplane_member(row, hyperplane) for row in x.row_vectors())

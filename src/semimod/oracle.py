@@ -226,16 +226,23 @@ def _next_prime(p: int) -> int:
     return q
 
 
+def default_field(field: Field) -> Field:
+    """The oracle's field for a problem over ``field`` when none is given:
+    ``field`` itself when it is finite, else F3."""
+    return field if field.size else PrimeField(3)
+
+
 def oracle_check_escalating(
     query, generators, field: Field | None = None, cap: int = DEFAULT_CAP
 ):
     """Run the oracle, escalating while the pass stays vacuous (every kernel
     trivial): a rational problem goes on to the next prime field and then to
     the quadratic extension, a problem over F_p only to F_{p^2}, since its
-    coefficients have no image in another characteristic.  Returns the list
-    of reports in the order they were run."""
+    coefficients have no image in another characteristic.  Without a
+    ``field`` it starts in the query's field if finite, else in F3 (see
+    ``default_field``).  Returns the reports in the order they were run."""
     if field is None:
-        field = PrimeField(3)
+        field = default_field(query.ring.field)
     reports = [oracle_check(query, generators, field, cap)]
     if isinstance(field, PrimeField):
         ladder = [QuadraticField(field.p)]

@@ -87,15 +87,16 @@ class ProblemFile:
         return value
 
 
+# each query kind with its one-line summary, as ``semimod --help`` lists it
 QUERY_KINDS = {
-    "member",
-    "semiprime-member",
-    "radical-member",
-    "matrix-semiprime-member",
-    "refute-semiprime",
-    "refute-weak",
-    "k-of",
-    "oracle",
+    "member": "submodule or ideal membership with a cofactor certificate",
+    "semiprime-member": "membership in the smallest semiprime submodule",
+    "radical-member": "radical ideal membership via one tag variable",
+    "matrix-semiprime-member": "membership in the smallest semiprime left ideal",
+    "refute-semiprime": "check a candidate refutation of the closure rule",
+    "refute-weak": "check a candidate refutation of the classical rule",
+    "k-of": "smallest point-prime submodule containing the generators",
+    "oracle": "finite-field point enumeration of the vanishing implication",
 }
 
 

@@ -371,6 +371,21 @@ def test_cli_cross_check_runs_in_the_problem_field(tmp_path, capsys):
     assert report["oracle"]["result"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "command, basis_size", [("member", 0), ("semiprime-member", 1)]
+)
+def test_cli_counts_all_zero_generators_like_any_basis(tmp_path, capsys, command, basis_size):
+    # the empty basis reports the four counters; semiprime-member adds its
+    # radical phase, the one-element basis of 1 - t*f.v
+    text = f"ring Q[x, y];\nvec z = [0, 0];\nvec f = [x, y];\nquery {command} f in {{z}};"
+    code, report = run(capsys, command, write(tmp_path, text))
+    assert code == 1 and report["member"] is False
+    assert report["counters"] == {
+        "pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0,
+        "basis_size": basis_size,
+    }
+
+
 def test_cli_resource_cap_is_an_error(tmp_path, capsys):
     path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="semiprime-member"))
     code, report = run(capsys, "semiprime-member", path, "--max-pairs", "1")

@@ -252,6 +252,24 @@ def test_lex_buchberger_widens_its_packing(R):
     }
 
 
+def test_every_basis_reports_the_same_four_counters(R, pair_basis):
+    # the empty basis comes from buchberger too, so an empty presentation,
+    # a query against it and an all-zero generator list count like any basis
+    empty = {"pairs_processed": 0, "pairs_skipped": 0, "zero_reductions": 0, "basis_size": 0}
+    zero = VectorPoly(R, [R.zero(), R.zero()])
+    assert buchberger([zero, zero]).stats == empty
+    presentation = SubmodulePresentation(R, 2, [])
+    gb = presentation.groebner()
+    assert gb.stats == empty and gb.elements == []
+    x, y = R.variables()
+    f = VectorPoly(R, [x, y**3])
+    verdict = submodule_member(f, presentation)
+    assert not verdict.member and verdict.stats == empty
+    assert normal_form(f, gb).remainder == f
+    assert submodule_member(zero, presentation).certificate == []
+    assert list(buchberger(pair_basis).stats) == list(empty)
+
+
 def test_normal_form_by_a_basis_uses_its_divisors(R, pair_basis, monkeypatch):
     # a GroebnerBasis lends its packed divisors, so only the query is
     # normalized, and it divides exactly as the list of its elements does

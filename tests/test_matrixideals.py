@@ -5,7 +5,7 @@ import pytest
 from conftest import random_polynomial, random_vector
 
 from semimod.closure import semiprime_member
-from semimod.errors import ZeroCovectorError
+from semimod.errors import DimensionMismatchError, ZeroCovectorError
 from semimod.fields import QQ
 from semimod.groebner import SubmodulePresentation, submodule_member
 from semimod.matrixideals import (
@@ -148,13 +148,28 @@ def test_matrix_semiprime_member_sums_row_counters(R, twisted_matrix_ideal):
     assert not verdict.member
     # the first row is a member, the second is not: both rows ran
     rows = [
-        semiprime_member(row, twisted_matrix_ideal.row_module(), search_witness=False)
+        semiprime_member(row, row_module(twisted_matrix_ideal), search_witness=False)
         for row in F.row_vectors()
     ]
     assert [r.member for r in rows] == [True, False]
     for key in ("pairs_processed", "pairs_skipped", "zero_reductions", "basis_size"):
         assert verdict.stats[key] == sum(r.stats[key] for r in rows)
     assert verdict.stats["pairs_processed"] > 0
+
+
+def test_matrix_semiprime_member_names_its_method(R, twisted_matrix_ideal):
+    # "cofactor" only when every row passed by cofactors
+    I = identity_matrix(R, 2)
+    verdict = matrix_semiprime_member(I, [I])
+    assert verdict.member and verdict.method == "cofactor"
+    assert verdict.certificate is None
+    x, y = R.variables()
+    # the second row, (x, y), lies in the closure only by the radical test
+    F = PolyMatrix(R, [[x * x, x * y], [x, y]])
+    verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
+    assert verdict.member and verdict.method == "radical"
+    verdict = matrix_semiprime_member(identity_matrix(R, 2), twisted_matrix_ideal.generators)
+    assert not verdict.member and verdict.method == "radical"
 
 
 def test_matrix_semiprime_member_generator(R, twisted_matrix_ideal):
@@ -216,6 +231,8 @@ def test_max_left_ideal_member_identity(R):
     assert not max_left_ideal_member(identity_matrix(R, 2), (1, 1), (1, 0))
     with pytest.raises(ZeroCovectorError):
         max_left_ideal_member(identity_matrix(R, 2), (1, 1), (0, 0))
+    with pytest.raises(DimensionMismatchError):
+        max_left_ideal_member(identity_matrix(R, 2), (1, 1), (1, 0, 0))
 
 
 def test_max_left_ideal_matches_rowwise_hyperplanes(R):

@@ -130,6 +130,23 @@ def test_escalation_over_a_prime_field_stays_in_its_characteristic():
     assert [repr(r.field) for r in reports] == ["F3", "F3^2"]
 
 
+def test_escalation_without_a_field_starts_in_the_problem_field():
+    R7 = PolyRing(PrimeField(7), ("x", "y"))
+    gens = [unit_vector(R7, 2, 0), unit_vector(R7, 2, 1)]
+    reports = oracle_check_escalating(unit_vector(R7, 2, 0), gens)
+    assert [repr(r.field) for r in reports] == ["F7", "F7^2"]
+    assert all(r.vacuous for r in reports)
+    x, y = R7.variables()
+    twisted = [VectorPoly(R7, [x * x, x * y]), VectorPoly(R7, [x * y, y * y])]
+    reports = oracle_check_escalating(VectorPoly(R7, [x, y]), twisted)
+    assert [repr(r.field) for r in reports] == ["F7"]
+
+
+def test_default_field_is_the_problem_field_when_finite():
+    fields = (QQ, PrimeField(7), QuadraticField(5))
+    assert [repr(semimod.oracle.default_field(k)) for k in fields] == ["F3", "F7", "F5^2"]
+
+
 def test_no_escalation_when_kernels_appear(R, twisted_gens):
     x, y = R.variables()
     reports = oracle_check_escalating(VectorPoly(R, [x, y]), twisted_gens, F3)

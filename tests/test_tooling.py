@@ -105,3 +105,26 @@ def test_every_traced_name_resolves_in_the_package():
             if not found:
                 missing.append(f"{table}: {label}")
     assert missing == []
+
+
+def test_only_buchberger_builds_a_groebner_basis():
+    # a basis is built whole, in one constructor call, by buchberger alone
+    root = pathlib.Path(semimod.__file__).parent
+    builders = {"buchberger", "_buchberger"}
+    found = []
+
+    def visit(node, function, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, path)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "GroebnerBasis" and function not in builders:
+                    found.append(f"{path.name}:{child.lineno} in {function}")
+            visit(child, function, path)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), None, path)
+    assert found == []

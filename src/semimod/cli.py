@@ -110,7 +110,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
 
     elif query.kind == "refute-semiprime":
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
-        witness = semiprime_refutation(submodule, value)
+        witness = semiprime_refutation(submodule, value, order, limits)
         report["witness_found"] = witness is not None
         report["witness"] = {"candidate": str(witness.candidate)} if witness else None
         code = 1 if witness else 0
@@ -119,7 +119,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         scalar = objects[args["scalar"]][1]
         vector = objects[args["vector"]][1]
         submodule = SubmodulePresentation(problem.ring, len(vector), gens)
-        witness = weakly_semiprime_refutation(submodule, scalar, vector)
+        witness = weakly_semiprime_refutation(submodule, scalar, vector, order, limits)
         report["witness_found"] = witness is not None
         report["witness"] = (
             {"scalar": str(witness.scalar), "vector": str(witness.vector)}

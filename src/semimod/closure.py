@@ -158,8 +158,6 @@ def semiprime_member(
     Otherwise the bilinear encoding reduces the question to radical
     membership in k[x, v].  A negative verdict stands on the algebraic
     test alone; the optional witness search only decorates it."""
-    if f.ring != submodule.ring or len(f) != submodule.rank:
-        raise MismatchedRingError("query does not match the submodule's ring/rank")
     direct = submodule_member(f, submodule, order, limits)
     if direct.member:
         return Verdict(

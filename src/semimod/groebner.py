@@ -648,8 +648,8 @@ class SubmodulePresentation:
     """Finite generator list for a submodule of R^n with cached bases.
 
     Zero generators are dropped on construction; the empty list presents
-    the zero submodule.  The basis cache is populated once per order; until
-    then readers simply recompute, so concurrent use is safe.
+    the zero submodule.  The basis cache is populated once per order and
+    limits; until then readers simply recompute, so concurrent use is safe.
     """
 
     def __init__(self, ring: PolyRing, rank: int, generators=()):
@@ -680,11 +680,11 @@ class SubmodulePresentation:
         return SubmodulePresentation(self.ring, self.rank, self.generators + list(extra))
 
     def groebner(self, order: OrderSpec = DEFAULT_ORDER, limits=DEFAULT_LIMITS) -> GroebnerBasis:
-        gb = self._bases.get(order)
+        gb = self._bases.get((order, limits))
         if gb is None:
             # an empty presentation passes one zero vector of its rank
             gens = self.generators or [VectorPoly(self.ring, [0] * self.rank)]
-            gb = self._bases[order] = buchberger(gens, order, limits)
+            gb = self._bases[order, limits] = buchberger(gens, order, limits)
         return gb
 
     def __repr__(self):

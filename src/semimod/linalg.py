@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the coefficient fields.
 
 Matrices are lists of row lists holding raw field values.  Dimensions are
-tiny (the module rank n), so plain Gaussian elimination is all that is
-needed.  Pivoting is deterministic: columns left to right, first row with a
-nonzero entry.
+tiny (the module rank n), so one fraction-free elimination, ``echelon_insert``,
+serves every use.  The reduced row echelon form and the free-column kernel
+basis built from it are unique for a given row space.
 """
 
 from __future__ import annotations
@@ -19,31 +19,6 @@ def dot_raw(field: Field, xs, ys):
     for x, y in zip(xs, ys):
         s = field.add(s, field.mul(x, y))
     return s
-
-
-def rref(rows, field: Field):
-    """Reduced row echelon form.  Returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
 
 
 def echelon_insert(echelon, row, field: Field) -> int:
@@ -65,29 +40,46 @@ def echelon_insert(echelon, row, field: Field) -> int:
     return len(echelon)
 
 
+def _reduced_echelon(rows, field: Field):
+    """The reduced row echelon form of ``rows`` as (pivot column, row)
+    pairs: the rows go through ``echelon_insert``, then, last pivot first,
+    each pivot is scaled to 1 and the columns of the later pivots cleared."""
+    echelon = []
+    for row in rows:
+        echelon_insert(echelon, row, field)
+    reduced = []
+    for pc, row in reversed(echelon):
+        inv = field.inv(row[pc])
+        row = [field.mul(inv, x) for x in row]
+        for qc, qrow in reduced:
+            c = row[qc]
+            if not field.is_zero(c):
+                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, qrow)]
+        reduced.insert(0, (pc, row))
+    return reduced
+
+
 def row_space_basis(rows, field: Field):
-    """Canonical basis of the span of the given row vectors."""
-    m, pivots = rref(rows, field)
-    return [tuple(m[i]) for i in range(len(pivots))]
+    """Canonical basis of the span of the given row vectors: the nonzero
+    rows of its reduced row echelon form."""
+    return [tuple(row) for _, row in _reduced_echelon(rows, field)]
 
 
 def kernel_basis(rows, ncols: int, field: Field):
     """Basis of the right null space {v : M v = 0}.
 
-    One basis vector per free column, with a 1 in that column; this makes
-    the output deterministic and reproducible.  Returns ncols - rank
+    One basis vector per free column, with a 1 in that column and 0 in the
+    other free columns, so the output is unique.  Returns ncols - rank
     vectors (all of them for an empty matrix).
     """
-    m, pivots = rref(rows, field) if rows else ([], [])
-    pivot_set = set(pivots)
+    reduced = dict(_reduced_echelon(rows, field))
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in reduced:
             continue
         v = [field.zero_raw] * ncols
         v[free] = field.one_raw
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(m[r][free])
+        for pc, row in reduced.items():
+            v[pc] = field.neg(row[free])
         basis.append(tuple(v))
     return basis
-

@@ -9,7 +9,7 @@ coordinate that every entry shares.  Generator rows are evaluated one at a
 time into an echelon form; once its rank reaches n the joint kernel is
 trivial, so the remaining generators, the kernel and the query are skipped.
 Only where the rank stays below n does the scan compute a basis of the joint
-kernel from all the evaluated rows, evaluate the query, and check that it
+kernel from that echelon form, evaluate the query, and check that it
 annihilates every kernel basis vector (linearity makes basis vectors
 sufficient).  The first violation in enumeration order is re-verified on an
 independent path, ``Polynomial.evaluate_raw`` and a dot product, and
@@ -157,16 +157,13 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
             for _ in range(top - 1):
                 table.append(mul(table[-1], a))
             powers.append(table)
-        rows = []
         echelon = []
         for row in compiled_rows:
-            values = _evaluate_row(row, powers, field)
-            rows.append(values)
-            if echelon_insert(echelon, values, field) == n:
+            if echelon_insert(echelon, _evaluate_row(row, powers, field), field) == n:
                 break
         else:
             # the rank stayed below n, so the kernel is nontrivial
-            kernel = _kernel_basis(rows, n, field)
+            kernel = _kernel_basis([row for _, row in echelon], n, field)
             nontrivial += 1
             values = [_evaluate_row(row, powers, field) for row in compiled_query]
             for v in kernel:

@@ -396,6 +396,11 @@ class Polynomial:
 # vectors and matrices
 # ---------------------------------------------------------------------------
 
+def _sum_of_products(ring: PolyRing, xs, ys) -> Polynomial:
+    """Sum of x * y over two sequences of polynomials."""
+    return sum((x * y for x, y in zip(xs, ys)), ring.zero())
+
+
 class VectorPoly:
     """Element of the free module R^n, stored as a tuple of polynomials."""
 
@@ -455,19 +460,9 @@ class VectorPoly:
             raise DimensionMismatchError(f"rank {len(self)} vs {len(other)}")
 
     def dot(self, other) -> Polynomial:
-        """Sum of entrywise products with a vector of polynomials or scalars."""
-        if isinstance(other, VectorPoly):
-            self._check(other)
-            total = self.ring.zero()
-            for a, b in zip(self.entries, other.entries):
-                total = total + a * b
-            return total
-        if len(other) != len(self):
-            raise DimensionMismatchError(f"rank {len(self)} vs {len(other)}")
-        total = self.ring.zero()
-        for a, c in zip(self.entries, other):
-            total = total + a.scale(c)
-        return total
+        """Sum of entrywise products with a vector of the same ring and rank."""
+        self._check(other)
+        return _sum_of_products(self.ring, self.entries, other.entries)
 
     def evaluate_raw(self, point):
         return tuple(e.evaluate_raw(point) for e in self.entries)
@@ -566,27 +561,17 @@ class PolyMatrix:
     def __matmul__(self, other):
         if isinstance(other, PolyMatrix):
             self._check(other)
-            n = self.size
-            out = []
-            for i in range(n):
-                row = []
-                for j in range(n):
-                    total = self.ring.zero()
-                    for k in range(n):
-                        total = total + self.rows[i][k] * other.rows[k][j]
-                    row.append(total)
-                out.append(row)
-            return PolyMatrix(self.ring, out)
+            columns = list(zip(*other.rows))
+            return PolyMatrix(
+                self.ring,
+                [[_sum_of_products(self.ring, row, col) for col in columns] for row in self.rows],
+            )
         if isinstance(other, VectorPoly):
             if len(other) != self.size:
                 raise DimensionMismatchError(f"size {self.size} vs rank {len(other)}")
-            out = []
-            for i in range(self.size):
-                total = self.ring.zero()
-                for k in range(self.size):
-                    total = total + self.rows[i][k] * other.entries[k]
-                out.append(total)
-            return VectorPoly(self.ring, out)
+            return VectorPoly(
+                self.ring, [_sum_of_products(self.ring, row, other.entries) for row in self.rows]
+            )
         raise TypeError("expected a matrix or vector")
 
     def __rmul__(self, r):

@@ -12,9 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatchError, ZeroCovectorError
-from .groebner import SubmodulePresentation, submodule_member
+from .groebner import (
+    DEFAULT_LIMITS,
+    GroebnerLimits,
+    SubmodulePresentation,
+    submodule_member,
+)
 from .linalg import dot_raw, kernel_basis, row_space_basis
-from .poly import Polynomial, PolyRing, VectorPoly, _coerce_point, unit_vector
+from .poly import (
+    DEFAULT_ORDER,
+    OrderSpec,
+    Polynomial,
+    PolyRing,
+    VectorPoly,
+    _coerce_point,
+    unit_vector,
+)
 
 
 def point_ideal_generators(ring: PolyRing, point):
@@ -126,25 +139,34 @@ class WeakRefutation:
     vector: VectorPoly
 
 
-def semiprime_refutation(submodule: SubmodulePresentation, f: VectorPoly):
+def semiprime_refutation(
+    submodule: SubmodulePresentation,
+    f: VectorPoly,
+    order: OrderSpec = DEFAULT_ORDER,
+    limits: GroebnerLimits = DEFAULT_LIMITS,
+):
     """Check one candidate against the closure rule; returns a refutation
     witness when f_i*f lies in N for every i yet f itself does not."""
-    if submodule_member(f, submodule).member:
+    if submodule_member(f, submodule, order, limits).member:
         return None
     for entry in f.entries:
-        if not submodule_member(entry * f, submodule).member:
+        if not submodule_member(entry * f, submodule, order, limits).member:
             return None
     return SemiprimeRefutation(f)
 
 
 def weakly_semiprime_refutation(
-    submodule: SubmodulePresentation, r: Polynomial, m: VectorPoly
+    submodule: SubmodulePresentation,
+    r: Polynomial,
+    m: VectorPoly,
+    order: OrderSpec = DEFAULT_ORDER,
+    limits: GroebnerLimits = DEFAULT_LIMITS,
 ):
     """Check one candidate pair against the classical rule r^2 m in N =>
     r m in N."""
-    if not submodule_member((r * r) * m, submodule).member:
+    if not submodule_member((r * r) * m, submodule, order, limits).member:
         return None
-    if submodule_member(r * m, submodule).member:
+    if submodule_member(r * m, submodule, order, limits).member:
         return None
     return WeakRefutation(r, m)
 

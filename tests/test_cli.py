@@ -393,6 +393,17 @@ def test_cli_resource_cap_is_an_error(tmp_path, capsys):
     assert report["error"]["type"] == "ResourceLimitExceeded"
 
 
+@pytest.mark.parametrize(
+    "command, query", [("refute-semiprime", "refute-semiprime"), ("refute-weak", "refute-weak r,")]
+)
+def test_cli_refutations_run_under_the_caps(tmp_path, capsys, command, query):
+    # under the default caps refute-semiprime exits 1 and refute-weak 0
+    text = TWISTED_PAIR_PROBLEM.format(query=query).replace("vec f", "poly r = x;\nvec f")
+    code, report = run(capsys, command, write(tmp_path, text), "--max-pairs", "0")
+    assert code == 2
+    assert report["error"]["type"] == "ResourceLimitExceeded"
+
+
 @pytest.mark.parametrize("flag", ["--max-pairs", "--max-degree", "--witness-grid", "--cap"])
 def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag):
     path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="semiprime-member"))

@@ -15,7 +15,7 @@ from semimod.closure import (
     radical_member,
     semiprime_member,
 )
-from semimod.errors import InvariantViolationError
+from semimod.errors import InvariantViolationError, MismatchedRingError
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import (
     DEFAULT_LIMITS,
@@ -124,6 +124,13 @@ def test_twisted_pair_query_is_semiprime_member(R, twisted):
     assert verdict.member
     assert verdict.method == "radical"
     assert verdict.guarantee == EXTENSION_STABLE
+
+
+def test_query_of_the_wrong_rank_is_rejected(R, twisted):
+    x, y = R.variables()
+    message = "query does not match the submodule's ring/rank"
+    with pytest.raises(MismatchedRingError, match=message):
+        semiprime_member(VectorPoly(R, [x, y, x]), twisted)
 
 
 def test_semiprime_counters_sum_the_direct_and_radical_phases(R, twisted):

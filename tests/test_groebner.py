@@ -441,6 +441,25 @@ def test_resource_limits_raise(R):
         )
 
 
+def test_presentation_caches_a_basis_per_order_and_limits(R):
+    # a basis computed under generous caps must not answer a query that a
+    # tighter cap would stop on a fresh presentation
+    x, y = R.variables()
+    gens = [
+        VectorPoly(R, [x * x + y, x * y]),
+        VectorPoly(R, [x * y, y * y + x]),
+        VectorPoly(R, [x * y * y, x + 1]),
+    ]
+    f = VectorPoly(R, [x, y])
+    tight = GroebnerLimits(max_pairs=2)
+    with pytest.raises(ResourceLimitExceededError):
+        submodule_member(f, SubmodulePresentation(R, 2, gens), limits=tight)
+    queried = SubmodulePresentation(R, 2, gens)
+    submodule_member(f, queried)
+    with pytest.raises(ResourceLimitExceededError):
+        submodule_member(f, queried, limits=tight)
+
+
 def test_determinism(R):
     rng = random.Random(43)
     gens = random_generators(rng, R, 2, count=3)

@@ -1,12 +1,39 @@
 import random
 from fractions import Fraction
 
-from semimod.fields import QQ, PrimeField
-from semimod.linalg import kernel_basis, row_space_basis, rref
+from semimod.fields import QQ, PrimeField, QuadraticField
+from semimod.linalg import kernel_basis, row_space_basis
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def rref(rows, field):
+    """Reference reduced row echelon form by inverse-based Gauss-Jordan
+    elimination, kept apart from the package's fraction-free one.  Returns
+    (rows, pivot_columns)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
 
 
 def test_kernel_of_identity_is_empty():
@@ -56,6 +83,29 @@ def test_kernel_vectors_annihilate(someseed=71):
 def test_row_space_basis_is_canonical():
     rows = [[F(2), F(4)], [F(1), F(2)], [F(0), F(0)]]
     assert row_space_basis(rows, QQ) == [(F(1), F(2))]
+
+
+def test_bases_match_the_reference_elimination(someseed=73):
+    # the RREF rows and the free-column kernel basis are unique for a row
+    # space, so the fraction-free elimination must give exactly the
+    # reference's; sparse entries make rank drops and zero rows common
+    rng = random.Random(someseed)
+    for field in (QQ, PrimeField(5), QuadraticField(3)):
+        values = [e.value for e in field.elements()] if field.size else [-2, -1, 1, F(1, 2), F(-2, 3), 3]
+        values = [field.coerce(v) for v in [0] * 3 + values]
+        for _ in range(100):
+            nrows, ncols = rng.randint(0, 4), rng.randint(1, 4)
+            rows = [[rng.choice(values) for _ in range(ncols)] for _ in range(nrows)]
+            m, pivots = rref(rows, field)
+            assert row_space_basis(rows, field) == [tuple(m[i]) for i in range(len(pivots))]
+            kernel = []
+            for free in (c for c in range(ncols) if c not in pivots):
+                v = [field.zero_raw] * ncols
+                v[free] = field.one_raw
+                for r, pc in enumerate(pivots):
+                    v[pc] = field.neg(m[r][free])
+                kernel.append(tuple(v))
+            assert kernel_basis(rows, ncols, field) == kernel
 
 
 def _normalized(vec, field):

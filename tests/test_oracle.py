@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_generators, random_vector
+from conftest import random_generators, random_polynomial, random_vector
 
 import semimod.oracle
 from semimod.closure import find_vanishing_witness
@@ -15,6 +15,7 @@ from semimod.errors import (
 )
 from semimod.fields import QQ, FieldElement, PrimeField, QuadraticField
 from semimod.linalg import dot_raw, kernel_basis
+from semimod.matrixideals import matrix_semiprime_member
 from semimod.oracle import (
     OracleReport,
     _rows_at,
@@ -195,6 +196,32 @@ def test_agreement_on_random_instances():
         gens = random_generators(rng, ring, n, max_degree=2, coeffs=coeffs)
         query = random_vector(rng, ring, n, coeffs=coeffs)
         assert agreement_check(query, gens, F3)
+
+
+def test_agreement_on_random_matrix_instances():
+    # odd problems are left combinations sum C_i G_i, members by definition
+    rng = random.Random(199)
+    ring = PolyRing(F3, ("x", "y"))
+
+    def matrix(n, max_degree):
+        return PolyMatrix(ring, [
+            [random_polynomial(rng, ring, max_degree, coeffs=(1, 2)) for _ in range(n)]
+            for _ in range(n)
+        ])
+
+    members = []
+    for i in range(30):
+        n = rng.randint(1, 2)
+        gens = [matrix(n, 2) for _ in range(rng.randint(1, 2))]
+        query = matrix(n, 2)
+        if i % 2:
+            query = PolyMatrix(ring, [[0] * n] * n)
+            for g in gens:
+                query = query + matrix(n, 1) @ g
+        assert agreement_check(query, gens, F3)
+        members.append(matrix_semiprime_member(query, gens, search_witness=False).member)
+        assert members[-1] or not i % 2
+    assert 15 <= sum(members) < 30
 
 
 def test_oracle_counterexample_forces_negative_verdict(R, twisted_gens):

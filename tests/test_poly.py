@@ -190,6 +190,35 @@ def test_matrix_vector_product(R):
     assert identity_matrix(R, 2) @ m == m
 
 
+def test_matrix_products_match_a_triple_loop():
+    rng = random.Random(189)
+    for field in (QQ, PrimeField(5)):
+        ring = PolyRing(field, ("x", "y"))
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            a, b = (
+                PolyMatrix(ring, [random_vector(rng, ring, n).entries for _ in range(n)])
+                for _ in range(2)
+            )
+            v = random_vector(rng, ring, n)
+            ab = [[ring.zero()] * n for _ in range(n)]
+            av = [ring.zero()] * n
+            for i in range(n):
+                for k in range(n):
+                    for j in range(n):
+                        ab[i][j] = ab[i][j] + a.rows[i][k] * b.rows[k][j]
+                    av[i] = av[i] + a.rows[i][k] * v[k]
+            assert a @ b == PolyMatrix(ring, ab)
+            assert a @ v == VectorPoly(ring, av)
+            assert (a @ b) @ v == a @ (b @ v)
+
+
+def test_dot_takes_only_a_vector(R):
+    x, y = R.variables()
+    with pytest.raises(TypeError):
+        VectorPoly(R, [x, y]).dot([1, 2])
+
+
 def test_matrix_requires_square(R):
     with pytest.raises(DimensionMismatchError):
         PolyMatrix(R, [[R.one(), R.zero()]])

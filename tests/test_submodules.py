@@ -5,10 +5,11 @@ import pytest
 
 from conftest import random_vector
 
+from semimod import submodules
 from semimod.errors import ZeroCovectorError
 from semimod.fields import QQ
-from semimod.groebner import SubmodulePresentation, submodule_member
-from semimod.poly import PolyRing, VectorPoly, unit_vector
+from semimod.groebner import GroebnerLimits, SubmodulePresentation, submodule_member
+from semimod.poly import OrderSpec, PolyRing, VectorPoly, unit_vector
 from semimod.submodules import (
     HyperplaneSubmodule,
     hyperplane_generators,
@@ -198,3 +199,19 @@ def test_twisted_pair_is_weakly_semiprime_at_desk_scale(R, twisted):
     # the fixture refutes the closure rule but resists the classical rule;
     # scan all monomial candidates of degree <= 2
     assert scan_weakly_semiprime_refutation(twisted, max_degree=2) is None
+
+
+def test_refutations_pass_on_their_order_and_limits(R, twisted, monkeypatch):
+    seen = []
+
+    def recording(f, submodule, *args, **kwargs):
+        seen.append(args + tuple(kwargs.values()))
+        return submodule_member(f, submodule, *args, **kwargs)
+
+    monkeypatch.setattr(submodules, "submodule_member", recording)
+    x, y = R.variables()
+    pot, limits = OrderSpec(module="pot"), GroebnerLimits(max_pairs=500)
+    assert semiprime_refutation(twisted, VectorPoly(R, [x, y]), pot, limits)
+    assert weakly_semiprime_refutation(twisted, x, VectorPoly(R, [x, y]), pot, limits) is None
+    assert len(seen) == 5
+    assert set(seen) == {(pot, limits)}

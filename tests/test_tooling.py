@@ -128,3 +128,21 @@ def test_only_buchberger_builds_a_groebner_basis():
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), None, path)
     assert found == []
+
+
+def test_every_membership_call_passes_order_and_limits():
+    # a call that falls back to the defaults escapes the query's --order,
+    # --max-pairs and --max-degree
+    root = pathlib.Path(semimod.__file__).parent
+    params = ["f", "submodule", "order", "limits"]
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+            passed = params[: len(node.args)] + [k.arg for k in node.keywords]
+            if name == "submodule_member" and not {"order", "limits"} <= set(passed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

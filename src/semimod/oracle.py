@@ -2,20 +2,28 @@
 
 The semiprime Nullstellensatz reduces closure membership to one test: if
 G_i(a)v = 0 for every generator, then F(a)v = 0.  ``vanishing_scan`` runs
-that test over any lazy source of points.  It compiles the query and the
-generators once per scan into flat (coefficient, ((variable, exponent),
-...)) terms over the x-block, and at each point builds one power table per
-coordinate that every entry shares.  Generator rows are evaluated one at a
-time into an echelon form; once its rank reaches n the joint kernel is
-trivial, so the remaining generators, the kernel and the query are skipped.
-Only where the rank stays below n does the scan compute a basis of the joint
-kernel from that echelon form, evaluate the query, and check that it
-annihilates every kernel basis vector (linearity makes basis vectors
-sufficient).  The first violation in enumeration order is re-verified on an
-independent path, ``Polynomial.evaluate_raw`` and a dot product, and
-returned, so results are fully deterministic; a parallel implementation
-would have to reconcile to the same minimal index.  The witness search in
-``closure`` and the oracle below are thin wrappers over this one loop.
+that test over any lazy source of points.  Once per scan it compiles every
+entry of the query and the generators into coefficient lists in the last
+coordinate, which the odometer varies fastest, each coefficient nested the
+same way in the coordinates before it.  It also takes the minor D, the
+determinant of the first n generator rows (n the module rank), with
+polynomial arithmetic.  When the prefix a[:-1] of a point changes, D is
+specialized at the new prefix, and the rows are specialized at it when
+first needed; each value at a point is then one Horner evaluation in a[-1].
+Horner is the scan's one evaluator, in the specialization as at the points.
+
+Where D(a) != 0 the first n rows are independent, the joint kernel is
+trivial and the point passes.  Elsewhere the generator rows are evaluated
+one at a time into an echelon form; once its rank reaches n the remaining
+generators, the kernel and the query are skipped.  Only where the rank
+stays below n does the scan compute a basis of the joint kernel from that
+echelon form, evaluate the query, and check that it annihilates every
+kernel basis vector (linearity makes basis vectors sufficient).  The first
+violation in enumeration order is re-verified on an independent path,
+``Polynomial.evaluate_raw`` and a dot product, and returned, so results are
+fully deterministic; a parallel implementation would have to reconcile to
+the same minimal index.  The witness search in ``closure`` and the oracle
+below are thin wrappers over this one loop.
 
 The oracle enumerates every point of the field's d-fold product.
 Finite-field points are not points of the characteristic-0 variety, so
@@ -34,6 +42,7 @@ from .errors import (
     EnumerationCapExceededError,
     InfiniteFieldError,
     InvariantViolationError,
+    MismatchedRingError,
 )
 from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
 from .linalg import dot_raw, echelon_insert, kernel_basis as _kernel_basis
@@ -89,6 +98,15 @@ def odometer(values, dim: int):
     yield from itertools.islice(itertools.product(seen, repeat=dim), len(seen), None)
 
 
+def _rows(obj):
+    """A vector is one row, a matrix its rows."""
+    return obj.rows if isinstance(obj, PolyMatrix) else (obj.entries,)
+
+
+def _rank(obj):
+    return obj.size if isinstance(obj, PolyMatrix) else len(obj)
+
+
 def _rows_at(obj, point):
     """A vector evaluates to one row, a matrix to its rows."""
     if isinstance(obj, PolyMatrix):
@@ -96,83 +114,129 @@ def _rows_at(obj, point):
     return [obj.evaluate_raw(point)]
 
 
-def _compile(obj, degrees):
-    """The rows of a vector (one row) or a matrix, each entry flattened to
-    (coefficient, ((variable, exponent), ...)) terms over the x-block.
-    ``degrees`` is raised to the largest exponent of each variable."""
-    rows = obj.rows if isinstance(obj, PolyMatrix) else (obj.entries,)
-    nx = obj.ring.nx
-    compiled = []
-    for row in rows:
-        entries = []
-        for poly in row:
-            terms = []
-            for exps, c in poly.terms.items():
-                if any(exps[nx:]):
-                    raise DimensionMismatchError(
-                        "polynomial involves variables outside the x-block"
-                    )
-                mono = tuple((i, e) for i, e in enumerate(exps) if e)
-                for i, e in mono:
-                    if e > degrees[i]:
-                        degrees[i] = e
-                terms.append((c, mono))
-            entries.append(terms)
-        compiled.append(entries)
-    return compiled
+def _det(rows):
+    """Determinant of a square block of polynomial rows, by cofactor
+    expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero()
+    for j, a in enumerate(rows[0]):
+        if not a.is_zero():
+            term = a * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
 
 
-def _evaluate_row(entries, powers, field):
-    """Evaluate one compiled row, given powers[i][e] = a_i ** e."""
+def _nest(terms, d, zero):
+    """Dense coefficient lists of (exponents, coefficient) terms in the first
+    d variables: indexed by the exponent of variable d - 1, each coefficient
+    nested the same way in the variables before it, raw values innermost."""
+    if d == 0:
+        return terms[0][1] if terms else zero
+    groups = {}
+    for term in terms:
+        groups.setdefault(term[0][d - 1], []).append(term)
+    top = max(groups, default=-1)
+    return [_nest(groups.get(e, []), d - 1, zero) for e in range(top + 1)]
+
+
+def _compile(poly, nx, zero):
+    """One entry as coefficient lists in the last x-variable, the scan's
+    fastest coordinate; without x-variables, a list of its one constant."""
+    terms = list(poly.terms.items())
+    if any(any(exps[nx:]) for exps, _ in terms):
+        raise DimensionMismatchError("polynomial involves variables outside the x-block")
+    return _nest(terms, nx, zero) if nx else [_nest(terms, 0, zero)]
+
+
+def _horner(coeffs, x, field):
+    """The value at x of the polynomial with coefficients ``coeffs``, lowest
+    degree first; x is not read when there is at most one coefficient."""
+    if not coeffs:
+        return field.zero_raw
     add, mul = field.add, field.mul
-    values = []
-    for terms in entries:
-        total = field.zero_raw
-        for c, mono in terms:
-            for i, e in mono:
-                c = mul(c, powers[i][e])
-            total = add(total, c)
-        values.append(total)
-    return values
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = add(mul(acc, x), c)
+    return acc
+
+
+def _specialize(nested, coords, field):
+    """The value of nested coefficient lists at ``coords``, by Horner in each
+    coordinate, last first."""
+    if not coords:
+        return nested
+    rest = coords[:-1]
+    return _horner([_specialize(c, rest, field) for c in nested], coords[-1], field)
 
 
 def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleReport:
     """Test the vanishing implication at each of ``points`` (raw coordinate
     tuples) until the first violation.  The query and the generators may be
-    vectors or matrices over ``field``.  Raises EnumerationCapExceededError
-    once more than ``cap`` points or kernel-vector evaluations are needed."""
-    n = query.size if isinstance(query, PolyMatrix) else len(query)
-    degrees = [0] * query.ring.nx
-    compiled_query = _compile(query, degrees)
-    compiled_rows = [row for g in generators for row in _compile(g, degrees)]
-    mul = field.mul
+    vectors or matrices over ``field``, of one ring and one rank; other
+    generators raise MismatchedRingError or DimensionMismatchError.
+
+    A point passes at once where the minor of the first n generator rows
+    does not vanish.  The minor and the rows are specialized at a point's
+    prefix, and only the latest prefix is kept, so memory stays flat on
+    large fields; any order of points is correct, and the odometer's, with
+    the last coordinate fastest, specializes each prefix once.  Raises
+    EnumerationCapExceededError once more than ``cap`` points or
+    kernel-vector evaluations are needed."""
+    n = _rank(query)
+    for g in generators:
+        if g.ring != query.ring:
+            raise MismatchedRingError(f"generator over {g.ring}, query over {query.ring}")
+        if _rank(g) != n:
+            raise DimensionMismatchError(f"generator of rank {_rank(g)}, query of rank {n}")
+    nx, zero, is_zero = query.ring.nx, field.zero_raw, field.is_zero
+    gen_rows = [row for g in generators for row in _rows(g)]
+    gen_count = len(gen_rows)
+    compiled = [
+        [_compile(p, nx, zero) for p in row] for row in gen_rows + list(_rows(query))
+    ]
+    minor = _det(gen_rows[:n]) if gen_count >= n else None
+    minor = None if minor is None or minor.is_zero() else _compile(minor, nx, zero)
+    prefix = cache = None
+
+    def values(i):
+        """Row i of ``compiled`` at the current point, from the rows
+        specialized at its prefix."""
+        coeffs = cache[i]
+        if coeffs is None:
+            coeffs = cache[i] = [
+                [_specialize(c, prefix, field) for c in entry] for entry in compiled[i]
+            ]
+        return [_horner(c, last, field) for c in coeffs]
+
     count = evaluations = nontrivial = 0
     for point in points:
         count += 1
         if count > cap:
             raise EnumerationCapExceededError(f"point cap of {cap} crossed")
-        powers = []
-        for a, top in zip(point, degrees):
-            table = [field.one_raw, a]
-            for _ in range(top - 1):
-                table.append(mul(table[-1], a))
-            powers.append(table)
+        if point[:-1] != prefix:
+            prefix, cache = point[:-1], [None] * len(compiled)
+            if minor is not None:
+                minor_at = [_specialize(c, prefix, field) for c in minor]
+        last = point[-1] if point else None
+        if minor is not None and not is_zero(_horner(minor_at, last, field)):
+            continue  # the first n generator rows are independent here
         echelon = []
-        for row in compiled_rows:
-            if echelon_insert(echelon, _evaluate_row(row, powers, field), field) == n:
+        for i in range(gen_count):
+            if echelon_insert(echelon, values(i), field) == n:
                 break
         else:
             # the rank stayed below n, so the kernel is nontrivial
             kernel = _kernel_basis([row for _, row in echelon], n, field)
             nontrivial += 1
-            values = [_evaluate_row(row, powers, field) for row in compiled_query]
+            query_values = [values(i) for i in range(gen_count, len(compiled))]
             for v in kernel:
                 evaluations += 1
                 if evaluations > cap:
                     raise EnumerationCapExceededError(
                         f"evaluation cap of {cap} crossed"
                     )
-                if any(not field.is_zero(dot_raw(field, row, v)) for row in values):
+                if any(not is_zero(dot_raw(field, row, v)) for row in query_values):
                     _verify_violation(query, generators, field, point, v)
                     violation = (
                         tuple(FieldElement(field, x) for x in point),

@@ -12,6 +12,7 @@ from semimod.errors import (
     EnumerationCapExceededError,
     InfiniteFieldError,
     InvariantViolationError,
+    MismatchedRingError,
 )
 from semimod.fields import QQ, FieldElement, PrimeField, QuadraticField
 from semimod.linalg import dot_raw, kernel_basis
@@ -302,8 +303,7 @@ def reference_scan(query, generators, field, points, cap):
     return OracleReport(field, count, evaluations, nontrivial, None)
 
 
-def scan_outcome(scan, query, gens, field, values, cap):
-    points = odometer(values, query.ring.nx)
+def scan_outcome(scan, query, gens, field, points, cap):
     try:
         r = scan(query, gens, field, points, cap)
     except EnumerationCapExceededError as exc:
@@ -325,7 +325,9 @@ def random_problem(rng, ring, coeffs, matrix):
     """A query and one to three generators of rank or size 1..3.  Half the
     queries are combinations of the generators, so scans meet passes with
     nontrivial kernels as well as counterexamples; some generators repeat a
-    multiple of another, so the rank stays low at many points."""
+    multiple of another, so the rank stays low at many points.  In some
+    problems the first n generator rows are dependent everywhere, so their
+    minor is zero and decides no point."""
     n = rng.randint(1, 3)
 
     def row():
@@ -339,6 +341,15 @@ def random_problem(rng, ring, coeffs, matrix):
     gens = [draw() for _ in range(rng.randint(1, 3))]
     if rng.random() < 0.3:
         gens.append(random_entry(rng, ring, coeffs) * gens[0])
+    if rng.random() < 0.25:
+        # a multiple of the first row among the first n; for n = 1 its zero
+        c = random_entry(rng, ring, coeffs) if n > 1 else 0
+        if matrix:
+            rows = list(gens[0].rows)
+            rows[-1] = [c * e for e in rows[0]]
+            gens[0] = PolyMatrix(ring, rows)
+        else:
+            gens.insert(1 if n > 1 else 0, c * gens[0])
     if rng.random() < 0.5:
         query = draw()
     elif matrix:
@@ -371,16 +382,23 @@ def test_scan_matches_the_reference_loop(field, matrix):
     )
     outcomes = set()
     for _ in range(30):
-        d = rng.randint(1, 2)
-        ring = PolyRing(field, ("x", "y")[:d])
+        # three coordinates, as the F3 and F9 sweeps over x, y, z have, put
+        # two in the prefix the scan specializes the rows at
+        d = rng.randint(1, 3 if len(values) <= 9 else 2)
+        ring = PolyRing(field, ("x", "y", "z")[:d])
         query, gens = random_problem(rng, ring, coeffs, matrix)
-        def both(cap):
-            expected = scan_outcome(reference_scan, query, gens, field, values, cap)
-            assert scan_outcome(vanishing_scan, query, gens, field, values, cap) == expected
+        in_order = list(odometer(values, d))
+        shuffled = rng.sample(in_order, len(in_order))
+
+        def both(cap, points=in_order):
+            expected = scan_outcome(reference_scan, query, gens, field, points, cap)
+            assert scan_outcome(vanishing_scan, query, gens, field, points, cap) == expected
             return expected
 
         full = both(10**6)
         outcomes.add("pass" if full[3] is None else "counterexample")
+        # prefixes revisited out of odometer order
+        both(10**6, shuffled)
         # a cap crossed part way, by points or by kernel-vector evaluations
         for cap in {max(1, full[0] // 2), max(1, full[1] - 1)}:
             if both(cap)[0] == "cap":
@@ -397,11 +415,12 @@ def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
     x = ring.variable(0)
     gens = [VectorPoly(ring, [0, 0, 0]), VectorPoly(ring, [x, 0, 0])]
     query = VectorPoly(ring, [x * x, 0, 0])
-    full = scan_outcome(reference_scan, query, gens, field, values, 10**6)
+    points = list(odometer(values, 1))
+    full = scan_outcome(reference_scan, query, gens, field, points, 10**6)
     cap = full[0] + 1
-    expected = scan_outcome(reference_scan, query, gens, field, values, cap)
+    expected = scan_outcome(reference_scan, query, gens, field, points, cap)
     assert expected[0] == "cap" and expected[1].startswith("evaluation")
-    assert scan_outcome(vanishing_scan, query, gens, field, values, cap) == expected
+    assert scan_outcome(vanishing_scan, query, gens, field, points, cap) == expected
 
 
 @pytest.mark.parametrize("where", ["query", "generator"])
@@ -412,3 +431,30 @@ def test_scan_rejects_variables_outside_the_x_block(where):
     query, gens = (outside, [inside]) if where == "query" else (inside, [outside])
     with pytest.raises(DimensionMismatchError):
         oracle_check(query, gens, F3)
+
+
+RXY = PolyRing(F3, ("x", "y"))
+RXYZ = PolyRing(F3, ("x", "y", "z"))
+RYX = PolyRing(F3, ("y", "x"))
+XY = VectorPoly(RXY, RXY.variables())
+
+
+@pytest.mark.parametrize(
+    "query, generator, error",
+    [
+        (XY, VectorPoly(RXY, [RXY.variable(0), 0, 1]), DimensionMismatchError),
+        (XY, VectorPoly(RXY, [RXY.variable(0)]), DimensionMismatchError),
+        (XY, identity_matrix(RXY, 3), DimensionMismatchError),
+        (VectorPoly(RXYZ, RXYZ.variables()[:2]), XY, MismatchedRingError),
+        (XY, VectorPoly(RYX, RYX.variables()), MismatchedRingError),
+    ],
+    ids=["longer", "shorter", "larger-matrix", "smaller-ring", "renamed-ring"],
+)
+def test_scan_rejects_generators_of_another_ring_or_rank(query, generator, error):
+    # the scan serves the oracle and the witness search alike; a generator
+    # of another rank once raised a bare IndexError or gave a bogus
+    # counterexample, one of another ring a counterexample too
+    with pytest.raises(error):
+        oracle_check(query, [query, generator], F3)
+    with pytest.raises(error):
+        find_vanishing_witness(query, [generator])

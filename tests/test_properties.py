@@ -1,12 +1,11 @@
 """Property-based differential tests of the semiprime-closure pipeline.
 
-Inputs are small rank-2 problems over Q[x, y]; half of them adjoin
-f_i * f to the generators, which puts f in the semiprime closure, so both
-verdicts occur.  Examples are derandomized and bounded, so every run
-checks the same cases.
+Inputs are small rank-2 problems over Q[x, y], and over F3[x, y] and
+F5[x, y] against the finite-field oracle; half of them adjoin f_i * f to
+the generators, which puts f in the semiprime closure, so both verdicts
+occur.  Examples are derandomized and bounded, so every run checks the same
+cases.
 """
-
-from fractions import Fraction
 
 import pytest
 
@@ -21,27 +20,33 @@ except ImportError:
 from conftest import ORDERS
 
 from semimod.closure import bilinear_encoding, radical_member, semiprime_member
-from semimod.fields import QQ
+from semimod.fields import QQ, PrimeField, QuadraticField
 from semimod.groebner import SubmodulePresentation
+from semimod.oracle import oracle_check
 from semimod.poly import Polynomial, PolyRing, VectorPoly
 
 R = PolyRing(QQ, ("x", "y"))
 BOUNDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 exponents = st.tuples(st.integers(0, 2), st.integers(0, 2)).filter(lambda e: sum(e) <= 2)
-polynomials = st.dictionaries(exponents, st.integers(-2, 2), max_size=2).map(
-    lambda terms: Polynomial(R, {e: Fraction(c) for e, c in terms.items()})
-)
-vectors = st.lists(polynomials, min_size=2, max_size=2).filter(
-    lambda entries: any(not e.is_zero() for e in entries)
-).map(lambda entries: VectorPoly(R, entries))
+
+
+def vectors(ring):
+    polynomials = st.dictionaries(exponents, st.integers(-2, 2), max_size=2).map(
+        lambda terms: Polynomial(
+            ring, {e: ring.field.coerce(c) for e, c in terms.items()}
+        )
+    )
+    return st.lists(polynomials, min_size=2, max_size=2).filter(
+        lambda entries: any(not e.is_zero() for e in entries)
+    ).map(lambda entries: VectorPoly(ring, entries))
 
 
 @st.composite
-def problems(draw):
+def problems(draw, ring=R):
     """(f, generators) with f in the closure whenever f_i * f are adjoined."""
-    gens = draw(st.lists(vectors, min_size=1, max_size=2))
-    f = draw(vectors)
+    gens = draw(st.lists(vectors(ring), min_size=1, max_size=2))
+    f = draw(vectors(ring))
     if draw(st.booleans()):
         gens += [entry * f for entry in f.entries if not entry.is_zero()]
     return f, gens
@@ -79,3 +84,26 @@ def test_semiprime_verdicts_agree_across_orders(problem):
         for order in ORDERS
     }
     assert len(verdicts) == 1
+
+
+finite_problems = st.sampled_from([3, 5]).flatmap(
+    lambda p: problems(PolyRing(PrimeField(p), ("x", "y")))
+)
+
+
+@BOUNDED
+@hypothesis.given(finite_problems)
+def test_closure_verdicts_agree_with_the_oracle(problem):
+    # over F_p a member satisfies the vanishing implication at every point
+    # of every extension; a base-field witness of a non-member is a point
+    # of the oracle's sweep
+    f, gens = problem
+    field = f.ring.field
+    verdict = semiprime_member(f, SubmodulePresentation(f.ring, 2, gens))
+    if verdict.member:
+        assert oracle_check(f, gens, field).passed
+        assert oracle_check(f, gens, QuadraticField(field.p)).passed
+    elif verdict.witness is not None:
+        report = oracle_check(f, gens, field)
+        assert not report.passed
+        assert report.counterexample == (verdict.witness.point, verdict.witness.vector)

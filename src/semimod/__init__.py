@@ -50,6 +50,7 @@ from .groebner import (
 )
 from .matrixideals import (
     LeftIdealPresentation,
+    agreement_check,
     ideal_with_rows_in,
     matrix_member,
     matrix_semiprime_member,
@@ -57,7 +58,7 @@ from .matrixideals import (
     row_module,
 )
 from .linalg import kernel_basis
-from .oracle import OracleReport, agreement_check, oracle_check
+from .oracle import OracleReport, oracle_check
 from .parser import parse_polynomial, parse_problem, format_problem
 from .poly import (
     OrderSpec,
@@ -65,8 +66,6 @@ from .poly import (
     PolyMatrix,
     PolyRing,
     VectorPoly,
-    compare_module_monomials,
-    compare_monomials,
     identity_matrix,
     unit_vector,
 )

@@ -40,7 +40,7 @@ from .groebner import (
 from .oracle import odometer, vanishing_scan
 from .poly import DEFAULT_ORDER, OrderSpec, Polynomial, PolyRing, VectorPoly
 from .submodules import prime_closure_at
-from .verdicts import Verdict, Witness, guarantee_for
+from .verdicts import Verdict, guarantee_for
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def find_vanishing_witness(f: VectorPoly, generators, radius: int = 2):
         scan = vanishing_scan(f, generators, field, points, WITNESS_CAP)
     except EnumerationCapExceededError:
         return None
-    return None if scan.passed else Witness(*scan.counterexample)
+    return scan.counterexample
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,7 @@ from .poly import (
     mono_div,
     mono_lcm,
     mono_mul,
+    unit_vector,
 )
 from .verdicts import Verdict
 
@@ -672,8 +673,6 @@ class SubmodulePresentation:
 
     @classmethod
     def unit(cls, ring, rank):
-        from .poly import unit_vector
-
         return cls(ring, rank, [unit_vector(ring, rank, i) for i in range(rank)])
 
     def with_extra(self, extra) -> "SubmodulePresentation":

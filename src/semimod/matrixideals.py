@@ -4,7 +4,12 @@ A left ideal corresponds one-to-one with the submodule of R^n holding all
 rows of all its elements, and a matrix lies in the ideal iff every one of
 its rows lies in that submodule.  All decisions below reduce to the module
 engine through that correspondence; matrices are never divided directly.
-Only commutative polynomial base rings are supported.
+A ``PolyMatrix`` holds its rows as vectors (``rows``), so they go to the
+module engine as they are.  Only commutative polynomial base rings are
+supported.
+
+``agreement_check`` sets the whole pipeline, for a vector or a matrix,
+against the finite-field oracle over one field.
 
 Operations are pure; the per-row checks of one query are independent and
 could run concurrently, with the verdict their deterministic conjunction.
@@ -16,14 +21,16 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .closure import semiprime_member
-from .errors import DimensionMismatchError, MismatchedRingError
+from .errors import DimensionMismatchError, InfiniteFieldError, MismatchedRingError
+from .fields import Field, PrimeField, QuadraticField
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
     SubmodulePresentation,
     submodule_member,
 )
-from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing
+from .oracle import DEFAULT_CAP, oracle_check
+from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, VectorPoly
 from .submodules import HyperplaneSubmodule, hyperplane_member
 from .verdicts import Verdict
 
@@ -48,23 +55,21 @@ class LeftIdealPresentation:
 
 def row_module(ideal: LeftIdealPresentation) -> SubmodulePresentation:
     """The submodule of R^n generated by every row of every generator."""
-    rows = []
-    for g in ideal.generators:
-        rows.extend(g.row_vectors())
-    return SubmodulePresentation(ideal.ring, ideal.size, rows)
+    return SubmodulePresentation(
+        ideal.ring, ideal.size, [row for g in ideal.generators for row in g.rows]
+    )
 
 
 def ideal_with_rows_in(submodule: SubmodulePresentation) -> LeftIdealPresentation:
     """The left ideal of all matrices whose rows all lie in the submodule,
     presented by placing each generator in each row position."""
     ring, n = submodule.ring, submodule.rank
-    gens = []
-    for g in submodule.generators:
-        for i in range(n):
-            rows = [
-                list(g.entries) if i == j else [ring.zero()] * n for j in range(n)
-            ]
-            gens.append(PolyMatrix(ring, rows))
+    zero = VectorPoly(ring, [ring.zero()] * n)
+    gens = [
+        PolyMatrix(ring, [g if i == j else zero for j in range(n)])
+        for g in submodule.generators
+        for i in range(n)
+    ]
     return LeftIdealPresentation(ring, n, gens)
 
 
@@ -80,7 +85,7 @@ def matrix_member(
         raise MismatchedRingError("matrix does not match the ideal's ring/size")
     module = row_module(ideal)
     row_certificates = []
-    for row in x.row_vectors():
+    for row in x.rows:
         verdict = submodule_member(row, module, order, limits)
         if not verdict.member:
             return Verdict(member=False)
@@ -106,7 +111,7 @@ def matrix_semiprime_member(
     module = row_module(LeftIdealPresentation(f.ring, f.size, list(generators)))
     stats = Counter()  # each counter summed over the rows checked
     decided = None
-    for row in f.row_vectors():
+    for row in f.rows:
         verdict = semiprime_member(
             row, module, order, limits, search_witness, witness_radius
         )
@@ -125,4 +130,27 @@ def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
     covector at the point: true iff X(a) u = 0, that is, iff every row lies
     in the hyperplane submodule of the point and covector."""
     hyperplane = HyperplaneSubmodule(x.ring, point, covector)
-    return all(hyperplane_member(row, hyperplane) for row in x.row_vectors())
+    return all(hyperplane_member(row, hyperplane) for row in x.rows)
+
+
+def agreement_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> bool:
+    """Run the full algebraic pipeline and the oracle over the same finite
+    base field (and its quadratic extension) and check the implication: a
+    positive algebraic verdict forces an oracle pass.  Equivalently, any
+    base-field counterexample forces a negative verdict.  The query and the
+    generators may be vectors or matrices."""
+    if field.size is None:
+        raise InfiniteFieldError("agreement checks need a finite base field")
+    query = query.map_coefficients(field)
+    generators = [g.map_coefficients(field) for g in generators]
+    if isinstance(query, PolyMatrix):
+        verdict = matrix_semiprime_member(query, generators, search_witness=False)
+    else:
+        presentation = SubmodulePresentation(query.ring, len(query), generators)
+        verdict = semiprime_member(query, presentation, search_witness=False)
+    if not verdict.member:
+        return True
+    fields = [field]
+    if isinstance(field, PrimeField):
+        fields.append(QuadraticField(field.p))
+    return all(oracle_check(query, generators, k, cap).passed for k in fields)

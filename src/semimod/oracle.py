@@ -58,7 +58,7 @@ class OracleReport:
     points: int
     evaluations: int
     nontrivial_kernels: int
-    counterexample: tuple | None  # (point, vector) of FieldElement tuples
+    counterexample: Witness | None
 
     @property
     def passed(self) -> bool:
@@ -78,7 +78,7 @@ class OracleReport:
             "result": "pass" if self.passed else "counterexample",
         }
         if self.counterexample is not None:
-            out["counterexample"] = Witness(*self.counterexample).as_json()
+            out["counterexample"] = self.counterexample.as_json()
         return out
 
 
@@ -99,19 +99,17 @@ def odometer(values, dim: int):
 
 
 def _rows(obj):
-    """A vector is one row, a matrix its rows."""
-    return obj.rows if isinstance(obj, PolyMatrix) else (obj.entries,)
+    """A matrix's row vectors; a vector is its own single row."""
+    return obj.rows if isinstance(obj, PolyMatrix) else (obj,)
 
 
 def _rank(obj):
-    return obj.size if isinstance(obj, PolyMatrix) else len(obj)
+    return len(_rows(obj)[0])
 
 
 def _rows_at(obj, point):
-    """A vector evaluates to one row, a matrix to its rows."""
-    if isinstance(obj, PolyMatrix):
-        return obj.evaluate_raw(point)
-    return [obj.evaluate_raw(point)]
+    """The values of the rows at a point."""
+    return [row.evaluate_raw(point) for row in _rows(obj)]
 
 
 def _det(rows):
@@ -238,7 +236,7 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
                     )
                 if any(not is_zero(dot_raw(field, row, v)) for row in query_values):
                     _verify_violation(query, generators, field, point, v)
-                    violation = (
+                    violation = Witness(
                         tuple(FieldElement(field, x) for x in point),
                         tuple(FieldElement(field, x) for x in v),
                     )
@@ -314,31 +312,3 @@ def oracle_check_escalating(
                 break
             reports.append(oracle_check(query, generators, bigger, cap))
     return reports
-
-
-def agreement_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> bool:
-    """Run the full algebraic pipeline and the oracle over the same finite
-    base field (and its quadratic extension) and check the implication: a
-    positive algebraic verdict forces an oracle pass.  Equivalently, any
-    base-field counterexample forces a negative verdict."""
-    from .closure import semiprime_member
-    from .groebner import SubmodulePresentation
-    from .matrixideals import matrix_semiprime_member
-
-    if field.size is None:
-        raise InfiniteFieldError("agreement checks need a finite base field")
-    query = query.map_coefficients(field)
-    generators = [g.map_coefficients(field) for g in generators]
-    if isinstance(query, PolyMatrix):
-        verdict = matrix_semiprime_member(
-            query, generators, search_witness=False
-        )
-    else:
-        presentation = SubmodulePresentation(query.ring, len(query), generators)
-        verdict = semiprime_member(query, presentation, search_witness=False)
-    if not verdict.member:
-        return True
-    fields = [field]
-    if isinstance(field, PrimeField):
-        fields.append(QuadraticField(field.p))
-    return all(oracle_check(query, generators, k, cap).passed for k in fields)

@@ -276,21 +276,19 @@ class _Parser:
 
     def _check_query(self, problem: ProblemFile, kind: str, args: dict):
         by_kind = {
-            "member": ({"vec", "poly"}, {"vec", "poly"}),
-            "semiprime-member": ({"vec"}, {"vec"}),
-            "radical-member": ({"poly"}, {"poly"}),
-            "matrix-semiprime-member": ({"mat"}, {"mat"}),
-            "refute-semiprime": ({"vec"}, {"vec"}),
-            "oracle": ({"vec", "mat"}, {"vec", "mat"}),
+            "member": {"vec", "poly"},
+            "semiprime-member": {"vec"},
+            "radical-member": {"poly"},
+            "matrix-semiprime-member": {"mat"},
+            "refute-semiprime": {"vec"},
+            "oracle": {"vec", "mat"},
         }
         if kind in by_kind:
-            qkinds, gkinds = by_kind[kind]
-            problem.get(args["query"], qkinds)
-            declared = problem.objects[args["query"]][0]
-            # mixed-kind queries require the generators to match the query
-            wanted = {declared} if len(qkinds) > 1 else gkinds
+            problem.get(args["query"], by_kind[kind])
+            # every generator is of the query's declared kind
+            declared = {problem.objects[args["query"]][0]}
             for g in args["generators"]:
-                problem.get(g, wanted)
+                problem.get(g, declared)
         elif kind == "refute-weak":
             problem.get(args["scalar"], {"poly"})
             problem.get(args["vector"], {"vec"})
@@ -371,8 +369,7 @@ class _Parser:
         return VectorPoly(ring, self.comma_list("[", lambda: self.parse_expression(ring), "]"))
 
     def parse_matrix(self, ring: PolyRing) -> PolyMatrix:
-        rows = self.comma_list("[", lambda: self.parse_vector(ring).entries, "]")
-        return PolyMatrix(ring, rows)
+        return PolyMatrix(ring, self.comma_list("[", lambda: self.parse_vector(ring), "]"))
 
 
 def parse_problem(text: str) -> ProblemFile:

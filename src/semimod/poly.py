@@ -3,9 +3,10 @@ and the monomial / module-monomial orders.
 
 A monomial is an exponent tuple, one entry per ring variable.  A polynomial
 is a dict from exponent tuples to nonzero raw field values; the zero
-polynomial is the empty dict.  Module monomials pair a component index with
-an exponent tuple.  All values are immutable once constructed, so they are
-safe to share between threads.
+polynomial is the empty dict.  A vector is a tuple of polynomials, and a
+matrix a tuple of its rows, each a vector.  Module monomials pair a
+component index with an exponent tuple.  All values are immutable once
+constructed, so they are safe to share between threads.
 
 Variable blocks: a ring remembers how many leading variables form the
 x-block (the ones points evaluate), an optional linear block appended after
@@ -87,16 +88,6 @@ class OrderSpec:
 
 
 DEFAULT_ORDER = OrderSpec()
-
-
-def compare_monomials(a, b, order: OrderSpec = DEFAULT_ORDER) -> int:
-    ka, kb = order.mono_key(a), order.mono_key(b)
-    return (ka > kb) - (ka < kb)
-
-
-def compare_module_monomials(a, b, order: OrderSpec = DEFAULT_ORDER) -> int:
-    ka, kb = order.module_key(a), order.module_key(b)
-    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------
@@ -501,22 +492,18 @@ def unit_vector(ring: PolyRing, rank: int, i: int) -> VectorPoly:
 
 
 class PolyMatrix:
-    """Square matrix over R, stored as a tuple of row tuples."""
+    """Square matrix over R, stored as a tuple of its rows, each a VectorPoly;
+    the operations below act row by row through the vector operations."""
 
     __slots__ = ("ring", "rows")
 
     def __init__(self, ring: PolyRing, rows):
-        rows = tuple(
-            tuple(e if isinstance(e, Polynomial) else ring.const(e) for e in row)
-            for row in rows
-        )
+        rows = tuple(r if isinstance(r, VectorPoly) else VectorPoly(ring, r) for r in rows)
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        for row in rows:
-            for e in row:
-                if e.ring != ring:
-                    raise MismatchedRingError("matrix entries from a different ring")
+        if any(row.ring != ring for row in rows):
+            raise MismatchedRingError("matrix entries from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
 
@@ -527,28 +514,16 @@ class PolyMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    def row(self, i) -> VectorPoly:
-        return VectorPoly(self.ring, self.rows[i])
-
-    def row_vectors(self):
-        return [self.row(i) for i in range(self.size)]
-
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.rows for e in row)
+        return all(row.is_zero() for row in self.rows)
 
     def __add__(self, other):
         self._check(other)
-        return PolyMatrix(
-            self.ring,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return PolyMatrix(self.ring, [a + b for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._check(other)
-        return PolyMatrix(
-            self.ring,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-        )
+        return PolyMatrix(self.ring, [a - b for a, b in zip(self.rows, other.rows)])
 
     def _check(self, other):
         if not isinstance(other, PolyMatrix):
@@ -567,32 +542,23 @@ class PolyMatrix:
                 [[_sum_of_products(self.ring, row, col) for col in columns] for row in self.rows],
             )
         if isinstance(other, VectorPoly):
-            if len(other) != self.size:
-                raise DimensionMismatchError(f"size {self.size} vs rank {len(other)}")
-            return VectorPoly(
-                self.ring, [_sum_of_products(self.ring, row, other.entries) for row in self.rows]
-            )
+            return VectorPoly(self.ring, [row.dot(other) for row in self.rows])
         raise TypeError("expected a matrix or vector")
 
     def __rmul__(self, r):
-        if isinstance(r, Polynomial):
-            _check_ring(r, self)
-            return PolyMatrix(self.ring, [[r * e for e in row] for row in self.rows])
-        return PolyMatrix(self.ring, [[e.scale(r) for e in row] for row in self.rows])
+        """Left action r*X for a ring element or scalar r."""
+        return PolyMatrix(self.ring, [row.__rmul__(r) for row in self.rows])
 
     def evaluate_raw(self, point):
         return [[e.evaluate_raw(point) for e in row] for row in self.rows]
 
     def evaluate(self, point):
-        raw = _coerce_point(self.ring, point)
-        field = self.ring.field
-        return [
-            [FieldElement(field, e.evaluate_raw(raw)) for e in row] for row in self.rows
-        ]
+        """The value at a point, one tuple of field elements per row."""
+        return [row.evaluate(point) for row in self.rows]
 
     def map_coefficients(self, target: Field) -> "PolyMatrix":
-        rows = [[e.map_coefficients(target) for e in row] for row in self.rows]
-        return PolyMatrix(rows[0][0].ring, rows)
+        rows = [row.map_coefficients(target) for row in self.rows]
+        return PolyMatrix(rows[0].ring, rows)
 
     def __eq__(self, other):
         return (
@@ -605,18 +571,14 @@ class PolyMatrix:
         return hash((self.ring, self.rows))
 
     def __str__(self):
-        return "[" + ", ".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self.rows
-        ) + "]"
+        return "[" + ", ".join(str(row) for row in self.rows) + "]"
 
     def __repr__(self):
         return f"<{self}>"
 
 
 def identity_matrix(ring: PolyRing, n: int) -> PolyMatrix:
-    return PolyMatrix(
-        ring, [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)]
-    )
+    return PolyMatrix(ring, [unit_vector(ring, n, i) for i in range(n)])
 
 
 # ---------------------------------------------------------------------------

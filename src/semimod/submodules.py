@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatchError, ZeroCovectorError
+from .errors import DimensionMismatchError, MismatchedRingError, ZeroCovectorError
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
@@ -63,6 +63,8 @@ class HyperplaneSubmodule:
 
 def hyperplane_member(f: VectorPoly, hyperplane: HyperplaneSubmodule) -> bool:
     """Evaluate the defining equation sum f_i(a) u_i = 0 exactly."""
+    if f.ring != hyperplane.ring:
+        raise MismatchedRingError(f"vector over {f.ring}, hyperplane over {hyperplane.ring}")
     if len(f) != hyperplane.rank:
         raise DimensionMismatchError("vector rank does not match the covector")
     field = f.ring.field

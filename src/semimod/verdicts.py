@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 # How a verdict transfers to extension fields.  Over the rationals the
 # decision agrees with the decision over the algebraic closure, both ways
@@ -18,8 +19,7 @@ def guarantee_for(field) -> str:
     return EXTENSION_STABLE if field.char == 0 else SOUND_ONLY
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A point a and direction v with g(a).v = 0 for every generator g while
     the query does not vanish; always re-verified before being emitted."""
 

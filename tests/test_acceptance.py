@@ -27,12 +27,13 @@ from semimod.groebner import (
 )
 from semimod.matrixideals import (
     LeftIdealPresentation,
+    agreement_check,
     ideal_with_rows_in,
     matrix_member,
     matrix_semiprime_member,
     row_module,
 )
-from semimod.oracle import agreement_check, oracle_check
+from semimod.oracle import oracle_check
 from semimod.poly import (
     OrderSpec,
     PolyMatrix,

@@ -149,7 +149,7 @@ def test_matrix_semiprime_member_sums_row_counters(R, twisted_matrix_ideal):
     # the first row is a member, the second is not: both rows ran
     rows = [
         semiprime_member(row, row_module(twisted_matrix_ideal), search_witness=False)
-        for row in F.row_vectors()
+        for row in F.rows
     ]
     assert [r.member for r in rows] == [True, False]
     for key in ("pairs_processed", "pairs_skipped", "zero_reductions", "basis_size"):
@@ -211,7 +211,7 @@ def test_rowwise_equivalence(R):
         module = row_module(LeftIdealPresentation(R, 2, gens))
         rows_ok = all(
             semiprime_member(row, module, search_witness=False).member
-            for row in F.row_vectors()
+            for row in F.rows
         )
         assert matrix_semiprime_member(F, gens, search_witness=False).member == rows_ok
 
@@ -242,7 +242,7 @@ def test_max_left_ideal_matches_rowwise_hyperplanes(R):
         covector = (rng.randint(-2, 2), rng.choice([1, -1]))
         C = HyperplaneSubmodule(R, point, covector)
         X = random_matrix(rng, R, 2, max_degree=1)
-        rowwise = all(hyperplane_member(row, C) for row in X.row_vectors())
+        rowwise = all(hyperplane_member(row, C) for row in X.rows)
         assert max_left_ideal_member(X, point, covector) == rowwise
 
 

@@ -16,11 +16,10 @@ from semimod.errors import (
 )
 from semimod.fields import QQ, FieldElement, PrimeField, QuadraticField
 from semimod.linalg import dot_raw, kernel_basis
-from semimod.matrixideals import matrix_semiprime_member
+from semimod.matrixideals import agreement_check, matrix_semiprime_member
 from semimod.oracle import (
     OracleReport,
     _rows_at,
-    agreement_check,
     odometer,
     oracle_check,
     oracle_check_escalating,
@@ -66,6 +65,15 @@ def test_oracle_counterexample_on_constant(R, twisted_gens):
     assert [str(c) for c in a] == ["0", "0"]
     assert [str(c) for c in v] == ["1", "0"]
     assert report.as_json()["counterexample"] == Witness(a, v).as_json()
+
+
+def test_counterexample_is_the_witness_the_search_returns(twisted_gens):
+    F3R = PolyRing(F3, ("x", "y"))
+    query = unit_vector(F3R, 2, 0)
+    gens = [g.map_coefficients(F3) for g in twisted_gens]
+    report = oracle_check(query, gens, F3)
+    assert isinstance(report.counterexample, Witness)
+    assert find_vanishing_witness(query, gens) == report.counterexample
 
 
 def test_oracle_trivial_kernels_pass(R, twisted_gens):

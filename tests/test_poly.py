@@ -18,8 +18,6 @@ from semimod.poly import (
     PolyMatrix,
     PolyRing,
     VectorPoly,
-    compare_module_monomials,
-    compare_monomials,
     identity_matrix,
     unit_vector,
 )
@@ -134,28 +132,30 @@ def test_mismatched_rings_raise(R):
 
 def test_grevlex_compare():
     # same degree: x^2*y beats x*y^2
-    assert compare_monomials((2, 1), (1, 2)) > 0
-    assert compare_monomials((1, 2), (2, 1)) < 0
-    assert compare_monomials((1, 1), (1, 1)) == 0
+    key = DEFAULT_ORDER.mono_key
+    assert key((2, 1)) > key((1, 2))
+    assert key((1, 2)) < key((2, 1))
+    assert key((1, 1)) == key((1, 1))
 
 
 def test_lex_compare():
-    lex = OrderSpec(scalar=LEX)
-    assert compare_monomials((1, 0), (0, 5), lex) > 0
+    key = OrderSpec(scalar=LEX).mono_key
+    assert key((1, 0)) > key((0, 5))
 
 
 def test_top_module_compare():
+    key = DEFAULT_ORDER.module_key
     # degree first: y^2 e_1 beats x e_2
-    assert compare_module_monomials((0, (0, 2)), (1, (1, 0))) > 0
+    assert key((0, (0, 2))) > key((1, (1, 0)))
     # equal monomials: lower component wins
-    assert compare_module_monomials((0, (1, 0)), (1, (1, 0))) > 0
-    assert compare_module_monomials((0, (1, 0)), (0, (1, 0))) == 0
+    assert key((0, (1, 0))) > key((1, (1, 0)))
+    assert key((0, (1, 0))) == key((0, (1, 0)))
 
 
 def test_pot_module_compare():
-    pot = OrderSpec(module="pot")
+    key = OrderSpec(module="pot").module_key
     # position first, regardless of degree
-    assert compare_module_monomials((0, (0, 0)), (1, (5, 5)), pot) > 0
+    assert key((0, (0, 0))) > key((1, (5, 5)))
 
 
 def test_order_keys_are_multiplicative(R):
@@ -222,6 +222,43 @@ def test_dot_takes_only_a_vector(R):
 def test_matrix_requires_square(R):
     with pytest.raises(DimensionMismatchError):
         PolyMatrix(R, [[R.one(), R.zero()]])
+
+
+def test_matrix_constructor_checks_vector_rows_alike(R):
+    x, y = R.variables()
+    other = PolyRing(QQ, ("z",))
+    with pytest.raises(DimensionMismatchError):
+        PolyMatrix(R, [VectorPoly(R, [x, y])])
+    with pytest.raises(DimensionMismatchError):
+        PolyMatrix(R, [])
+    with pytest.raises(MismatchedRingError):
+        PolyMatrix(R, [VectorPoly(other, [other.one()])])
+    with pytest.raises(MismatchedRingError):
+        PolyMatrix(R, [[other.one()]])
+
+
+def test_matrix_rows_are_vectors_and_operations_act_row_by_row():
+    rng = random.Random(227)
+    for field in (QQ, PrimeField(5)):
+        ring = PolyRing(field, ("x", "y"))
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            ra, rb = ([random_vector(rng, ring, n) for _ in range(n)] for _ in range(2))
+            # entry sequences and vector rows build the same matrix
+            a = PolyMatrix(ring, [row.entries for row in ra])
+            b = PolyMatrix(ring, rb)
+            assert a == PolyMatrix(ring, ra)
+            assert all(isinstance(row, VectorPoly) for row in a.rows + b.rows)
+            assert a.rows == tuple(ra)
+            r = random_polynomial(rng, ring)
+            v = random_vector(rng, ring, n)
+            assert (a + b).rows == tuple(p + q for p, q in zip(ra, rb))
+            assert (a - b).rows == tuple(p - q for p, q in zip(ra, rb))
+            assert (r * a).rows == tuple(r * p for p in ra)
+            assert (3 * a).rows == tuple(3 * p for p in ra)
+            assert (a @ v).entries == tuple(p.dot(v) for p in ra)
+            assert a.is_zero() == all(p.is_zero() for p in ra)
+            assert str(a) == "[" + ", ".join(str(p) for p in ra) + "]"
 
 
 def test_printer_descending_grevlex(R):

@@ -6,8 +6,8 @@ import pytest
 from conftest import random_vector
 
 from semimod import submodules
-from semimod.errors import ZeroCovectorError
-from semimod.fields import QQ
+from semimod.errors import MismatchedRingError, ZeroCovectorError
+from semimod.fields import QQ, PrimeField
 from semimod.groebner import GroebnerLimits, SubmodulePresentation, submodule_member
 from semimod.poly import OrderSpec, PolyRing, VectorPoly, unit_vector
 from semimod.submodules import (
@@ -46,6 +46,19 @@ def test_hyperplane_member_examples(R):
     C10 = HyperplaneSubmodule(R, (0, 0), (1, 0))
     assert not hyperplane_member(unit_vector(R, 2, 0), C10)
     assert hyperplane_member(VectorPoly(R, [R.zero(), R.zero()]), C10)
+
+
+def test_hyperplane_member_rejects_a_vector_of_another_ring():
+    # the same vector over Q and over F5 once gave opposite answers, the
+    # first computed in the wrong field
+    F5 = PolyRing(PrimeField(5), ("x", "y"))
+    C = HyperplaneSubmodule(F5, (1, 2), (1, 0))
+    x, y = F5.variables()
+    assert hyperplane_member(VectorPoly(F5, [x - 6, y]), C)
+    Q = PolyRing(QQ, ("x", "y"))
+    qx, qy = Q.variables()
+    with pytest.raises(MismatchedRingError):
+        hyperplane_member(VectorPoly(Q, [qx - 6, qy]), C)
 
 
 def test_zero_covector_rejected(R):

@@ -22,6 +22,21 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+def test_no_imports_inside_functions():
+    # every module's dependencies are stated once, at its top
+    root = pathlib.Path(semimod.__file__).parent
+    found = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.update(
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(found) == []
+
+
 def test_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies, so every import in the
     # package is from the standard library or from semimod itself

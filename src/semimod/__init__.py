@@ -3,14 +3,16 @@
 The library decides membership in finitely generated submodules of R^n,
 in their smallest semiprime enlargements, and in left ideals of M_n(R),
 for R = k[x_1..x_d] with k the rationals or a small finite field.  All
-arithmetic is exact; every positive verdict can carry a cofactor
-certificate and every negative one may carry a re-verified witness point.
+arithmetic is exact.  Positives reached by division carry cofactor
+certificates; ``find_vanishing_witness`` searches for a re-verified
+refuting point of a negative verdict.
 """
 
 from .closure import (
     BilinearEncoding,
     bilinear_encoding,
     closure_law_check,
+    find_vanishing_witness,
     radical_intersection_check,
     radical_member,
     semiprime_member,

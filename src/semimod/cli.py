@@ -14,7 +14,7 @@ import json
 import sys
 import time
 
-from .closure import _radical_member, semiprime_member
+from .closure import _radical_member, find_vanishing_witness, semiprime_member
 from .errors import ProblemSyntaxError, SemimodError
 from .fields import field_from_flag
 from .groebner import (
@@ -54,6 +54,15 @@ def _certificate_json(cofactors):
     return {"cofactors": [str(c) for c in cofactors]}
 
 
+def _witness_json(verdict, query, generators, options):
+    """A refuting point of a negative closure verdict, searched on the query
+    itself, so a matrix gets F's first violation, not one row's."""
+    if verdict.member:
+        return None
+    witness = find_vanishing_witness(query, generators, options.witness_grid)
+    return witness.as_json() if witness else None
+
+
 def run_query(problem, query: Query, options) -> tuple[dict, int]:
     """Execute one query; returns the JSON-ready report and the exit code.
     The parser has already checked every name the query uses and its kind."""
@@ -80,14 +89,12 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
 
     elif query.kind == "semiprime-member":
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
-        verdict = semiprime_member(
-            value, submodule, order, limits, witness_radius=options.witness_grid
-        )
+        verdict = semiprime_member(value, submodule, order, limits)
         report["member"] = verdict.member
         report["guarantee"] = verdict.guarantee
         report["method"] = verdict.method
         report["certificate"] = _certificate_json(verdict.certificate)
-        report["witness"] = verdict.witness.as_json() if verdict.witness else None
+        report["witness"] = _witness_json(verdict, value, gens, options)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
@@ -99,12 +106,10 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 0 if verdict.member else 1
 
     elif query.kind == "matrix-semiprime-member":
-        verdict = matrix_semiprime_member(
-            value, gens, order, limits, witness_radius=options.witness_grid
-        )
+        verdict = matrix_semiprime_member(value, gens, order, limits)
         report["member"] = verdict.member
         report["guarantee"] = verdict.guarantee
-        report["witness"] = verdict.witness.as_json() if verdict.witness else None
+        report["witness"] = _witness_json(verdict, value, gens, options)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 

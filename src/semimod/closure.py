@@ -118,9 +118,11 @@ def _grid_values(radius: int):
         yield Fraction(-k)
 
 
-def find_vanishing_witness(f: VectorPoly, generators, radius: int = 2):
+def find_vanishing_witness(f, generators, radius: int = 2):
     """Search for a point a and direction v with g(a).v = 0 for every
-    generator while f(a).v != 0, using the oracle's vanishing scan.  Over Q
+    generator while f(a).v != 0, using the oracle's vanishing scan.  The
+    query and the generators may be vectors or matrices; for matrices the
+    test is G(a)v = 0 for every generator while F(a)v != 0.  Over Q
     the points form the integer grid {-radius..radius}^d; over a finite
     field they are every point of the field, in the oracle's order.  Points
     are enumerated lazily, and the search gives up after WITNESS_CAP points
@@ -148,8 +150,6 @@ def semiprime_member(
     submodule: SubmodulePresentation,
     order: OrderSpec = DEFAULT_ORDER,
     limits: GroebnerLimits = DEFAULT_LIMITS,
-    search_witness: bool = True,
-    witness_radius: int = 2,
 ) -> Verdict:
     """Decide whether f lies in the smallest semiprime submodule containing
     the presented one.
@@ -157,7 +157,7 @@ def semiprime_member(
     Fast path: plain membership, which yields a cofactor certificate.
     Otherwise the bilinear encoding reduces the question to radical
     membership in k[x, v].  A negative verdict stands on the algebraic
-    test alone; the optional witness search only decorates it."""
+    test alone; ``find_vanishing_witness`` may find a refuting point."""
     direct = submodule_member(f, submodule, order, limits)
     if direct.member:
         return Verdict(
@@ -172,10 +172,6 @@ def semiprime_member(
     stats = Counter(direct.stats)  # each counter summed over both phases
     stats.update(verdict.stats)
     verdict.stats = dict(stats)
-    if not verdict.member and search_witness:
-        verdict.witness = find_vanishing_witness(
-            f, submodule.generators, witness_radius
-        )
     return verdict
 
 
@@ -189,7 +185,7 @@ def closure_law_check(
     semiprime closure.  Always true mathematically; exposed as an operation
     so the property suite can exercise the full pipeline."""
     augmented = submodule.with_extra([entry * f for entry in f.entries])
-    return semiprime_member(f, augmented, order, limits, search_witness=False).member
+    return semiprime_member(f, augmented, order, limits).member
 
 
 def radical_intersection_check(
@@ -203,9 +199,7 @@ def radical_intersection_check(
     intersection of prime submodules: a member of the closure must lie in
     the point-prime closure at every sampled point.  Vacuously true for
     non-members."""
-    if not semiprime_member(
-        f, submodule, order, limits, search_witness=False
-    ).member:
+    if not semiprime_member(f, submodule, order, limits).member:
         return True
     for point in points:
         closure = prime_closure_at(submodule, point)

@@ -32,7 +32,7 @@ from .groebner import (
 from .oracle import DEFAULT_CAP, oracle_check
 from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, VectorPoly
 from .submodules import HyperplaneSubmodule, hyperplane_member
-from .verdicts import Verdict
+from .verdicts import Verdict, guarantee_for
 
 
 @dataclass
@@ -62,14 +62,11 @@ def row_module(ideal: LeftIdealPresentation) -> SubmodulePresentation:
 
 def ideal_with_rows_in(submodule: SubmodulePresentation) -> LeftIdealPresentation:
     """The left ideal of all matrices whose rows all lie in the submodule,
-    presented by placing each generator in each row position."""
+    presented by placing each generator in the first row: left
+    multiplication by a matrix unit moves it to any other row."""
     ring, n = submodule.ring, submodule.rank
     zero = VectorPoly(ring, [ring.zero()] * n)
-    gens = [
-        PolyMatrix(ring, [g if i == j else zero for j in range(n)])
-        for g in submodule.generators
-        for i in range(n)
-    ]
+    gens = [PolyMatrix(ring, [g] + [zero] * (n - 1)) for g in submodule.generators]
     return LeftIdealPresentation(ring, n, gens)
 
 
@@ -98,31 +95,28 @@ def matrix_semiprime_member(
     generators,
     order: OrderSpec = DEFAULT_ORDER,
     limits: GroebnerLimits = DEFAULT_LIMITS,
-    search_witness: bool = True,
-    witness_radius: int = 2,
 ) -> Verdict:
     """Decide whether F lies in the smallest semiprime left ideal containing
     the generators: every row of F must lie in the semiprime closure of the
-    generators' row module.  A witness, when found, is a point a and
-    direction v with G(a)v = 0 for every generator while F(a)v != 0.  The
-    verdict is the deciding row's, with no certificate and the counters
-    summed over the rows checked: ``method`` is "cofactor" only when every
-    row passed by cofactors."""
+    generators' row module, checked row by row until one fails.  The
+    verdict carries no certificate, its counters are summed over the rows
+    checked, and ``method`` is "cofactor" only when every row checked passed
+    by cofactors."""
     module = row_module(LeftIdealPresentation(f.ring, f.size, list(generators)))
     stats = Counter()  # each counter summed over the rows checked
-    decided = None
+    cofactors_only = True
     for row in f.rows:
-        verdict = semiprime_member(
-            row, module, order, limits, search_witness, witness_radius
-        )
+        verdict = semiprime_member(row, module, order, limits)
         stats.update(verdict.stats)
-        if decided is None or verdict.method == "radical":
-            decided = verdict
+        cofactors_only = cofactors_only and verdict.method == "cofactor"
         if not verdict.member:
             break
-    decided.certificate = None  # one row's cofactors do not certify the matrix
-    decided.stats = stats
-    return decided
+    return Verdict(
+        member=verdict.member,
+        guarantee=guarantee_for(f.ring.field),
+        method="cofactor" if cofactors_only else "radical",
+        stats=dict(stats),
+    )
 
 
 def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
@@ -144,10 +138,10 @@ def agreement_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> 
     query = query.map_coefficients(field)
     generators = [g.map_coefficients(field) for g in generators]
     if isinstance(query, PolyMatrix):
-        verdict = matrix_semiprime_member(query, generators, search_witness=False)
+        verdict = matrix_semiprime_member(query, generators)
     else:
         presentation = SubmodulePresentation(query.ring, len(query), generators)
-        verdict = semiprime_member(query, presentation, search_witness=False)
+        verdict = semiprime_member(query, presentation)
     if not verdict.member:
         return True
     fields = [field]

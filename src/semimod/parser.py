@@ -340,13 +340,11 @@ class _Parser:
             if self.at_punct("/"):
                 self.advance()
                 den_tok = self.expect("int")
-                den = int(den_tok.text)
-                if den == 0:
-                    self.fail("zero denominator", den_tok)
                 field = ring.field
-                return ring.const(
-                    field.div(field.coerce(value), field.coerce(den))
-                )
+                den = field.coerce(int(den_tok.text))
+                if field.is_zero(den):
+                    self.fail("zero denominator", den_tok)
+                return ring.const(field.div(field.coerce(value), den))
             return ring.const(value)
         if tok.kind == "name":
             self.advance()

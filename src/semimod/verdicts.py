@@ -38,13 +38,12 @@ class Verdict:
     """Boolean decision plus whatever evidence the deciding path produced.
 
     ``certificate`` holds cofactors over the presentation's generators when
-    membership was established by division; ``witness`` holds a verified
-    refuting point when non-membership found one.
+    membership was established by division.  A verdict carries no refuting
+    point; ``closure.find_vanishing_witness`` searches for one on the query.
     """
 
     member: bool
     certificate: list | None = None
-    witness: Witness | None = None
     guarantee: str | None = None
     method: str | None = None
     stats: dict = field(default_factory=dict)

@@ -16,6 +16,7 @@ from semimod.errors import (
     UndefinedNameError,
 )
 from semimod.fields import QQ, PrimeField, QuadraticField
+from semimod.oracle import oracle_check
 from semimod.parser import QUERY_KINDS, format_problem, parse_polynomial, parse_problem
 from semimod.poly import PolyRing
 
@@ -26,6 +27,23 @@ vec g1 = [x^2, x*y];
 vec g2 = [x*y, y^2];
 vec f = [x, y];
 query {query} f in {{g1, g2}};
+"""
+
+REFUTE_WEAK_PROBLEM = (
+    "ring Q[x, y];\n"
+    "vec g1 = [x^2, 0];\n"
+    "poly r = x;\n"
+    "vec m = [1, 0];\n"
+    "query refute-weak r, m in {g1};"
+)
+
+# G(a)v = 0 needs a = 0 and v = (1, 0), or a = 1 and v = (0, 1); F swaps
+# the coordinates, so F(a)v != 0 at both, and the first in scan order is 0
+MATRIX_F5_PROBLEM = """\
+ring F5[x];
+mat G = [[x, 0], [0, x - 1]];
+mat F = [[0, 1], [1, 0]];
+query matrix-semiprime-member F in {G};
 """
 
 
@@ -259,6 +277,18 @@ def test_cli_matrix_semiprime(tmp_path, capsys):
     assert report["counters"]["pairs_processed"] > 0
 
 
+def test_cli_matrix_witness_is_the_oracles_first_counterexample(tmp_path, capsys):
+    # the witness is F's first violation, not the first of the row that
+    # failed the decision: row 1 of F alone first fails at a = 1
+    problem = parse_problem(MATRIX_F5_PROBLEM)
+    F, G = problem.objects["F"][1], problem.objects["G"][1]
+    expected = oracle_check(F, [G], PrimeField(5)).counterexample
+    assert expected.as_json() == {"point": ["0"], "vector": ["1", "0"]}
+    code, report = run(capsys, "matrix-semiprime-member", write(tmp_path, MATRIX_F5_PROBLEM))
+    assert code == 1 and report["member"] is False
+    assert report["witness"] == expected.as_json()
+
+
 def test_cli_quadratic_extension_pipeline(tmp_path, capsys):
     text = (
         "ring F3^2[x];\n"
@@ -414,24 +444,40 @@ def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag):
 
 
 def test_reports_validate_against_schema(tmp_path, capsys):
+    # one report of every command, positive and negative closure verdicts
+    # with their witnesses, a batch and an error
     jsonschema = pytest.importorskip("jsonschema")
     import pathlib
 
     schema = json.loads(
         (pathlib.Path(__file__).parent.parent / "docs" / "schema.json").read_text()
     )
-    for query, command, extra in [
-        ("member", "member", ()),
-        ("semiprime-member", "semiprime-member", ("--oracle",)),
-        ("refute-semiprime", "refute-semiprime", ()),
-        ("oracle", "oracle", ()),
-    ]:
-        path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query=query))
-        _, report = run(capsys, command, path, *extra)
+    negative = TWISTED_PAIR_PROBLEM.format(query="semiprime-member").replace(
+        "vec f = [x, y]", "vec f = [1, 0]"
+    )
+    batch = TWISTED_PAIR_PROBLEM.format(query="member") + (
+        "query semiprime-member f in {g1, g2};\nquery k-of {g1, g2} at (1, 2);\n"
+    )
+    cases = [
+        ("member", TWISTED_PAIR_PROBLEM.format(query="member"), ()),
+        ("semiprime-member", TWISTED_PAIR_PROBLEM.format(query="semiprime-member"), ("--oracle",)),
+        ("semiprime-member", negative, ("--oracle",)),
+        ("radical-member", "ring Q[x, y];\npoly p = x;\npoly q = x^2;\nquery radical-member p in {q};", ()),
+        ("matrix-semiprime-member", MATRIX_F5_PROBLEM, ("--oracle",)),
+        ("refute-semiprime", TWISTED_PAIR_PROBLEM.format(query="refute-semiprime"), ()),
+        ("refute-weak", REFUTE_WEAK_PROBLEM, ()),
+        ("k-of", "ring Q[x, y];\nvec g1 = [x^2, x*y];\nquery k-of {g1} at (1, 2);", ()),
+        ("oracle", TWISTED_PAIR_PROBLEM.format(query="oracle"), ()),
+        ("run", batch, ()),
+        ("member", "ring Q[x];\nvec broken = [x", ()),
+    ]
+    witnesses = 0
+    for command, text, extra in cases:
+        _, report = run(capsys, command, write(tmp_path, text), *extra)
         jsonschema.validate(report, schema)
-    path = write(tmp_path, "ring Q[x];\nvec broken = [x")
-    _, report = run(capsys, "member", path)
-    jsonschema.validate(report, schema)
+        witnesses += isinstance(report, dict) and bool(report.get("witness"))
+    # the point witnesses of both closure negatives and the two refutations
+    assert witnesses == 4
 
 
 def test_report_schema_is_stable(tmp_path, capsys):

@@ -138,7 +138,7 @@ def test_semiprime_counters_sum_the_direct_and_radical_phases(R, twisted):
     f = VectorPoly(R, [y * y, x * x])
     direct = submodule_member(f, twisted)
     assert not direct.member and direct.stats["pairs_processed"] == 1
-    verdict = semiprime_member(f, twisted, search_witness=False)
+    verdict = semiprime_member(f, twisted)
     assert verdict.method == "radical"
     # the radical basis alone processes 10 pairs
     assert verdict.stats["pairs_processed"] == 11
@@ -158,9 +158,10 @@ def test_generators_are_members_with_certificates(R, twisted):
 def test_constant_vector_is_not_member_and_witness_verified(R, twisted):
     verdict = semiprime_member(unit_vector(R, 2, 0), twisted)
     assert not verdict.member
-    assert verdict.witness is not None
-    assert [str(c) for c in verdict.witness.point] == ["0", "0"]
-    assert [str(c) for c in verdict.witness.vector] == ["1", "0"]
+    witness = find_vanishing_witness(unit_vector(R, 2, 0), twisted.generators)
+    assert witness is not None
+    assert [str(c) for c in witness.point] == ["0", "0"]
+    assert [str(c) for c in witness.vector] == ["1", "0"]
 
 
 def test_membership_implies_semiprime_membership(R):
@@ -170,17 +171,15 @@ def test_membership_implies_semiprime_membership(R):
         N = SubmodulePresentation(R, 2, gens)
         f = random_vector(rng, R, 2)
         if submodule_member(f, N).member:
-            assert semiprime_member(f, N, search_witness=False).member
+            assert semiprime_member(f, N).member
 
 
 def test_semiprime_member_scaling_invariance(R, twisted):
     rng = random.Random(107)
     for _ in range(8):
         f = random_vector(rng, R, 2)
-        base = semiprime_member(f, twisted, search_witness=False).member
-        scaled = semiprime_member(
-            Fraction(-7, 3) * f, twisted, search_witness=False
-        ).member
+        base = semiprime_member(f, twisted).member
+        scaled = semiprime_member(Fraction(-7, 3) * f, twisted).member
         assert base == scaled
 
 
@@ -191,11 +190,9 @@ def test_semiprime_member_coordinate_permutation_invariance(R):
         f = random_vector(rng, R, 2)
         swapped_gens = [VectorPoly(R, list(reversed(g.entries))) for g in gens]
         swapped_f = VectorPoly(R, list(reversed(f.entries)))
-        lhs = semiprime_member(
-            f, SubmodulePresentation(R, 2, gens), search_witness=False
-        ).member
+        lhs = semiprime_member(f, SubmodulePresentation(R, 2, gens)).member
         rhs = semiprime_member(
-            swapped_f, SubmodulePresentation(R, 2, swapped_gens), search_witness=False
+            swapped_f, SubmodulePresentation(R, 2, swapped_gens)
         ).member
         assert lhs == rhs
 

@@ -621,8 +621,7 @@ def test_representations_are_built_only_for_certificates(R, pair_basis, monkeypa
         assert not radical_member(y, [x * x])
         # not a direct member, so the verdict comes from the radical test
         verdict = semiprime_member(
-            VectorPoly(R, [x, y]), SubmodulePresentation(R, 2, pair_basis),
-            search_witness=False,
+            VectorPoly(R, [x, y]), SubmodulePresentation(R, 2, pair_basis)
         )
         assert verdict.member and verdict.method == "radical"
         N = SubmodulePresentation(R, 2, gens)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_polynomial, random_vector
 
-from semimod.closure import semiprime_member
+from semimod.closure import find_vanishing_witness, semiprime_member
 from semimod.errors import DimensionMismatchError, ZeroCovectorError
 from semimod.fields import QQ
 from semimod.groebner import SubmodulePresentation, submodule_member
@@ -104,6 +104,18 @@ def test_round_trips_on_random_ideals(R):
             )
 
 
+def test_ideal_with_rows_in_presents_each_generator_once(R):
+    # each generator sits in the first row only, so the row module of the
+    # ideal is presented by N's own generators and computes N's basis
+    rng = random.Random(151)
+    for _ in range(4):
+        n = rng.choice([2, 3])
+        N = SubmodulePresentation(R, n, [random_vector(rng, R, n) for _ in range(3)])
+        back = row_module(ideal_with_rows_in(N))
+        assert back.generators == N.generators
+        assert back.groebner().stats == N.groebner().stats
+
+
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
@@ -148,8 +160,7 @@ def test_matrix_semiprime_member_sums_row_counters(R, twisted_matrix_ideal):
     assert not verdict.member
     # the first row is a member, the second is not: both rows ran
     rows = [
-        semiprime_member(row, row_module(twisted_matrix_ideal), search_witness=False)
-        for row in F.rows
+        semiprime_member(row, row_module(twisted_matrix_ideal)) for row in F.rows
     ]
     assert [r.member for r in rows] == [True, False]
     for key in ("pairs_processed", "pairs_skipped", "zero_reductions", "basis_size"):
@@ -183,8 +194,9 @@ def test_matrix_semiprime_member_negative_with_witness():
     G = PolyMatrix(R1, [[x, R1.zero()], [R1.zero(), x]])
     verdict = matrix_semiprime_member(identity_matrix(R1, 2), [G])
     assert not verdict.member
-    assert verdict.witness is not None
-    assert [str(c) for c in verdict.witness.point] == ["0"]
+    witness = find_vanishing_witness(identity_matrix(R1, 2), [G])
+    assert witness is not None
+    assert [str(c) for c in witness.point] == ["0"]
 
 
 def test_matrix_semiprime_member_swapped_row_fails(R, twisted_matrix_ideal):
@@ -195,9 +207,10 @@ def test_matrix_semiprime_member_swapped_row_fails(R, twisted_matrix_ideal):
     F = PolyMatrix(R, [[y, x], [R.zero(), R.zero()]])
     verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
     assert not verdict.member
-    assert verdict.witness is not None
-    assert [str(c) for c in verdict.witness.point] == ["0", "1"]
-    assert [str(c) for c in verdict.witness.vector] == ["1", "0"]
+    witness = find_vanishing_witness(F, twisted_matrix_ideal.generators)
+    assert witness is not None
+    assert [str(c) for c in witness.point] == ["0", "1"]
+    assert [str(c) for c in witness.vector] == ["1", "0"]
 
 
 def test_rowwise_equivalence(R):
@@ -210,10 +223,10 @@ def test_rowwise_equivalence(R):
         F = random_matrix(rng, R, 2, max_degree=1)
         module = row_module(LeftIdealPresentation(R, 2, gens))
         rows_ok = all(
-            semiprime_member(row, module, search_witness=False).member
+            semiprime_member(row, module).member
             for row in F.rows
         )
-        assert matrix_semiprime_member(F, gens, search_witness=False).member == rows_ok
+        assert matrix_semiprime_member(F, gens).member == rows_ok
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +266,7 @@ def test_prime_intersection_sampling(R, twisted_matrix_ideal):
     x, y = R.variables()
     F = PolyMatrix(R, [[x, y], [R.zero(), R.zero()]])
     gens = twisted_matrix_ideal.generators
-    assert matrix_semiprime_member(F, gens, search_witness=False).member
+    assert matrix_semiprime_member(F, gens).member
     for _ in range(30):
         point = (rng.randint(-2, 2), rng.randint(-2, 2))
         covector = (rng.randint(-2, 2), rng.choice([1, -1, 2]))

@@ -228,7 +228,7 @@ def test_agreement_on_random_matrix_instances():
             for g in gens:
                 query = query + matrix(n, 1) @ g
         assert agreement_check(query, gens, F3)
-        members.append(matrix_semiprime_member(query, gens, search_witness=False).member)
+        members.append(matrix_semiprime_member(query, gens).member)
         assert members[-1] or not i % 2
     assert 15 <= sum(members) < 30
 
@@ -242,9 +242,7 @@ def test_oracle_counterexample_forces_negative_verdict(R, twisted_gens):
     report = oracle_check(query, gens, F3)
     assert not report.passed
     ring = query.ring
-    verdict = semiprime_member(
-        query, SubmodulePresentation(ring, 2, gens), search_witness=False
-    )
+    verdict = semiprime_member(query, SubmodulePresentation(ring, 2, gens))
     assert not verdict.member
 
 

@@ -215,6 +215,17 @@ def test_error_positions_are_pinned(text, kind, message, line, column):
     assert (getattr(exc, "line", None), getattr(exc, "column", None)) == (line, column)
 
 
+@pytest.mark.parametrize("ring, den", [
+    ("F7[x]", "7"), ("F7[x]", "14"), ("F3^2[x]", "3"), ("F3^2[x]", "6"),
+])
+def test_a_denominator_zero_in_the_field_is_a_positioned_syntax_error(ring, den):
+    # one rule for every field: the denominator's image in the field is zero
+    with pytest.raises(ProblemSyntaxError) as err:
+        parse_problem(f"ring {ring};\npoly p = 1/{den}*x;")
+    assert str(err.value) == "zero denominator (line 2, column 12)"
+    assert (err.value.line, err.value.column) == (2, 12)
+
+
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_examples_parse_and_round_trip(path):
     problem = parse_problem(path.read_text(encoding="utf-8"))

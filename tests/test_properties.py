@@ -19,7 +19,12 @@ except ImportError:
 
 from conftest import ORDERS
 
-from semimod.closure import bilinear_encoding, radical_member, semiprime_member
+from semimod.closure import (
+    bilinear_encoding,
+    find_vanishing_witness,
+    radical_member,
+    semiprime_member,
+)
 from semimod.fields import QQ, PrimeField, QuadraticField
 from semimod.groebner import SubmodulePresentation
 from semimod.oracle import oracle_check
@@ -73,14 +78,27 @@ def test_radical_member_matches_sympy_rabinowitsch(problem):
     assert radical_member(enc.encoded_query, enc.encoded_generators) == theirs
 
 
+# ``derandomize`` seeds a test from its source text.  The two tests below
+# pin the seeds of their earlier text, so they draw the examples they always
+# drew.  Some other seeds draw a problem whose lex radical basis runs for
+# minutes without crossing a cap (see ROADMAP, the term cap).
+ACROSS_ORDERS_SEED = int(
+    "25711355743057615061312602612543210207956221803833298931788080870979833"
+    "546741135303132089338203746825166505875475943"
+)
+ORACLE_AGREEMENT_SEED = int(
+    "22426586052255535033383430336348859312995795220812563529490979326379138"
+    "061226426675936196819068129712784057616279707"
+)
+
+
 @BOUNDED
+@hypothesis.seed(ACROSS_ORDERS_SEED)
 @hypothesis.given(problems())
 def test_semiprime_verdicts_agree_across_orders(problem):
     f, gens = problem
     verdicts = {
-        semiprime_member(
-            f, SubmodulePresentation(R, 2, gens), order, search_witness=False
-        ).member
+        semiprime_member(f, SubmodulePresentation(R, 2, gens), order).member
         for order in ORDERS
     }
     assert len(verdicts) == 1
@@ -92,6 +110,7 @@ finite_problems = st.sampled_from([3, 5]).flatmap(
 
 
 @BOUNDED
+@hypothesis.seed(ORACLE_AGREEMENT_SEED)
 @hypothesis.given(finite_problems)
 def test_closure_verdicts_agree_with_the_oracle(problem):
     # over F_p a member satisfies the vanishing implication at every point
@@ -103,7 +122,7 @@ def test_closure_verdicts_agree_with_the_oracle(problem):
     if verdict.member:
         assert oracle_check(f, gens, field).passed
         assert oracle_check(f, gens, QuadraticField(field.p)).passed
-    elif verdict.witness is not None:
+    elif (witness := find_vanishing_witness(f, gens)) is not None:
         report = oracle_check(f, gens, field)
         assert not report.passed
-        assert report.counterexample == (verdict.witness.point, verdict.witness.vector)
+        assert report.counterexample == (witness.point, witness.vector)

@@ -161,3 +161,18 @@ def test_every_membership_call_passes_order_and_limits():
             if name == "submodule_member" and not {"order", "limits"} <= set(passed):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_cli_searches_for_witnesses():
+    # decisions only decide: the witness search runs once per negative
+    # report, on the query itself, so no decision procedure calls it
+    root = pathlib.Path(semimod.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "find_vanishing_witness":
+                    callers.add(path.name)
+    assert callers == {"cli.py"}

@@ -32,6 +32,7 @@ from .submodules import (
     semiprime_refutation,
     weakly_semiprime_refutation,
 )
+from .verdicts import guarantee_for
 
 SCHEMA_VERSION = 1
 
@@ -54,12 +55,12 @@ def _certificate_json(cofactors):
     return {"cofactors": [str(c) for c in cofactors]}
 
 
-def _witness_json(verdict, query, generators, options):
+def _witness_json(verdict, query, generators):
     """A refuting point of a negative closure verdict, searched on the query
     itself, so a matrix gets F's first violation, not one row's."""
     if verdict.member:
         return None
-    witness = find_vanishing_witness(query, generators, options.witness_grid)
+    witness = find_vanishing_witness(query, generators)
     return witness.as_json() if witness else None
 
 
@@ -75,6 +76,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
     objects = problem.objects
     gens = [objects[name][1] for name in args["generators"]]
     kind, value = objects[args["query"]] if "query" in args else (None, None)
+    guarantee = guarantee_for(problem.ring.field)
 
     if query.kind == "member":
         if kind == "poly":
@@ -91,25 +93,25 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
         verdict = semiprime_member(value, submodule, order, limits)
         report["member"] = verdict.member
-        report["guarantee"] = verdict.guarantee
+        report["guarantee"] = guarantee
         report["method"] = verdict.method
         report["certificate"] = _certificate_json(verdict.certificate)
-        report["witness"] = _witness_json(verdict, value, gens, options)
+        report["witness"] = _witness_json(verdict, value, gens)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
     elif query.kind == "radical-member":
         verdict = _radical_member(value, gens, order, limits)
         report["member"] = verdict.member
-        report["guarantee"] = verdict.guarantee
+        report["guarantee"] = guarantee
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
     elif query.kind == "matrix-semiprime-member":
         verdict = matrix_semiprime_member(value, gens, order, limits)
         report["member"] = verdict.member
-        report["guarantee"] = verdict.guarantee
-        report["witness"] = _witness_json(verdict, value, gens, options)
+        report["guarantee"] = guarantee
+        report["witness"] = _witness_json(verdict, value, gens)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
@@ -181,14 +183,12 @@ def _error_report(exc: Exception) -> dict:
 
 class _Options:
     def __init__(self, args):
-        for flag, value in (("--cap", args.cap), ("--witness-grid", args.witness_grid)):
-            if value < 0:
-                raise ValueError(f"{flag} must be non-negative, got {value}")
+        if args.cap < 0:
+            raise ValueError(f"--cap must be non-negative, got {args.cap}")
         self.order = OrderSpec(module=args.order)
         self.limits = GroebnerLimits(
             max_pairs=args.max_pairs, max_degree=args.max_degree
         )
-        self.witness_grid = args.witness_grid
         self.field = field_from_flag(args.field) if args.field else None
         self.cap = args.cap
         self.cross_check = args.oracle
@@ -223,13 +223,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--max-pairs", type=int, default=10_000)
     parser.add_argument("--max-degree", type=int, default=40)
-    parser.add_argument(
-        "--witness-grid",
-        type=int,
-        default=2,
-        metavar="R",
-        help="search witnesses with coordinates in {-R..R} over Q",
-    )
     parser.add_argument(
         "--field",
         default=None,

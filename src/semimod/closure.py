@@ -15,8 +15,8 @@ Verdicts computed over Q agree with the verdicts over the algebraic
 closure, because basis computations never leave the base field and "1 in
 the ideal" is preserved under field extension.  Over a finite base field a
 positive verdict stays sound for every extension point, while a negative
-one may have no base-field witness; the ``guarantee`` field on each
-verdict records which case applies.
+one may have no base-field witness; ``verdicts.guarantee_for`` names the
+case that applies to a field.
 
 Everything here is pure; long computations are bounded by the resource
 caps and independent queries may run in parallel.
@@ -40,7 +40,7 @@ from .groebner import (
 from .oracle import odometer, vanishing_scan
 from .poly import DEFAULT_ORDER, OrderSpec, Polynomial, PolyRing, VectorPoly
 from .submodules import prime_closure_at
-from .verdicts import Verdict, guarantee_for
+from .verdicts import Verdict
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,21 @@ class BilinearEncoding:
 
 def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
     base = f.ring
-    ext = base.with_linear_block(len(f))
-    vvars = ext.linear_block_variables()
-    vblock = VectorPoly(ext, vvars)
+    ext = base.extended(f"v{i}" for i in range(1, len(f) + 1))
+    vblock = VectorPoly(ext, ext.variables()[base.num_vars :])
     enc_gens = tuple(g.embed_into(ext).dot(vblock) for g in generators)
     return BilinearEncoding(ext, enc_gens, f.embed_into(ext).dot(vblock))
 
 
 def _radical_member(f, gens, order, limits) -> Verdict:
-    """The radical test with its evidence: the guarantee of the field and
-    the counters of the basis of I + <1 - t*f>."""
+    """The radical test with its evidence: the counters of the basis of
+    I + <1 - t*f>."""
     ring = f.ring
     for g in gens:
         if g.ring != ring:
             raise MismatchedRingError("radical test over mismatched rings")
-    ext = ring.with_tag_variable()
-    t = ext.tag_variable()
+    ext = ring.extended(["t"])
+    (t,) = ext.variables()[ring.num_vars :]
     aug = [ext.embed(g) for g in gens]
     aug.append(ext.one() - t * ext.embed(f))
     gb = buchberger([VectorPoly(ext, [g]) for g in aug], order, limits)
@@ -80,12 +79,7 @@ def _radical_member(f, gens, order, limits) -> Verdict:
     # soundness re-check: the reduced basis of the unit ideal is exactly {1}
     if member and (len(gb.elements) != 1 or gb.elements[0] != one):
         raise InvariantViolationError("unit ideal without the reduced basis {1}")
-    return Verdict(
-        member=member,
-        guarantee=guarantee_for(ring.field),
-        method="radical",
-        stats=dict(gb.stats),
-    )
+    return Verdict(member=member, method="radical", stats=dict(gb.stats))
 
 
 def radical_member(
@@ -107,30 +101,31 @@ def radical_member(
 # A witness only decorates a verdict the algebraic test has already
 # decided, so its search gets a budget of its own, far below the oracle's.
 WITNESS_CAP = 1 << 16
+WITNESS_RADIUS = 2
 
 
-def _grid_values(radius: int):
+def _grid_values():
     """Small rational coordinates, nearest to zero first, so the first
     witness found is the smallest one."""
     yield Fraction(0)
-    for k in range(1, radius + 1):
+    for k in range(1, WITNESS_RADIUS + 1):
         yield Fraction(k)
         yield Fraction(-k)
 
 
-def find_vanishing_witness(f, generators, radius: int = 2):
+def find_vanishing_witness(f, generators):
     """Search for a point a and direction v with g(a).v = 0 for every
     generator while f(a).v != 0, using the oracle's vanishing scan.  The
     query and the generators may be vectors or matrices; for matrices the
-    test is G(a)v = 0 for every generator while F(a)v != 0.  Over Q
-    the points form the integer grid {-radius..radius}^d; over a finite
-    field they are every point of the field, in the oracle's order.  Points
-    are enumerated lazily, and the search gives up after WITNESS_CAP points
-    or kernel-vector evaluations.  Returns a verified Witness or None;
-    absence of a witness proves nothing."""
+    test is G(a)v = 0 for every generator while F(a)v != 0.  Over Q the
+    points form the integer grid {-WITNESS_RADIUS..WITNESS_RADIUS}^d; over
+    a finite field they are every point of the field, in the oracle's
+    order.  Points are enumerated lazily, and the search gives up after
+    WITNESS_CAP points or kernel-vector evaluations.  Returns a verified
+    Witness or None; absence of a witness proves nothing."""
     field = f.ring.field
     if field.char == 0:
-        values = _grid_values(radius)
+        values = _grid_values()
     else:
         values = (e.value for e in field.elements())
     points = odometer(values, f.ring.nx)
@@ -163,7 +158,6 @@ def semiprime_member(
         return Verdict(
             member=True,
             certificate=direct.certificate,
-            guarantee=guarantee_for(f.ring.field),
             method="cofactor",
             stats=direct.stats,
         )

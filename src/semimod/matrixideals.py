@@ -32,7 +32,7 @@ from .groebner import (
 from .oracle import DEFAULT_CAP, oracle_check
 from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, VectorPoly
 from .submodules import HyperplaneSubmodule, hyperplane_member
-from .verdicts import Verdict, guarantee_for
+from .verdicts import Verdict
 
 
 @dataclass
@@ -113,7 +113,6 @@ def matrix_semiprime_member(
             break
     return Verdict(
         member=verdict.member,
-        guarantee=guarantee_for(f.ring.field),
         method="cofactor" if cofactors_only else "radical",
         stats=dict(stats),
     )

@@ -25,6 +25,11 @@ from .poly import Polynomial, PolyMatrix, PolyRing, VectorPoly
 
 KEYWORDS = {"ring", "poly", "vec", "mat", "query", "in", "at"}
 
+# Each level of parentheses costs the recursive descent four frames, so a
+# bound well under the interpreter's recursion limit turns deep nesting into
+# a syntax error instead of a RecursionError.
+MAX_PAREN_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -105,6 +110,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the current atom
 
     # -- token helpers -----------------------------------------------------
     def peek(self) -> Token:
@@ -357,8 +363,12 @@ class _Parser:
                 f"(line {line_column(self.text, tok.offset)[0]})"
             )
         if tok.text == "(":
+            if self.depth == MAX_PAREN_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")
             self.advance()
+            self.depth += 1
             inner = self.parse_expression(ring)
+            self.depth -= 1
             self.expect("punct", ")")
             return inner
         self.fail("expected a polynomial factor")

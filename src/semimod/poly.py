@@ -9,10 +9,11 @@ component index with an exponent tuple.  All values are immutable once
 constructed, so they are safe to share between threads.
 
 Variable blocks: a ring remembers how many leading variables form the
-x-block (the ones points evaluate), an optional linear block appended after
-it, and an optional tag variable at the very end.  The extension helpers
-below produce new rings mechanically so higher layers can build them on
-demand.
+x-block, the only variables points evaluate; by default that is all of
+them.  ``PolyRing.extended`` appends fresh variables after the existing
+ones and keeps the x-block, so the encoding ring k[x, v, t] is the problem
+ring extended by the v-block and then by the tag, and callers find the new
+variables by position.
 """
 
 from __future__ import annotations
@@ -95,23 +96,21 @@ DEFAULT_ORDER = OrderSpec()
 # ---------------------------------------------------------------------------
 
 class PolyRing:
-    """k[x_1..x_d] with optional appended linear block and tag variable."""
+    """k[x_1..x_d], whose first ``nx`` variables form the x-block."""
 
-    __slots__ = ("field", "names", "nx", "nv", "has_tag", "_zero_exps")
+    __slots__ = ("field", "names", "nx", "_zero_exps")
 
-    def __init__(self, field: Field, names, nx=None, nv=0, has_tag=False):
+    def __init__(self, field: Field, names, nx=None):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
         if nx is None:
-            nx = len(names) - nv - (1 if has_tag else 0)
-        if nx + nv + (1 if has_tag else 0) != len(names):
-            raise ValueError("variable blocks do not cover the name list")
+            nx = len(names)
+        if not 0 <= nx <= len(names):
+            raise ValueError(f"an x-block of {nx} variables in a ring of {len(names)}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "nx", nx)
-        object.__setattr__(self, "nv", nv)
-        object.__setattr__(self, "has_tag", has_tag)
         object.__setattr__(self, "_zero_exps", (0,) * len(names))
 
     def __setattr__(self, name, value):
@@ -140,35 +139,16 @@ class PolyRing:
     def variables(self):
         return [self.variable(i) for i in range(len(self.names))]
 
-    def _fresh(self, base: str) -> str:
-        name = base
-        while name in self.names:
-            name += "_"
-        return name
-
-    def with_linear_block(self, n: int) -> "PolyRing":
-        """Append n fresh linear-block variables (for bilinear encodings)."""
-        if self.nv or self.has_tag:
-            raise ValueError("ring already has an extension block")
-        extra = []
-        for i in range(1, n + 1):
-            name = f"v{i}"
-            while name in self.names or name in extra:
+    def extended(self, bases) -> "PolyRing":
+        """This ring with one fresh variable appended per base name, in
+        order, and the same x-block.  A base already taken, by this ring or
+        by a name appended before it, gets ``_`` suffixes until it is free."""
+        names = list(self.names)
+        for name in bases:
+            while name in names:
                 name += "_"
-            extra.append(name)
-        return PolyRing(self.field, self.names + tuple(extra), nx=self.nx, nv=n)
-
-    def with_tag_variable(self) -> "PolyRing":
-        """Append one fresh tag variable (for radical membership tests)."""
-        if self.has_tag:
-            raise ValueError("ring already has a tag variable")
-        return PolyRing(
-            self.field,
-            self.names + (self._fresh("t"),),
-            nx=self.nx,
-            nv=self.nv,
-            has_tag=True,
-        )
+            names.append(name)
+        return PolyRing(self.field, names, nx=self.nx)
 
     def embed(self, f: "Polynomial") -> "Polynomial":
         """Lift a polynomial from a prefix ring into this ring."""
@@ -180,26 +160,16 @@ class PolyRing:
         pad = (0,) * (len(self.names) - len(src.names))
         return Polynomial(self, {exps + pad: c for exps, c in f.terms.items()})
 
-    def linear_block_variables(self):
-        return [self.variable(self.nx + i) for i in range(self.nv)]
-
-    def tag_variable(self) -> "Polynomial":
-        if not self.has_tag:
-            raise ValueError("ring has no tag variable")
-        return self.variable(len(self.names) - 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names
             and self.nx == other.nx
-            and self.nv == other.nv
-            and self.has_tag == other.has_tag
         )
 
     def __hash__(self):
-        return hash((self.field, self.names, self.nx, self.nv, self.has_tag))
+        return hash((self.field, self.names, self.nx))
 
     def __repr__(self):
         return f"{self.field!r}[{','.join(self.names)}]"
@@ -360,10 +330,7 @@ class Polynomial:
             raise MismatchedFieldError(
                 f"cannot carry coefficients of {source!r} into {target!r}"
             )
-        ring = PolyRing(
-            target, self.ring.names, nx=self.ring.nx, nv=self.ring.nv,
-            has_tag=self.ring.has_tag,
-        )
+        ring = PolyRing(target, self.ring.names, nx=self.ring.nx)
         return Polynomial(ring, {m: target.coerce(c) for m, c in self.terms.items()})
 
     def __eq__(self, other):

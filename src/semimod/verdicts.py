@@ -44,7 +44,6 @@ class Verdict:
 
     member: bool
     certificate: list | None = None
-    guarantee: str | None = None
     method: str | None = None
     stats: dict = field(default_factory=dict)
 

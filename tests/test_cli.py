@@ -165,6 +165,16 @@ def test_cli_malformed_file(tmp_path, capsys):
     assert report["error"]["type"] == "SyntaxError"
 
 
+def test_cli_deep_nesting_is_a_syntax_error(tmp_path, capsys):
+    # 400 levels once escaped as a RecursionError with exit code 1
+    nested = "(" * 400 + "x" + ")" * 400
+    path = write(tmp_path, f"ring Q[x];\npoly f = {nested};\nquery member f in {{f}};\n")
+    code, report = run(capsys, "member", path)
+    assert code == 2
+    assert report["error"]["type"] == "SyntaxError"
+    assert (report["error"]["line"], report["error"]["column"]) == (2, 110)
+
+
 def test_cli_missing_file(capsys):
     code, report = run(capsys, "member", "/nonexistent/problem.sm")
     assert code == 2
@@ -434,7 +444,7 @@ def test_cli_refutations_run_under_the_caps(tmp_path, capsys, command, query):
     assert report["error"]["type"] == "ResourceLimitExceeded"
 
 
-@pytest.mark.parametrize("flag", ["--max-pairs", "--max-degree", "--witness-grid", "--cap"])
+@pytest.mark.parametrize("flag", ["--max-pairs", "--max-degree", "--cap"])
 def test_cli_rejects_a_negative_cap(tmp_path, capsys, flag):
     path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="semiprime-member"))
     code, report = run(capsys, "semiprime-member", path, flag, "-1")

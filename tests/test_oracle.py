@@ -431,7 +431,7 @@ def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
 
 @pytest.mark.parametrize("where", ["query", "generator"])
 def test_scan_rejects_variables_outside_the_x_block(where):
-    ring = PolyRing(F3, ("x", "v"), nv=1)
+    ring = PolyRing(F3, ("x", "v"), nx=1)
     x, v = ring.variables()
     inside, outside = VectorPoly(ring, [x]), VectorPoly(ring, [v])
     query, gens = (outside, [inside]) if where == "query" else (inside, [outside])

@@ -18,6 +18,7 @@ from semimod.parser import (
     Query,
     format_problem,
     line_column,
+    parse_polynomial,
     parse_problem,
     tokenize,
 )
@@ -234,3 +235,24 @@ def test_examples_parse_and_round_trip(path):
     again = parse_problem(printed)
     assert again == problem
     assert format_problem(again) == printed
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def test_parenthesis_nesting_is_bounded_by_a_positioned_syntax_error():
+    # deep nesting once overflowed the recursive descent with a RecursionError
+    ring = PolyRing(QQ, ("x",))
+    x = ring.variable(0)
+    assert parse_polynomial(_nested(100), ring) == x
+    assert parse_polynomial("*".join(["(x)"] * 150), ring) == x**150
+    assert parse_problem(f"ring Q[x];\npoly f = {_nested(100)};").objects["f"][1] == x
+    message = "parentheses nested deeper than 100 levels"
+    for depth in (101, 247):
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_polynomial(_nested(depth), ring)
+        assert str(err.value) == f"{message} (line 1, column 101)"
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_problem(f"ring Q[x];\npoly f = {_nested(depth)};")
+        assert (err.value.line, err.value.column) == (2, 110)

@@ -5,12 +5,15 @@ import pytest
 
 from conftest import random_polynomial, random_vector
 
+import semimod.closure
+from semimod.closure import bilinear_encoding
 from semimod.errors import (
     DimensionMismatchError,
     MismatchedFieldError,
     MismatchedRingError,
 )
 from semimod.fields import QQ, PrimeField, QuadraticField
+from semimod.groebner import DEFAULT_LIMITS, buchberger
 from semimod.poly import (
     DEFAULT_ORDER,
     LEX,
@@ -95,17 +98,16 @@ def test_evaluate_wrong_dimension(R):
 
 
 def test_dot_definition(R):
-    ext = R.with_linear_block(2)
-    x, y = ext.variable("x"), ext.variable("y")
-    v1, v2 = ext.linear_block_variables()
+    ext = R.extended(["v1", "v2"])
+    x, y, v1, v2 = ext.variables()
     f = VectorPoly(ext, [x * x, x * y])
     vblock = VectorPoly(ext, [v1, v2])
     assert f.dot(vblock) == x * x * v1 + x * y * v2
 
 
 def test_dot_unit_vector(R):
-    ext = R.with_linear_block(2)
-    v1, v2 = ext.linear_block_variables()
+    ext = R.extended(["v1", "v2"])
+    _, _, v1, v2 = ext.variables()
     e1 = unit_vector(ext, 2, 0)
     assert e1.dot(VectorPoly(ext, [v1, v2])) == v1
 
@@ -283,20 +285,50 @@ def test_printer_quadratic_coefficients():
 
 
 def test_linear_block_and_tag_rings(R):
-    ext = R.with_linear_block(2)
+    ext = R.extended(["v1", "v2"])
     assert ext.names == ("x", "y", "v1", "v2")
-    assert ext.nx == 2 and ext.nv == 2
-    tagged = ext.with_tag_variable()
-    assert tagged.names[-1] == "t"
-    # collision avoidance
+    assert ext.nx == 2
+    assert ext == PolyRing(QQ, ("x", "y", "v1", "v2"), nx=2)
+    assert hash(ext) == hash(PolyRing(QQ, ("x", "y", "v1", "v2"), nx=2))
+    assert ext != PolyRing(QQ, ("x", "y", "v1", "v2"))
+    tagged = ext.extended(["t"])
+    assert tagged.names == ("x", "y", "v1", "v2", "t") and tagged.nx == 2
+    # a base taken by the ring, or earlier in the same call, gets "_"s
     clash = PolyRing(QQ, ("t", "v1"))
-    assert clash.with_linear_block(1).names == ("t", "v1", "v1_")
-    assert clash.with_linear_block(1).with_tag_variable().names[-1] == "t_"
+    assert clash.extended(["v1"]).names == ("t", "v1", "v1_")
+    assert clash.extended(["v1"]).extended(["t"]).names == ("t", "v1", "v1_", "t_")
+    assert R.extended(["v", "v", "v"]).names == ("x", "y", "v", "v_", "v__")
+    for nx in (-1, 3):
+        with pytest.raises(ValueError):
+            PolyRing(QQ, ("x", "y"), nx=nx)
+
+
+def test_encoding_rings_are_named_x_v_t(monkeypatch):
+    # the ring the radical test of a bilinear encoding computes its basis in
+    rings = []
+
+    def recording_buchberger(gens, order, limits):
+        rings.append(gens[0].ring)
+        return buchberger(gens, order, limits)
+
+    monkeypatch.setattr(semimod.closure, "buchberger", recording_buchberger)
+    for names, expected in (
+        (("x", "y"), ("x", "y", "v1", "v2", "t")),
+        (("t", "v1"), ("t", "v1", "v1_", "v2", "t_")),
+    ):
+        ring = PolyRing(QQ, names)
+        f = VectorPoly(ring, ring.variables())
+        enc = bilinear_encoding(f, [f])
+        assert enc.ring == PolyRing(QQ, expected[:4], nx=2)
+        semimod.closure._radical_member(
+            enc.encoded_query, enc.encoded_generators, DEFAULT_ORDER, DEFAULT_LIMITS
+        )
+        assert rings.pop() == PolyRing(QQ, expected, nx=2)
 
 
 def test_embedding_preserves_arithmetic(R):
     rng = random.Random(23)
-    ext = R.with_linear_block(2)
+    ext = R.extended(["v1", "v2"])
     for _ in range(10):
         f = random_polynomial(rng, R)
         g = random_polynomial(rng, R)

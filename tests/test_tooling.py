@@ -1,11 +1,13 @@
 import ast
 import importlib
+import itertools
 import pathlib
 import sys
 
 import pytest
 
 import semimod
+from semimod.cli import build_arg_parser
 
 
 def test_no_assert_statements_in_the_package():
@@ -176,3 +178,20 @@ def test_only_the_cli_searches_for_witnesses():
                 if name == "find_vanishing_witness":
                     callers.add(path.name)
     assert callers == {"cli.py"}
+
+
+def test_the_flag_table_lists_every_cli_flag():
+    # a flag added or removed in the CLI must be added to or removed from
+    # the table in docs/format.md too
+    format_md = pathlib.Path(__file__).parent.parent / "docs" / "format.md"
+    lines = format_md.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| flag | meaning |") + 2
+    rows = itertools.takewhile(lambda s: s.startswith("|"), lines[start:])
+    documented = [row.split("`")[1].split()[0] for row in rows]
+    flags = [
+        option
+        for action in build_arg_parser()._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    ]
+    assert documented == flags

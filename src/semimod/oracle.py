@@ -5,12 +5,14 @@ G_i(a)v = 0 for every generator, then F(a)v = 0.  ``vanishing_scan`` runs
 that test over any lazy source of points.  Once per scan it compiles every
 entry of the query and the generators into coefficient lists in the last
 coordinate, which the odometer varies fastest, each coefficient nested the
-same way in the coordinates before it.  It also takes the minor D, the
-determinant of the first n generator rows (n the module rank), with
-polynomial arithmetic.  When the prefix a[:-1] of a point changes, D is
-specialized at the new prefix, and the rows are specialized at it when
-first needed; each value at a point is then one Horner evaluation in a[-1].
-Horner is the scan's one evaluator, in the specialization as at the points.
+same way in the coordinates before it.  Up to rank n = MINOR_MAX_RANK it
+also takes the minor D, the determinant of the first n generator rows (n
+the module rank), with polynomial arithmetic; its cofactor expansion costs
+n! products, so at larger ranks the scan goes straight to the echelon form
+below.  When the prefix a[:-1] of a point changes, D is specialized at the
+new prefix, and the rows are specialized at it when first needed; each
+value at a point is then one Horner evaluation in a[-1].  Horner is the
+scan's one evaluator, in the specialization as at the points.
 
 Where D(a) != 0 the first n rows are independent, the joint kernel is
 trivial and the point passes.  Elsewhere the generator rows are evaluated
@@ -50,6 +52,9 @@ from .poly import PolyMatrix
 from .verdicts import Witness
 
 DEFAULT_CAP = 1_000_000
+
+# the largest rank whose minor the scan expands: 4! = 24 products
+MINOR_MAX_RANK = 4
 
 
 @dataclass
@@ -174,8 +179,8 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     vectors or matrices over ``field``, of one ring and one rank; other
     generators raise MismatchedRingError or DimensionMismatchError.
 
-    A point passes at once where the minor of the first n generator rows
-    does not vanish.  The minor and the rows are specialized at a point's
+    Up to rank MINOR_MAX_RANK, a point passes at once where the minor of
+    the first n generator rows does not vanish.  The minor and the rows are specialized at a point's
     prefix, and only the latest prefix is kept, so memory stays flat on
     large fields; any order of points is correct, and the odometer's, with
     the last coordinate fastest, specializes each prefix once.  Raises
@@ -193,7 +198,7 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     compiled = [
         [_compile(p, nx, zero) for p in row] for row in gen_rows + list(_rows(query))
     ]
-    minor = _det(gen_rows[:n]) if gen_count >= n else None
+    minor = _det(gen_rows[:n]) if n <= MINOR_MAX_RANK and gen_count >= n else None
     minor = None if minor is None or minor.is_zero() else _compile(minor, nx, zero)
     prefix = cache = None
 

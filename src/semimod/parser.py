@@ -5,8 +5,18 @@ matrices over it, then queries.  The printer emits the same format back;
 printing and re-parsing reproduces every object exactly.  The full grammar
 lives in docs/format.md.
 
-Tokens keep only their offset into the text.  A line and column are
-computed from it only when an error needs one (``line_column``).
+The parser reads tokens as bare texts (``token_texts``): one regex match
+finds the first character no token, blank or comment takes, and one
+``findall`` lists the texts, so no object is built per token.  ``tokenize``
+stays the one source of positions: the parser calls it only when it raises
+an error, and takes the offset of the failing token's index from it
+(``line_column`` turns the offset into a line and column).
+
+Expressions become term maps.  A product of numbers, variables, powers and
+``t`` over F_{p^2} folds into one exponent list and one coefficient, and a
+sum of products into one dict from exponent tuples to coefficients, so one
+``Polynomial`` is built per expression.  Only parenthesized factors and
+their powers take the ``Polynomial`` arithmetic path.
 """
 
 from __future__ import annotations
@@ -21,11 +31,11 @@ from .errors import (
     UndefinedNameError,
 )
 from .fields import QQ, Field, FieldElement, PrimeField, QuadraticField, field_from_name
-from .poly import Polynomial, PolyMatrix, PolyRing, VectorPoly
+from .poly import Polynomial, PolyMatrix, PolyRing, VectorPoly, mono_mul
 
 KEYWORDS = {"ring", "poly", "vec", "mat", "query", "in", "at"}
 
-# Each level of parentheses costs the recursive descent four frames, so a
+# Each level of parentheses costs the recursive descent two frames, so a
 # bound well under the interpreter's recursion limit turns deep nesting into
 # a syntax error instead of a RecursionError.
 MAX_PAREN_DEPTH = 100
@@ -41,6 +51,19 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+
+# the token texts, in order; a comment matches with an empty group, which
+# token_texts drops
+_TEXT_RE = re.compile(r"\#[^\n]*|([A-Za-z_][A-Za-z0-9_]*|\d+|[;=,\[\](){}^*+\-/])")
+
+# the longest prefix of blanks, comments and token characters: when it is
+# not the whole text, the next character is the first bad one
+_CLEAN_RE = re.compile(r"(?:[\s\dA-Za-z_;=,\[\](){}^*+\-/]+|\#[^\n]*)*")
+
+# tokens after a factor that end its term: every punctuation mark but '('
+# and '*', and the end of input
+_ENDS_TERM = frozenset(";=,[]){}^+-/") | {""}
 
 
 class Token(NamedTuple):
@@ -66,6 +89,17 @@ def tokenize(text: str):
             tokens.append(Token(kind, m.group(), m.start()))
     tokens.append(Token("eof", "", len(text)))
     return tokens
+
+
+def token_texts(text: str) -> list[str]:
+    """The texts of ``tokenize(text)``, the end of input's "" included, from
+    one regex match and one ``findall``; raises the errors ``tokenize``
+    raises."""
+    if _CLEAN_RE.match(text).end() != len(text):
+        tokenize(text)  # raises the positioned error for the first bad character
+    texts = list(filter(None, _TEXT_RE.findall(text)))
+    texts.append("")
+    return texts
 
 
 @dataclass(frozen=True)
@@ -108,78 +142,86 @@ QUERY_KINDS = {
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
+        self.tokens = token_texts(text)
         self.pos = 0
-        self.depth = 0  # open parentheses around the current atom
+        self.depth = 0  # open parentheses around the current factor
 
     # -- token helpers -----------------------------------------------------
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, index: int | None = None):
+        """Raise a syntax error at token ``index``, by default the next one."""
+        raise ProblemSyntaxError(message, *self.position(index))
 
-    def advance(self) -> Token:
+    def position(self, index: int | None = None) -> tuple[int, int]:
+        """The position of token ``index``, recomputed by ``tokenize``."""
+        token = tokenize(self.text)[self.pos if index is None else index]
+        return line_column(self.text, token.offset)
+
+    def wanted(self, what: str):
+        found = self.tokens[self.pos] or "end of input"
+        self.fail(f"expected {what!r}, found {found!r}")
+
+    def expect(self, text: str):
+        if self.tokens[self.pos] != text:
+            self.wanted(text)
+        self.pos += 1
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
+
+    def name(self) -> str:
         tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            self.wanted("name")
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: Token | None = None):
-        offset = (tok or self.peek()).offset
-        raise ProblemSyntaxError(message, *line_column(self.text, offset))
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            wanted = text if text is not None else kind
-            found = tok.text if tok.kind != "eof" else "end of input"
-            self.fail(f"expected {wanted!r}, found {found!r}")
-        return self.advance()
-
-    def at_punct(self, text: str) -> bool:
-        # no name, int or eof token has the text of a punctuation mark
-        return self.tokens[self.pos].text == text
-
-    def name(self) -> str:
-        return self.expect("name").text
+    def integer(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isdecimal():
+            self.wanted("int")
+        self.pos += 1
+        return tok
 
     def comma_list(self, open_: str, item, close: str) -> list:
         """``open_ item (, item)* close``; returns the items."""
-        self.expect("punct", open_)
+        self.expect(open_)
         items = [item()]
-        while self.at_punct(","):
-            self.advance()
+        while self.at(","):
+            self.pos += 1
             items.append(item())
-        self.expect("punct", close)
+        self.expect(close)
         return items
 
     # -- problem structure ---------------------------------------------------
     def parse_problem(self) -> ProblemFile:
         problem = None
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "name":
+        while self.tokens[self.pos]:
+            tok = self.tokens[self.pos]
+            if not tok.isidentifier():
                 self.fail("expected a statement keyword")
-            if tok.text == "ring":
+            if tok == "ring":
                 if problem is not None:
                     self.fail("only one ring declaration per problem")
                 problem = self.parse_ring()
-            elif tok.text in ("poly", "vec", "mat"):
+            elif tok in ("poly", "vec", "mat"):
                 if problem is None:
                     self.fail("declare the ring before any objects")
                 self.parse_object(problem)
-            elif tok.text == "query":
+            elif tok == "query":
                 if problem is None:
                     self.fail("declare the ring before any queries")
                 self.parse_query(problem)
             else:
-                self.fail(f"unknown statement {tok.text!r}")
+                self.fail(f"unknown statement {tok!r}")
         if problem is None:
             self.fail("problem has no ring declaration")
         return problem
 
     def parse_ring(self) -> ProblemFile:
-        self.expect("name", "ring")
+        self.expect("ring")
         field = self.parse_field_name()
         names = self.comma_list("[", self.name, "]")
-        self.expect("punct", ";")
+        self.expect(";")
         for name in names:
             if name in KEYWORDS:
                 self.fail(f"variable name {name!r} is reserved")
@@ -190,64 +232,65 @@ class _Parser:
         return ProblemFile(ring=ring)
 
     def parse_field_name(self) -> Field:
-        tok = self.expect("name")
-        name = tok.text
-        if self.at_punct("^"):
-            self.advance()
-            name += "^" + self.expect("int").text
+        start = self.pos
+        name = self.name()
+        if self.at("^"):
+            self.pos += 1
+            name += "^" + self.integer()
         try:
             return field_from_name(name)
         except ValueError as exc:
-            self.fail(str(exc), tok)
+            self.fail(str(exc), start)
 
     def parse_object(self, problem: ProblemFile):
-        kind = self.advance().text
-        name_tok = self.expect("name")
-        name = name_tok.text
+        kind = self.tokens[self.pos]
+        self.pos += 1
+        name_index = self.pos
+        name = self.name()
         if name in KEYWORDS:
-            self.fail(f"name {name!r} is reserved", name_tok)
+            self.fail(f"name {name!r} is reserved", name_index)
         if name in problem.objects:
-            self.fail(f"name {name!r} is already declared", name_tok)
-        self.expect("punct", "=")
+            self.fail(f"name {name!r} is already declared", name_index)
+        self.expect("=")
         if kind == "poly":
             value = self.parse_expression(problem.ring)
         elif kind == "vec":
             value = self.parse_vector(problem.ring)
-            self._fix_rank(problem, len(value), name_tok)
+            self._fix_rank(problem, len(value), name_index)
         else:
             value = self.parse_matrix(problem.ring)
-            self._fix_rank(problem, value.size, name_tok)
-        self.expect("punct", ";")
+            self._fix_rank(problem, value.size, name_index)
+        self.expect(";")
         problem.objects[name] = (kind, value)
 
-    def _fix_rank(self, problem: ProblemFile, rank: int, tok: Token):
+    def _fix_rank(self, problem: ProblemFile, rank: int, index: int):
         if problem.rank is None:
             problem.rank = rank
         elif problem.rank != rank:
-            line = line_column(self.text, tok.offset)[0]
+            line = self.position(index)[0]
             raise DimensionMismatchError(
                 f"rank {rank} at line {line} conflicts with earlier rank {problem.rank}"
             )
 
     # -- queries -------------------------------------------------------------
     def parse_query(self, problem: ProblemFile):
-        self.expect("name", "query")
+        self.expect("query")
         kind = self.name()
-        while self.at_punct("-"):
-            self.advance()
+        while self.at("-"):
+            self.pos += 1
             kind += "-" + self.name()
         if kind not in QUERY_KINDS:
             self.fail(f"unknown query kind {kind!r}")
         if kind == "k-of":
             gens = self.parse_name_set()
-            self.expect("name", "at")
+            self.expect("at")
             point = self.parse_point(problem.ring)
             args = {"generators": gens, "point": point}
         elif kind == "refute-weak":
             scalar = self.name()
-            self.expect("punct", ",")
+            self.expect(",")
             vector = self.name()
-            self.expect("name", "in")
+            self.expect("in")
             args = {
                 "scalar": scalar,
                 "vector": vector,
@@ -255,9 +298,9 @@ class _Parser:
             }
         else:
             query_name = self.name()
-            self.expect("name", "in")
+            self.expect("in")
             args = {"query": query_name, "generators": self.parse_name_set()}
-        self.expect("punct", ";")
+        self.expect(";")
         self._check_query(problem, kind, args)
         problem.queries.append(Query(kind, args))
 
@@ -273,12 +316,12 @@ class _Parser:
         return coords
 
     def parse_scalar(self, ring: PolyRing):
-        tok = self.peek()
+        start = self.pos
         value = self.parse_expression(ring)
         try:
             return FieldElement(ring.field, value.constant_value())
         except ValueError:
-            self.fail("expected a constant scalar", tok)
+            self.fail("expected a constant scalar", start)
 
     def _check_query(self, problem: ProblemFile, kind: str, args: dict):
         by_kind = {
@@ -306,72 +349,106 @@ class _Parser:
 
     # -- expressions -----------------------------------------------------------
     def parse_expression(self, ring: PolyRing) -> Polynomial:
-        negate = False
-        if self.at_punct("-"):
-            self.advance()
-            negate = True
-        total = self.parse_term(ring)
+        """A sum of terms, collected into one term map.  A monomial whose
+        coefficient cancels leaves the map at once, so one that comes back
+        goes last, as in a chain of ``Polynomial`` additions."""
+        field = ring.field
+        add, neg, is_zero = field.add, field.neg, field.is_zero
+        tokens = self.tokens
+        negate = tokens[self.pos] == "-"
         if negate:
-            total = -total
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.advance().text
-            term = self.parse_term(ring)
-            total = total - term if op == "-" else total + term
-        return total
-
-    def parse_term(self, ring: PolyRing) -> Polynomial:
-        product = self.parse_factor(ring)
+            self.pos += 1
+        terms = {}
         while True:
-            tok = self.peek()
-            if tok.text == "*":
-                self.advance()
-            elif tok.kind != "name" and tok.kind != "int" and tok.text != "(":
-                return product
+            for m, c in self.parse_term(ring):
+                if negate:
+                    c = neg(c)
+                if m in terms:
+                    c = add(terms[m], c)
+                    if is_zero(c):
+                        del terms[m]
+                        continue
+                elif is_zero(c):
+                    continue
+                terms[m] = c
+            tok = tokens[self.pos]
+            if tok != "+" and tok != "-":
+                return Polynomial(ring, terms)
+            negate = tok == "-"
+            self.pos += 1
+
+    def parse_term(self, ring: PolyRing):
+        """A product of factors, as (exponent tuple, coefficient) pairs.
+        Numbers, variables and ``t`` over F_{p^2}, each with its power, fold
+        into one exponent list and one coefficient.  Parenthesized factors
+        and their powers multiply as polynomials, and the monomial scales
+        their product once at the end; a monomial only shifts and scales
+        terms, so the pairs come in the order left-to-right multiplication
+        gives."""
+        field = ring.field
+        mul, names, tokens = field.mul, ring.names, self.tokens
+        exps = [0] * len(names)
+        coef = None  # None stands for 1
+        product = None  # of the parenthesized factors
+        while True:
+            index = self.pos
+            tok = tokens[index]
+            self.pos += 1
+            inner = value = None  # a parenthesized factor, or a number or t
+            if tok == "(":
+                if self.depth == MAX_PAREN_DEPTH:
+                    self.fail(
+                        f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels", index
+                    )
+                self.depth += 1
+                inner = self.parse_expression(ring)
+                self.depth -= 1
+                self.expect(")")
+            elif tok in names:
+                pass  # a variable, whose power goes into exps below
+            elif tok.isidentifier():
+                if tok != "t" or not isinstance(field, QuadraticField):
+                    line = self.position(index)[0]
+                    raise UndefinedNameError(f"{tok!r} is not a ring variable (line {line})")
+                value = field.generator.value
+            elif tok.isdecimal():
+                value = field.coerce(int(tok))
+                if tokens[self.pos] == "/":
+                    self.pos += 1
+                    den_index = self.pos
+                    den = field.coerce(int(self.integer()))
+                    if field.is_zero(den):
+                        self.fail("zero denominator", den_index)
+                    value = field.div(value, den)
+            else:
+                self.pos = index
+                self.fail("expected a polynomial factor")
+            power = 1
+            if tokens[self.pos] == "^":
+                self.pos += 1
+                power = int(self.integer())
+            if inner is not None:
+                if power != 1:
+                    inner = inner**power
+                product = inner if product is None else product * inner
+            elif value is None:
+                exps[names.index(tok)] += power
+            else:
+                if power != 1:
+                    value = field.power(value, power)
+                coef = value if coef is None else mul(coef, value)
             # an explicit '*' or juxtaposition: the next factor multiplies
-            product = product * self.parse_factor(ring)
-
-    def parse_factor(self, ring: PolyRing) -> Polynomial:
-        base = self.parse_atom(ring)
-        if self.at_punct("^"):
-            self.advance()
-            power = int(self.expect("int").text)
-            base = base**power
-        return base
-
-    def parse_atom(self, ring: PolyRing) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            value = int(tok.text)
-            if self.at_punct("/"):
-                self.advance()
-                den_tok = self.expect("int")
-                field = ring.field
-                den = field.coerce(int(den_tok.text))
-                if field.is_zero(den):
-                    self.fail("zero denominator", den_tok)
-                return ring.const(field.div(field.coerce(value), den))
-            return ring.const(value)
-        if tok.kind == "name":
-            self.advance()
-            if tok.text in ring.names:
-                return ring.variable(tok.text)
-            if tok.text == "t" and isinstance(ring.field, QuadraticField):
-                return ring.const(ring.field.generator)
-            raise UndefinedNameError(
-                f"{tok.text!r} is not a ring variable "
-                f"(line {line_column(self.text, tok.offset)[0]})"
-            )
-        if tok.text == "(":
-            if self.depth == MAX_PAREN_DEPTH:
-                self.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")
-            self.advance()
-            self.depth += 1
-            inner = self.parse_expression(ring)
-            self.depth -= 1
-            self.expect("punct", ")")
-            return inner
-        self.fail("expected a polynomial factor")
+            tok = tokens[self.pos]
+            if tok == "*":
+                self.pos += 1
+            elif tok in _ENDS_TERM:
+                break
+        mono = tuple(exps)
+        if coef is None:
+            coef = field.one_raw
+        if product is None:
+            return ((mono, coef),)
+        return [(mono_mul(m, mono), mul(c, coef)) for m, c in product.terms.items()]
 
     def parse_vector(self, ring: PolyRing) -> VectorPoly:
         return VectorPoly(ring, self.comma_list("[", lambda: self.parse_expression(ring), "]"))
@@ -391,7 +468,8 @@ def parse_polynomial(text: str, ring: PolyRing) -> Polynomial:
     """Parse a single polynomial expression over a given ring."""
     parser = _Parser(text)
     value = parser.parse_expression(ring)
-    parser.expect("eof")
+    if parser.tokens[parser.pos]:
+        parser.wanted("eof")
     return value
 
 

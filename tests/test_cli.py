@@ -569,6 +569,44 @@ query member f in {g};
     assert report["certificate"]["cofactors"] == ["x + 2147483628*t"]
 
 
+_TIMED_MAIN = """\
+import sys, time
+from semimod.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - start, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_cli_rank_10_oracle_ends_within_a_second(tmp_path):
+    # the minor of the first 10 generator rows once took 156 s to expand by
+    # cofactors before the first of the 49 points; --cap does not bound it
+    rng = random.Random(10)
+
+    def linear():
+        return f"{rng.randrange(7)}*x + {rng.randrange(7)}*y + {rng.randrange(7)}"
+
+    rows = [", ".join(linear() for _ in range(10)) for _ in range(10)]
+    # f = g0 holds at every point, so the scan visits all 49
+    lines = ["ring F7[x, y];", f"vec f = [{rows[0]}];"]
+    lines += [f"vec g{i} = [{row}];" for i, row in enumerate(rows)]
+    lines.append(f"query oracle f in {{{', '.join(f'g{i}' for i in range(10))}}};")
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    src = os.path.dirname(os.path.dirname(semimod.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, "oracle", path, "--cap", "100"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    report = json.loads(done.stdout)
+    if done.returncode == 2:
+        assert report["error"]["type"] == "EnumerationCapExceeded"
+    else:
+        assert report["reports"][0]["points"] == 49
+    assert float(done.stderr) < 1.0
+
+
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------

@@ -412,6 +412,22 @@ def test_scan_matches_the_reference_loop(field, matrix):
     assert {"pass", "counterexample", "cap"} <= outcomes
 
 
+@pytest.mark.parametrize("field", [PrimeField(3), QuadraticField(3)], ids=repr)
+def test_scan_without_the_minor_matches_the_reference_loop(field, monkeypatch):
+    # above MINOR_MAX_RANK every point goes to the echelon form
+    monkeypatch.setattr(semimod.oracle, "MINOR_MAX_RANK", 0)
+    rng = random.Random(f"no-minor:{field!r}")
+    values = _raw_values(field)
+    coeffs = [v for v in values if v]
+    for matrix in (False, True):
+        for _ in range(15):
+            ring = PolyRing(field, ("x", "y")[: rng.randint(1, 2)])
+            query, gens = random_problem(rng, ring, coeffs, matrix)
+            points = list(odometer(values, ring.nx))
+            expected = scan_outcome(reference_scan, query, gens, field, points, 10**6)
+            assert scan_outcome(vanishing_scan, query, gens, field, points, 10**6) == expected
+
+
 @pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
 def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
     # a zero generator of rank 3 leaves a three-dimensional kernel at every

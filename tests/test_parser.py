@@ -1,5 +1,6 @@
-"""The tokenizer against its earlier line-tracking form, error positions, and
-round trips of the shipped examples."""
+"""The tokenizer against its earlier line-tracking form, error positions,
+round trips of the shipped examples, the parser's token texts against the
+tokenizer, and its term maps against ring arithmetic."""
 
 import ast
 import random
@@ -11,18 +12,21 @@ import pytest
 
 from conftest import random_generators, random_vector
 
-from semimod.errors import ProblemSyntaxError
+from semimod.errors import ProblemSyntaxError, UndefinedNameError
 from semimod.fields import QQ, PrimeField, QuadraticField
 from semimod.parser import (
+    MAX_PAREN_DEPTH,
     ProblemFile,
     Query,
+    _Parser,
     format_problem,
     line_column,
     parse_polynomial,
     parse_problem,
+    token_texts,
     tokenize,
 )
-from semimod.poly import PolyRing
+from semimod.poly import Polynomial, PolyRing
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "docs" / "examples").glob("*.sm"))
@@ -256,3 +260,203 @@ def test_parenthesis_nesting_is_bounded_by_a_positioned_syntax_error():
         with pytest.raises(ProblemSyntaxError) as err:
             parse_problem(f"ring Q[x];\npoly f = {_nested(depth)};")
         assert (err.value.line, err.value.column) == (2, 110)
+
+
+# ---------------------------------------------------------------------------
+# the parser's token texts against tokenize
+# ---------------------------------------------------------------------------
+
+def assert_same_token_texts(text):
+    ref, ref_error = _outcome(tokenize, text)
+    new, new_error = _outcome(token_texts, text)
+    assert new_error == ref_error, text
+    if ref is not None:
+        assert new == [t.text for t in ref], text
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_token_texts_match_tokenize_on_examples(path):
+    assert_same_token_texts(path.read_text(encoding="utf-8"))
+
+
+def test_token_texts_match_tokenize_on_test_problem_texts(twisted_pair, twisted_pair_f3):
+    pairs = [(p.ring, p.generators) for p in (twisted_pair, twisted_pair_f3)]
+    for text in _test_file_texts() + _printed_problems(pairs):
+        assert_same_token_texts(text)
+
+
+def test_token_texts_match_tokenize_on_mutations(twisted_pair):
+    texts = [p.read_text(encoding="utf-8") for p in EXAMPLES]
+    texts += _printed_problems([(twisted_pair.ring, twisted_pair.generators)])
+    rejected = 0
+    for text in _mutations(texts, 2000, seed=7):
+        assert_same_token_texts(text)
+        rejected += _outcome(tokenize, text)[1] is not None
+    assert rejected > 100
+
+
+# ---------------------------------------------------------------------------
+# term maps against ring arithmetic
+# ---------------------------------------------------------------------------
+
+def reference_expression(parser, ring):
+    """The expression grammar evaluated with ring arithmetic: every atom is a
+    Polynomial and every factor one ``Polynomial.__mul__``.  Patched in for
+    ``_Parser.parse_expression``, it reads the parser's token texts and
+    raises its errors at the same tokens."""
+    tokens = parser.tokens
+
+    def expression():
+        negate = parser.at("-")
+        if negate:
+            parser.pos += 1
+        total = term()
+        if negate:
+            total = -total
+        while parser.at("+") or parser.at("-"):
+            op = tokens[parser.pos]
+            parser.pos += 1
+            total = total - term() if op == "-" else total + term()
+        return total
+
+    def term():
+        product = factor()
+        while True:
+            tok = tokens[parser.pos]
+            if tok == "*":
+                parser.pos += 1
+            elif not (tok.isidentifier() or tok.isdecimal() or tok == "("):
+                return product
+            product = product * factor()
+
+    def factor():
+        base = atom()
+        if parser.at("^"):
+            parser.pos += 1
+            base = base ** int(parser.integer())
+        return base
+
+    def atom():
+        index = parser.pos
+        tok = tokens[index]
+        field = ring.field
+        if tok.isdecimal():
+            parser.pos += 1
+            if not parser.at("/"):
+                return ring.const(int(tok))
+            parser.pos += 1
+            den = field.coerce(int(parser.integer()))
+            if field.is_zero(den):
+                parser.fail("zero denominator", parser.pos - 1)
+            return ring.const(field.div(field.coerce(int(tok)), den))
+        if tok.isidentifier():
+            parser.pos += 1
+            if tok in ring.names:
+                return ring.variable(tok)
+            if tok == "t" and isinstance(field, QuadraticField):
+                return ring.const(field.generator)
+            line = parser.position(index)[0]
+            raise UndefinedNameError(f"{tok!r} is not a ring variable (line {line})")
+        if tok == "(":
+            if parser.depth == MAX_PAREN_DEPTH:
+                parser.fail(f"parentheses nested deeper than {MAX_PAREN_DEPTH} levels")
+            parser.pos += 1
+            parser.depth += 1
+            inner = expression()
+            parser.depth -= 1
+            parser.expect(")")
+            return inner
+        parser.fail("expected a polynomial factor")
+
+    return expression()
+
+
+def _parse_outcome(text):
+    """The parsed objects with their terms in dict order, or the error's
+    type, message, line and column."""
+    try:
+        problem = parse_problem(text)
+    except Exception as exc:
+        position = getattr(exc, "line", None), getattr(exc, "column", None)
+        return type(exc).__name__, str(exc), position
+
+    def terms(value):
+        if isinstance(value, Polynomial):
+            return list(value.terms.items())
+        return [terms(part) for part in value]
+
+    objects = {name: (kind, terms(value)) for name, (kind, value) in problem.objects.items()}
+    return problem, objects
+
+
+def _random_expression(rng, names, depth=0):
+    """Sums with unary minus and chained + and -, of products written with
+    '*' or by juxtaposition, of numbers, fractions, names and parenthesized
+    sums, each maybe with a power."""
+    text = "-" if rng.random() < 0.3 else ""
+    for i in range(rng.randint(1, 3)):
+        if i:
+            text += rng.choice([" + ", " - ", "+", "-"])
+        for j in range(rng.randint(1, 3)):
+            if j:
+                text += rng.choice(["*", " * ", " ", " "])
+            r = rng.random()
+            if r < 0.35:
+                factor = str(rng.randint(0, 12))
+                if rng.random() < 0.3:
+                    factor += f"/{rng.randint(1, 5)}"
+            elif r < 0.8 or depth == 3:
+                factor = rng.choice(names)
+            else:
+                factor = f"({_random_expression(rng, names, depth + 1)})"
+            if rng.random() < 0.3:
+                factor += f"^{rng.randint(0, 3)}"
+            text += factor
+    return text
+
+
+def _nested_expression(rng, depth):
+    """``depth`` levels of parentheses, each maybe with a power or a factor."""
+    text = "x - 1"
+    for _ in range(depth):
+        wrap = rng.choice(["({})", "({})^1", "y({})", "({})*2", "(-{} + 1)", "(2/3{})"])
+        text = wrap.format(text)
+    return text
+
+
+def _expression_problems(rng, count):
+    texts = []
+    # over F3^2[x, y] the name t is the field generator, over F3^2[x, t] a
+    # variable
+    for ring in ("Q[x, y]", "F7[x, y]", "F3^2[x, y]", "F3^2[x, t]"):
+        names = ["x", "y", "t"] if ring == "F3^2[x, y]" else ["x", ring[-2]]
+        for _ in range(count):
+            exprs = [_random_expression(rng, names) for _ in range(3)]
+            texts.append(
+                f"ring {ring};\npoly p = {exprs[0]};\nvec v = [{exprs[1]}, {exprs[2]}];\n"
+                "query member v in {v};\n"
+            )
+    return texts
+
+
+def test_term_maps_match_ring_arithmetic(monkeypatch):
+    rng = random.Random(16)
+    texts = _expression_problems(rng, 60)
+    texts += list(_mutations(texts, 1000, seed=16))
+    texts += [
+        f"ring Q[x, y];\npoly p = {_nested_expression(rng, depth)};\n"
+        for depth in (1, 7, MAX_PAREN_DEPTH - 1, MAX_PAREN_DEPTH, MAX_PAREN_DEPTH + 1)
+    ]
+    # a monomial that cancels and comes back goes last
+    texts += [
+        "ring Q[x, y];\npoly p = x + y - x + x;",
+        "ring F7[x, y];\npoly p = (x + y)(x - y) + y^2 + 2x y + y^2;",
+    ]
+    parsed = [_parse_outcome(text) for text in texts]
+    monkeypatch.setattr(_Parser, "parse_expression", reference_expression)
+    kinds = set()
+    for text, outcome in zip(texts, parsed):
+        expected = _parse_outcome(text)
+        assert outcome == expected, text
+        kinds.add("parsed" if isinstance(expected[0], ProblemFile) else expected[0])
+    assert {"parsed", "ProblemSyntaxError", "UndefinedNameError"} <= kinds

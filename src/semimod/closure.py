@@ -127,7 +127,7 @@ def find_vanishing_witness(f, generators):
     if field.char == 0:
         values = _grid_values()
     else:
-        values = (e.value for e in field.elements())
+        values = field.elements()
     points = odometer(values, f.ring.nx)
     try:
         scan = vanishing_scan(f, generators, field, points, WITNESS_CAP)

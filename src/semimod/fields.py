@@ -104,7 +104,8 @@ class Field:
         return result
 
     def elements(self):
-        """Iterate every element exactly once, in canonical order."""
+        """Iterate the raw value of every element exactly once, in canonical
+        order."""
         raise InfiniteFieldError(f"{self} is infinite")
 
     # -- Groebner hooks: the reducer's division steps ----------------------
@@ -254,8 +255,7 @@ class PrimeField(Field):
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def elements(self):
-        for a in range(self.p):
-            yield FieldElement(self, a)
+        return range(self.p)
 
     def format(self, a) -> str:
         return str(a)
@@ -275,15 +275,10 @@ class QuadraticField(Field):
     standing for a0 + a1*t with a0, a1 in [0, p).
     """
 
-    def __init__(self, p: int, modulus: tuple[int, int] | None = None):
+    def __init__(self, p: int):
         self.base = PrimeField(p)
         self.p = p
-        if modulus is None:
-            modulus = quadratic_modulus(p)
-        b, c = modulus[0] % p, modulus[1] % p
-        if not _irreducible_quadratic(p, b, c):
-            raise ValueError(f"t^2 + {b}*t + {c} is reducible over F_{p}")
-        self.modulus = (b, c)
+        self.modulus = quadratic_modulus(p)
         self.char = p
         self.size = p * p
         self.zero_raw = (0, 0)
@@ -334,7 +329,7 @@ class QuadraticField(Field):
     def elements(self):
         for a1 in range(self.p):
             for a0 in range(self.p):
-                yield FieldElement(self, (a0, a1))
+                yield (a0, a1)
 
     def format(self, a) -> str:
         a0, a1 = a
@@ -346,14 +341,10 @@ class QuadraticField(Field):
         return f"{a0}+{tpart}"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticField)
-            and other.p == self.p
-            and other.modulus == self.modulus
-        )
+        return isinstance(other, QuadraticField) and other.p == self.p
 
     def __hash__(self):
-        return hash(("Fp2", self.p, self.modulus))
+        return hash(("Fp2", self.p))
 
     def __repr__(self):
         return f"F{self.p}^2"

@@ -279,7 +279,7 @@ def oracle_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> Ora
         raise EnumerationCapExceededError(
             f"{field.size}^{d} points exceed the cap of {cap}"
         )
-    points = odometer((e.value for e in field.elements()), d)
+    points = odometer(field.elements(), d)
     return vanishing_scan(query, generators, field, points, cap)
 
 
@@ -296,17 +296,14 @@ def default_field(field: Field) -> Field:
     return field if field.size else PrimeField(3)
 
 
-def oracle_check_escalating(
-    query, generators, field: Field | None = None, cap: int = DEFAULT_CAP
-):
+def oracle_check_escalating(query, generators, cap: int = DEFAULT_CAP):
     """Run the oracle, escalating while the pass stays vacuous (every kernel
     trivial): a rational problem goes on to the next prime field and then to
     the quadratic extension, a problem over F_p only to F_{p^2}, since its
-    coefficients have no image in another characteristic.  Without a
-    ``field`` it starts in the query's field if finite, else in F3 (see
-    ``default_field``).  Returns the reports in the order they were run."""
-    if field is None:
-        field = default_field(query.ring.field)
+    coefficients have no image in another characteristic.  It starts in the
+    query's field if finite, else in F3 (see ``default_field``).  Returns
+    the reports in the order they were run."""
+    field = default_field(query.ring.field)
     reports = [oracle_check(query, generators, field, cap)]
     if isinstance(field, PrimeField):
         ladder = [QuadraticField(field.p)]

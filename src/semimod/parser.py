@@ -5,25 +5,27 @@ matrices over it, then queries.  The printer emits the same format back;
 printing and re-parsing reproduces every object exactly.  The full grammar
 lives in docs/format.md.
 
-The parser reads tokens as bare texts (``token_texts``): one regex match
-finds the first character no token, blank or comment takes, and one
-``findall`` lists the texts, so no object is built per token.  ``tokenize``
-stays the one source of positions: the parser calls it only when it raises
-an error, and takes the offset of the failing token's index from it
-(``line_column`` turns the offset into a line and column).
+One regex states the token grammar (``_TEXT_RE``: a name, an integer or a
+punctuation mark, with comments skipped).  The parser reads tokens as bare
+texts from one ``findall`` of it (``token_texts``), after one match of
+``_CLEAN_RE`` finds the first character that no token, blank or comment
+takes; that match's end is the offset of a bad character.  Any other error
+takes its token's offset from one ``finditer`` of the same regex
+(``token_offsets``), and ``line_column`` turns an offset into a line and
+column.
 
 Expressions become term maps.  A product of numbers, variables, powers and
 ``t`` over F_{p^2} folds into one exponent list and one coefficient, and a
 sum of products into one dict from exponent tuples to coefficients, so one
 ``Polynomial`` is built per expression.  Only parenthesized factors and
-their powers take the ``Polynomial`` arithmetic path.
+their powers take the ``Polynomial`` arithmetic path, and each product
+there is checked against ``MAX_PRODUCT_TERMS`` before it is formed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dataclass_field
-from typing import NamedTuple
 
 from .errors import (
     DimensionMismatchError,
@@ -40,36 +42,30 @@ KEYWORDS = {"ring", "poly", "vec", "mat", "query", "in", "at"}
 # a syntax error instead of a RecursionError.
 MAX_PAREN_DEPTH = 100
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<punct>[;=,\[\](){}^*+\-/])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE,
-)
+# Bounds on the work a short text can ask of ring arithmetic: the exponent
+# after any '^', and the number of term pairs one product of parenthesized
+# factors multiplies, checked before the product is formed.  Without them
+# a one-line power such as (x + y + z + 1)^80 runs for minutes.
+MAX_EXPONENT = 10_000
+MAX_PRODUCT_TERMS = 10_000
 
+# the punctuation marks, one character each
+_PUNCT = r";=,\[\](){}^*+\-/"
 
-# the token texts, in order; a comment matches with an empty group, which
-# token_texts drops
-_TEXT_RE = re.compile(r"\#[^\n]*|([A-Za-z_][A-Za-z0-9_]*|\d+|[;=,\[\](){}^*+\-/])")
+# the token grammar: group 1 matches a name, an integer or a punctuation
+# mark; a comment matches with group 1 empty, and blanks between matches
+# are skipped
+_TEXT_RE = re.compile(rf"\#[^\n]*|([A-Za-z_][A-Za-z0-9_]*|\d+|[{_PUNCT}])")
 
-# the longest prefix of blanks, comments and token characters: when it is
-# not the whole text, the next character is the first bad one
-_CLEAN_RE = re.compile(r"(?:[\s\dA-Za-z_;=,\[\](){}^*+\-/]+|\#[^\n]*)*")
+# the longest prefix of blanks, comments and the characters tokens are made
+# of: when it is not the whole text, the next character is the first bad
+# one.  A run of one character class is several times faster here than
+# repeating _TEXT_RE's alternatives.
+_CLEAN_RE = re.compile(rf"(?:[\s\dA-Za-z_{_PUNCT}]+|\#[^\n]*)*")
 
 # tokens after a factor that end its term: every punctuation mark but '('
 # and '*', and the end of input
 _ENDS_TERM = frozenset(";=,[]){}^+-/") | {""}
-
-
-class Token(NamedTuple):
-    kind: str  # "name" | "int" | "punct" | "eof"
-    text: str
-    offset: int  # index of the token's first character in the text
 
 
 def line_column(text: str, offset: int) -> tuple[int, int]:
@@ -77,29 +73,26 @@ def line_column(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ProblemSyntaxError(
-                f"unexpected character {m.group()!r}", *line_column(text, m.start())
-            )
-        if kind != "ws" and kind != "comment":
-            tokens.append(Token(kind, m.group(), m.start()))
-    tokens.append(Token("eof", "", len(text)))
-    return tokens
-
-
 def token_texts(text: str) -> list[str]:
-    """The texts of ``tokenize(text)``, the end of input's "" included, from
-    one regex match and one ``findall``; raises the errors ``tokenize``
-    raises."""
-    if _CLEAN_RE.match(text).end() != len(text):
-        tokenize(text)  # raises the positioned error for the first bad character
+    """The token texts of ``text``, then "" for the end of input; raises a
+    positioned syntax error at the first character no token, blank or
+    comment takes."""
+    end = _CLEAN_RE.match(text).end()
+    if end != len(text):
+        raise ProblemSyntaxError(
+            f"unexpected character {text[end]!r}", *line_column(text, end)
+        )
     texts = list(filter(None, _TEXT_RE.findall(text)))
     texts.append("")
     return texts
+
+
+def token_offsets(text: str) -> list[int]:
+    """The offset of each token ``token_texts`` lists, the end of input's
+    included."""
+    offsets = [m.start(1) for m in _TEXT_RE.finditer(text) if m.lastindex]
+    offsets.append(len(text))
+    return offsets
 
 
 @dataclass(frozen=True)
@@ -152,9 +145,9 @@ class _Parser:
         raise ProblemSyntaxError(message, *self.position(index))
 
     def position(self, index: int | None = None) -> tuple[int, int]:
-        """The position of token ``index``, recomputed by ``tokenize``."""
-        token = tokenize(self.text)[self.pos if index is None else index]
-        return line_column(self.text, token.offset)
+        """The (line, column) of token ``index``, by default the next one."""
+        offset = token_offsets(self.text)[self.pos if index is None else index]
+        return line_column(self.text, offset)
 
     def wanted(self, what: str):
         found = self.tokens[self.pos] or "end of input"
@@ -424,13 +417,16 @@ class _Parser:
                 self.pos = index
                 self.fail("expected a polynomial factor")
             power = 1
-            if tokens[self.pos] == "^":
+            caret = self.pos
+            if tokens[caret] == "^":
                 self.pos += 1
                 power = int(self.integer())
+                if power > MAX_EXPONENT:
+                    self.fail(f"exponent above {MAX_EXPONENT}", caret)
             if inner is not None:
                 if power != 1:
-                    inner = inner**power
-                product = inner if product is None else product * inner
+                    inner = self.power(inner, power, caret)
+                product = inner if product is None else self.multiply(product, inner, index)
             elif value is None:
                 exps[names.index(tok)] += power
             else:
@@ -449,6 +445,25 @@ class _Parser:
         if product is None:
             return ((mono, coef),)
         return [(mono_mul(m, mono), mul(c, coef)) for m, c in product.terms.items()]
+
+    def multiply(self, a: Polynomial, b: Polynomial, index: int) -> Polynomial:
+        """``a * b``, or a syntax error at token ``index`` when the product
+        would multiply more than ``MAX_PRODUCT_TERMS`` pairs of terms."""
+        if len(a.terms) * len(b.terms) > MAX_PRODUCT_TERMS:
+            self.fail(f"product of more than {MAX_PRODUCT_TERMS} term pairs", index)
+        return a * b
+
+    def power(self, f: Polynomial, k: int, index: int) -> Polynomial:
+        """``f**k`` by ``Polynomial.__pow__``'s square-and-multiply, so the
+        terms come in its order, with each product checked by ``multiply``."""
+        result = f.ring.one()
+        while k:
+            if k & 1:
+                result = self.multiply(result, f, index)
+            if k > 1:
+                f = self.multiply(f, f, index)
+            k >>= 1
+        return result
 
     def parse_vector(self, ring: PolyRing) -> VectorPoly:
         return VectorPoly(ring, self.comma_list("[", lambda: self.parse_expression(ring), "]"))

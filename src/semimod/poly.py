@@ -161,7 +161,7 @@ class PolyRing:
         return Polynomial(self, {exps + pad: c for exps, c in f.terms.items()})
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.names == other.names

@@ -10,6 +10,7 @@ complement, which has no finite recipe here and is out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import DimensionMismatchError, MismatchedRingError, ZeroCovectorError
 from .groebner import (
@@ -200,15 +201,9 @@ def _candidate_vectors(ring: PolyRing, rank: int, max_degree: int, coeffs):
     for m in monos:
         for c in coeffs:
             options.append(Polynomial(ring, {m: ring.field.coerce(c)}))
-    def build(i):
-        if i == rank:
-            yield []
-            return
-        for rest in build(i + 1):
-            for opt in options:
-                yield [opt] + rest
-    for entries in build(0):
-        vec = VectorPoly(ring, entries)
+    # reversed, so the first entry varies fastest
+    for entries in product(options, repeat=rank):
+        vec = VectorPoly(ring, entries[::-1])
         if not vec.is_zero():
             yield vec
 

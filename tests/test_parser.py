@@ -1,10 +1,14 @@
-"""The tokenizer against its earlier line-tracking form, error positions,
-round trips of the shipped examples, the parser's token texts against the
-tokenizer, and its term maps against ring arithmetic."""
+"""The parser's token texts and offsets against the earlier line-tracking
+tokenizer, error positions, round trips of the shipped examples, the bounds
+on nesting and powers, and its term maps against ring arithmetic."""
 
 import ast
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -12,10 +16,13 @@ import pytest
 
 from conftest import random_generators, random_vector
 
+import semimod
 from semimod.errors import ProblemSyntaxError, UndefinedNameError
 from semimod.fields import QQ, PrimeField, QuadraticField
 from semimod.parser import (
+    MAX_EXPONENT,
     MAX_PAREN_DEPTH,
+    MAX_PRODUCT_TERMS,
     ProblemFile,
     Query,
     _Parser,
@@ -23,8 +30,8 @@ from semimod.parser import (
     line_column,
     parse_polynomial,
     parse_problem,
+    token_offsets,
     token_texts,
-    tokenize,
 )
 from semimod.poly import Polynomial, PolyRing
 
@@ -50,7 +57,6 @@ _REFERENCE_RE = re.compile(
 
 @dataclass(frozen=True)
 class ReferenceToken:
-    kind: str
     text: str
     line: int
     column: int
@@ -64,10 +70,9 @@ def reference_tokenize(text: str):
         m = _REFERENCE_RE.match(text, pos)
         if m is None:
             raise ProblemSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
         chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(ReferenceToken(kind, chunk, line, col))
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append(ReferenceToken(chunk, line, col))
         newlines = chunk.count("\n")
         if newlines:
             line += newlines
@@ -75,7 +80,7 @@ def reference_tokenize(text: str):
         else:
             col += len(chunk)
         pos = m.end()
-    tokens.append(ReferenceToken("eof", "", line, col))
+    tokens.append(ReferenceToken("", line, col))
     return tokens
 
 
@@ -86,14 +91,20 @@ def _outcome(tokenizer, text):
         return None, (str(exc), exc.line, exc.column)
 
 
+def _tokens(text):
+    """The parser's token texts, and the line and column of each offset."""
+    return token_texts(text), [line_column(text, o) for o in token_offsets(text)]
+
+
 def assert_same_tokens(text):
+    """Asserts the parser's tokens and error equal the reference's; returns
+    whether the text was rejected."""
     ref, ref_error = _outcome(reference_tokenize, text)
-    new, new_error = _outcome(tokenize, text)
+    new, new_error = _outcome(_tokens, text)
     assert new_error == ref_error, text
-    if ref is None:
-        return
-    assert [(t.kind, t.text) for t in new] == [(t.kind, t.text) for t in ref], text
-    assert [line_column(text, t.offset) for t in new] == [(t.line, t.column) for t in ref], text
+    if ref is not None:
+        assert new == ([t.text for t in ref], [(t.line, t.column) for t in ref]), text
+    return ref is None
 
 
 def _test_file_texts():
@@ -161,8 +172,8 @@ def test_tokenize_matches_reference_on_test_problem_texts(twisted_pair, twisted_
 def test_tokenize_matches_reference_on_mutations(twisted_pair):
     texts = [p.read_text(encoding="utf-8") for p in EXAMPLES]
     texts += _printed_problems([(twisted_pair.ring, twisted_pair.generators)])
-    for text in _mutations(texts, 2000, seed=7):
-        assert_same_tokens(text)
+    rejected = sum(assert_same_tokens(text) for text in _mutations(texts, 2000, seed=7))
+    assert rejected > 100
 
 
 # ---------------------------------------------------------------------------
@@ -262,37 +273,64 @@ def test_parenthesis_nesting_is_bounded_by_a_positioned_syntax_error():
         assert (err.value.line, err.value.column) == (2, 110)
 
 
-# ---------------------------------------------------------------------------
-# the parser's token texts against tokenize
-# ---------------------------------------------------------------------------
-
-def assert_same_token_texts(text):
-    ref, ref_error = _outcome(tokenize, text)
-    new, new_error = _outcome(token_texts, text)
-    assert new_error == ref_error, text
-    if ref is not None:
-        assert new == [t.text for t in ref], text
-
-
-@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
-def test_token_texts_match_tokenize_on_examples(path):
-    assert_same_token_texts(path.read_text(encoding="utf-8"))
-
-
-def test_token_texts_match_tokenize_on_test_problem_texts(twisted_pair, twisted_pair_f3):
-    pairs = [(p.ring, p.generators) for p in (twisted_pair, twisted_pair_f3)]
-    for text in _test_file_texts() + _printed_problems(pairs):
-        assert_same_token_texts(text)
+def test_exponents_and_products_are_bounded_by_positioned_syntax_errors():
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.variables()
+    at_bound = parse_polynomial(f"2^{MAX_EXPONENT} x^{MAX_EXPONENT}", ring)
+    assert at_bound == 2**MAX_EXPONENT * x**MAX_EXPONENT
+    with pytest.raises(ProblemSyntaxError) as err:
+        parse_polynomial(f"x + 2^{MAX_EXPONENT + 1}", ring)
+    assert str(err.value) == f"exponent above {MAX_EXPONENT} (line 1, column 6)"
+    # the texts below reach 100 * 100 term pairs, the bound, and cross it
+    assert MAX_PRODUCT_TERMS == 10_000
+    assert parse_polynomial("(x + 1)^99 (y + 1)^99", ring) == (x + 1) ** 99 * (y + 1) ** 99
+    message = f"product of more than {MAX_PRODUCT_TERMS} term pairs"
+    # a product of two factors fails at the second factor, a power at its '^'
+    for text, column in [("(x + 1)^99 (y + 1)^100", 12), ("(x + y + 1)^40 y", 12)]:
+        with pytest.raises(ProblemSyntaxError) as err:
+            parse_polynomial(text, ring)
+        assert str(err.value) == f"{message} (line 1, column {column})"
 
 
-def test_token_texts_match_tokenize_on_mutations(twisted_pair):
-    texts = [p.read_text(encoding="utf-8") for p in EXAMPLES]
-    texts += _printed_problems([(twisted_pair.ring, twisted_pair.generators)])
-    rejected = 0
-    for text in _mutations(texts, 2000, seed=7):
-        assert_same_token_texts(text)
-        rejected += _outcome(tokenize, text)[1] is not None
-    assert rejected > 100
+# each took from seconds to minutes to parse before powers were bounded;
+# (text, error message)
+_PRODUCT_ERROR = "product of more than 10000 term pairs (line 2, column {})"
+UNBOUNDED_POWERS = [
+    ("ring Q[x, y, z];\npoly p = (x + y + z + 1)^40;", _PRODUCT_ERROR.format(25)),
+    ("ring Q[x, y, z];\npoly p = (x + y + z + 1)^80;", _PRODUCT_ERROR.format(25)),
+    ("ring Q[x, y];\npoly p = " + "(" * 60 + "x + y + 1" + ")^2" * 60 + ";",
+     _PRODUCT_ERROR.format(92)),
+    ("ring Q[x];\npoly p = 2^1000000000;", "exponent above 10000 (line 2, column 11)"),
+]
+
+_TIMED_PARSE = """
+import json, sys, time
+from semimod.errors import ProblemSyntaxError
+from semimod.parser import parse_problem
+for text in json.loads(sys.stdin.read()):
+    start = time.perf_counter()
+    try:
+        parse_problem(text)
+        outcome = None
+    except ProblemSyntaxError as exc:
+        outcome = str(exc)
+    print(json.dumps([outcome, time.perf_counter() - start]))
+"""
+
+
+def test_unbounded_powers_end_within_a_second_in_a_syntax_error():
+    # in a subprocess, so that a parser without the bounds fails the test at
+    # the timeout instead of hanging the suite
+    src = os.path.dirname(os.path.dirname(semimod.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _TIMED_PARSE],
+        input=json.dumps([text for text, _ in UNBOUNDED_POWERS]),
+        capture_output=True, text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    outcomes = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [message for message, _ in outcomes] == [message for _, message in UNBOUNDED_POWERS]
+    assert all(seconds < 1.0 for _, seconds in outcomes), outcomes
 
 
 # ---------------------------------------------------------------------------

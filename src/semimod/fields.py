@@ -7,6 +7,16 @@ in ``[0, p)`` for a prime field, a pair of such ints for a quadratic
 extension).  Polynomials store raw values directly for speed;
 ``FieldElement`` is the boxed form used at API boundaries.  Everything here
 is immutable and pure, so values can be shared freely across threads.
+
+Two kernels serve the vanishing scan and the echelon form: ``horner``
+evaluates a coefficient list at a point and ``eliminate`` forms
+lead*row - c*prow.  ``Field`` defines them by ``add`` and ``mul``; each
+field overrides them with inline arithmetic, reducing mod p at every step
+over a finite field, so a whole list costs one call instead of one method
+call per ``add`` and ``mul``.
+Polynomial evaluation (``Polynomial.evaluate_raw``) and ``linalg.dot_raw``
+keep plain ``add`` and ``mul``: they re-check every violation the scan
+reports, independently of the kernels.
 """
 
 from __future__ import annotations
@@ -108,6 +118,24 @@ class Field:
         order."""
         raise InfiniteFieldError(f"{self} is infinite")
 
+    # -- kernels: the vanishing scan's arithmetic --------------------------
+    def horner(self, coeffs, x):
+        """The value at x of the polynomial with coefficients ``coeffs``,
+        lowest degree first; x is not read when there is at most one
+        coefficient."""
+        if not coeffs:
+            return self.zero_raw
+        add, mul = self.add, self.mul
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = add(mul(acc, x), c)
+        return acc
+
+    def eliminate(self, lead, row, c, prow):
+        """The row lead*row - c*prow, entry by entry."""
+        sub, mul = self.sub, self.mul
+        return [sub(mul(lead, x), mul(c, y)) for x, y in zip(row, prow)]
+
     # -- Groebner hooks: the reducer's division steps ----------------------
     def normalize(self, m, lc):
         """``(scale * m, scale)`` for a nonzero ``scale``, where ``m`` is a
@@ -171,6 +199,17 @@ class RationalField(Field):
         if a == 0:
             raise DivisionByZeroError("inverse of 0")
         return Fraction(1) / a
+
+    def horner(self, coeffs, x):
+        if not coeffs:
+            return self.zero_raw
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = acc * x + c
+        return acc
+
+    def eliminate(self, lead, row, c, prow):
+        return [lead * a - c * b for a, b in zip(row, prow)]
 
     def normalize(self, m, lc):
         """The primitive integer multiple of ``m`` whose coefficient ``lc``
@@ -237,6 +276,20 @@ class PrimeField(Field):
         if a == 0:
             raise DivisionByZeroError("inverse of 0")
         return pow(a, self.p - 2, self.p)
+
+    def horner(self, coeffs, x):
+        # reduced at every step, so the accumulator stays below p^2 + p
+        if not coeffs:
+            return 0
+        p = self.p
+        acc = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            acc = (acc * x + c) % p
+        return acc
+
+    def eliminate(self, lead, row, c, prow):
+        p = self.p
+        return [(lead * a - c * b) % p for a, b in zip(row, prow)]
 
     def coerce(self, value):
         if isinstance(value, FieldElement):
@@ -312,6 +365,36 @@ class QuadraticField(Field):
         norm = (a[0] * a[0] - a[0] * a[1] * mb + a[1] * a[1] * mc) % p
         ninv = pow(norm, p - 2, p)
         return ((a[0] - a[1] * mb) * ninv % p, (-a[1]) * ninv % p)
+
+    def horner(self, coeffs, x):
+        if len(coeffs) < 2:
+            return coeffs[0] if coeffs else self.zero_raw
+        p = self.p
+        mb, mc = self.modulus
+        # acc * x = (a0 x0 - a1 mc x1) + (a0 x1 + a1 (x0 - mb x1)) t
+        x0, x1 = x
+        u, w = mc * x1, x0 - mb * x1
+        a0, a1 = coeffs[-1]
+        for c0, c1 in coeffs[-2::-1]:
+            a0, a1 = (a0 * x0 - a1 * u + c0) % p, (a0 * x1 + a1 * w + c1) % p
+        return (a0, a1)
+
+    def eliminate(self, lead, row, c, prow):
+        p = self.p
+        mb, mc = self.modulus
+        l0, l1 = lead
+        c0, c1 = c
+        out = []
+        for (a0, a1), (b0, b1) in zip(row, prow):
+            # lead * (a0 + a1 t) - c * (b0 + b1 t), with t^2 = -mb*t - mc
+            t2 = l1 * a1 - c1 * b1
+            out.append(
+                (
+                    (l0 * a0 - c0 * b0 - mc * t2) % p,
+                    (l0 * a1 + l1 * a0 - c0 * b1 - c1 * b0 - mb * t2) % p,
+                )
+            )
+        return out
 
     def coerce(self, value):
         if isinstance(value, FieldElement):

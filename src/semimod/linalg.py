@@ -2,8 +2,13 @@
 
 Matrices are lists of row lists holding raw field values.  Dimensions are
 tiny (the module rank n), so one fraction-free elimination, ``echelon_insert``,
-serves every use.  The reduced row echelon form and the free-column kernel
-basis built from it are unique for a given row space.
+serves every use.  Its one step is the field's kernel ``Field.eliminate``
+(lead*row - c*prow, inline arithmetic per field), which the back
+substitution of the reduced form uses with lead 1.  The reduced row echelon
+form and the free-column kernel basis built from it are unique for a given
+row space.  ``dot_raw`` keeps plain ``add`` and ``mul``: with
+``Polynomial.evaluate_raw`` it re-checks the scan's violations apart from
+the kernels.
 """
 
 from __future__ import annotations
@@ -27,12 +32,11 @@ def echelon_insert(echelon, row, field: Field) -> int:
     reduced fraction-free, row <- pivot * row - row[pc] * pivot_row, by every
     pivot in column order, and kept if anything is left.  Returns the rank
     of the rows seen so far."""
-    is_zero, sub, mul = field.is_zero, field.sub, field.mul
+    is_zero, eliminate = field.is_zero, field.eliminate
     for pc, prow in echelon:
         c = row[pc]
         if not is_zero(c):
-            lead = prow[pc]
-            row = [sub(mul(lead, x), mul(c, y)) for x, y in zip(row, prow)]
+            row = eliminate(prow[pc], row, c, prow)
     for col, x in enumerate(row):
         if not is_zero(x):
             insort(echelon, (col, row))
@@ -54,7 +58,7 @@ def _reduced_echelon(rows, field: Field):
         for qc, qrow in reduced:
             c = row[qc]
             if not field.is_zero(c):
-                row = [field.sub(x, field.mul(c, y)) for x, y in zip(row, qrow)]
+                row = field.eliminate(field.one_raw, row, c, qrow)
         reduced.insert(0, (pc, row))
     return reduced
 

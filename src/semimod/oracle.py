@@ -12,20 +12,30 @@ n! products, so at larger ranks the scan goes straight to the echelon form
 below.  When the prefix a[:-1] of a point changes, D is specialized at the
 new prefix, and the rows are specialized at it when first needed; each
 value at a point is then one Horner evaluation in a[-1].  Horner is the
-scan's one evaluator, in the specialization as at the points.
+scan's one evaluator, in the specialization as at the points, and it is the
+field's own kernel, ``Field.horner``, with inline arithmetic per field; a
+one-coordinate prefix is specialized with one call per coefficient list.
 
 Where D(a) != 0 the first n rows are independent, the joint kernel is
-trivial and the point passes.  Elsewhere the generator rows are evaluated
-one at a time into an echelon form; once its rank reaches n the remaining
+trivial and the point passes.  The specialized D has its trailing zeros
+trimmed, so where a nonzero constant is left, every point of the line
+passes with no evaluation at all; each point is still counted against the
+cap.  Where nothing is left, D vanishes on the whole line and every point
+of it goes to the echelon form.  Where D(a) = 0, or above MINOR_MAX_RANK,
+the generator rows are evaluated one at a time into an echelon form; once its rank reaches n the remaining
 generators, the kernel and the query are skipped.  Only where the rank
 stays below n does the scan compute a basis of the joint kernel from that
 echelon form, evaluate the query, and check that it annihilates every
-kernel basis vector (linearity makes basis vectors sufficient).  The first
-violation in enumeration order is re-verified on an independent path,
-``Polynomial.evaluate_raw`` and a dot product, and returned, so results are
-fully deterministic; a parallel implementation would have to reconcile to
-the same minimal index.  The witness search in ``closure`` and the oracle
-below are thin wrappers over this one loop.
+kernel basis vector (linearity makes basis vectors sufficient).  The
+echelon form's one step is the field's elimination kernel,
+``Field.eliminate``.  The first violation in enumeration order is
+re-verified on an independent path, ``Polynomial.evaluate_raw`` and a dot
+product, and returned, so results are fully deterministic; a parallel
+implementation would have to reconcile to the same minimal index.  That
+path keeps plain ``add`` and ``mul`` and calls neither kernel, so a wrong
+kernel ends in an InvariantViolationError, never in a reported
+counterexample.  The witness search in ``closure`` and the oracle below
+are thin wrappers over this one loop.
 
 The oracle enumerates every point of the field's d-fold product.
 Finite-field points are not points of the characteristic-0 variety, so
@@ -152,25 +162,16 @@ def _compile(poly, nx, zero):
     return _nest(terms, nx, zero) if nx else [_nest(terms, 0, zero)]
 
 
-def _horner(coeffs, x, field):
-    """The value at x of the polynomial with coefficients ``coeffs``, lowest
-    degree first; x is not read when there is at most one coefficient."""
-    if not coeffs:
-        return field.zero_raw
-    add, mul = field.add, field.mul
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = add(mul(acc, x), c)
-    return acc
-
-
-def _specialize(nested, coords, field):
-    """The value of nested coefficient lists at ``coords``, by Horner in each
-    coordinate, last first."""
+def _specialize(nested, coords, horner):
+    """The value of nested coefficient lists at ``coords``, by the field's
+    Horner kernel in each coordinate, last first; one coordinate is one
+    call."""
+    if len(coords) == 1:
+        return horner(nested, coords[0])
     if not coords:
         return nested
     rest = coords[:-1]
-    return _horner([_specialize(c, rest, field) for c in nested], coords[-1], field)
+    return horner([_specialize(c, rest, horner) for c in nested], coords[-1])
 
 
 def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleReport:
@@ -200,7 +201,9 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     ]
     minor = _det(gen_rows[:n]) if n <= MINOR_MAX_RANK and gen_count >= n else None
     minor = None if minor is None or minor.is_zero() else _compile(minor, nx, zero)
+    horner = field.horner
     prefix = cache = None
+    minor_at = ()  # the minor on the current line, trailing zeros trimmed
 
     def values(i):
         """Row i of ``compiled`` at the current point, from the rows
@@ -208,9 +211,9 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
         coeffs = cache[i]
         if coeffs is None:
             coeffs = cache[i] = [
-                [_specialize(c, prefix, field) for c in entry] for entry in compiled[i]
+                [_specialize(c, prefix, horner) for c in entry] for entry in compiled[i]
             ]
-        return [_horner(c, last, field) for c in coeffs]
+        return [horner(c, last) for c in coeffs]
 
     count = evaluations = nontrivial = 0
     for point in points:
@@ -220,9 +223,11 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
         if point[:-1] != prefix:
             prefix, cache = point[:-1], [None] * len(compiled)
             if minor is not None:
-                minor_at = [_specialize(c, prefix, field) for c in minor]
+                minor_at = [_specialize(c, prefix, horner) for c in minor]
+                while minor_at and is_zero(minor_at[-1]):
+                    minor_at.pop()
         last = point[-1] if point else None
-        if minor is not None and not is_zero(_horner(minor_at, last, field)):
+        if minor_at and (len(minor_at) == 1 or not is_zero(horner(minor_at, last))):
             continue  # the first n generator rows are independent here
         echelon = []
         for i in range(gen_count):

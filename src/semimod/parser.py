@@ -49,6 +49,11 @@ MAX_PAREN_DEPTH = 100
 MAX_EXPONENT = 10_000
 MAX_PRODUCT_TERMS = 10_000
 
+# The longest integer literal: int() refuses longer decimal strings by
+# default (sys.int_info.default_max_str_digits), so every literal that
+# passes this check converts.
+MAX_INTEGER_DIGITS = 4_300
+
 # the punctuation marks, one character each
 _PUNCT = r";=,\[\](){}^*+\-/"
 
@@ -169,9 +174,13 @@ class _Parser:
         return tok
 
     def integer(self) -> str:
+        """The next token, an integer literal of at most
+        ``MAX_INTEGER_DIGITS`` digits."""
         tok = self.tokens[self.pos]
         if not tok.isdecimal():
             self.wanted("int")
+        if len(tok) > MAX_INTEGER_DIGITS:
+            self.fail(f"integer literal of more than {MAX_INTEGER_DIGITS} digits")
         self.pos += 1
         return tok
 
@@ -405,7 +414,8 @@ class _Parser:
                     raise UndefinedNameError(f"{tok!r} is not a ring variable (line {line})")
                 value = field.generator.value
             elif tok.isdecimal():
-                value = field.coerce(int(tok))
+                self.pos = index
+                value = field.coerce(int(self.integer()))
                 if tokens[self.pos] == "/":
                     self.pos += 1
                     den_index = self.pos

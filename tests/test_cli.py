@@ -17,7 +17,13 @@ from semimod.errors import (
 )
 from semimod.fields import QQ, PrimeField, QuadraticField
 from semimod.oracle import oracle_check
-from semimod.parser import QUERY_KINDS, format_problem, parse_polynomial, parse_problem
+from semimod.parser import (
+    MAX_INTEGER_DIGITS,
+    QUERY_KINDS,
+    format_problem,
+    parse_polynomial,
+    parse_problem,
+)
 from semimod.poly import PolyRing
 
 TWISTED_PAIR_PROBLEM = """\
@@ -173,6 +179,35 @@ def test_cli_deep_nesting_is_a_syntax_error(tmp_path, capsys):
     assert code == 2
     assert report["error"]["type"] == "SyntaxError"
     assert (report["error"]["line"], report["error"]["column"]) == (2, 110)
+
+
+_DIGITS = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "body, column",
+    [
+        (f"poly p = x^{_DIGITS};\nquery radical-member p in {{p}};", 12),
+        (f"poly p = {_DIGITS} x;\nquery radical-member p in {{p}};", 10),
+        (f"poly p = 1/{_DIGITS} x;\nquery radical-member p in {{p}};", 12),
+        (f"vec g = [x];\nquery k-of {{g}} at ({_DIGITS});", None),
+    ],
+    ids=["exponent", "coefficient", "denominator", "point"],
+)
+def test_cli_overlong_integer_literal_is_a_syntax_error(tmp_path, capsys, body, column):
+    # int() refuses more than 4,300 digits, which once escaped as an
+    # untyped "Error" report
+    path = write(tmp_path, f"ring Q[x];\n{body}\n")
+    command = body.split("query ")[1].split()[0]
+    code, report = run(capsys, command, path)
+    assert code == 2
+    assert report["error"]["type"] == "SyntaxError"
+    assert report["error"]["message"].startswith(
+        f"integer literal of more than {MAX_INTEGER_DIGITS} digits"
+    )
+    # at the literal: in the problem's second line, or the point's in its third
+    where = (2, column) if column else (3, 20)
+    assert (report["error"]["line"], report["error"]["column"]) == where
 
 
 def test_cli_missing_file(capsys):

@@ -122,6 +122,66 @@ def test_canonical_zero(field):
         assert hash(total) == hash(field.zero)
 
 
+# F4's modulus, t^2 + t + 1, is the one with a linear term (b != 0)
+KERNEL_FIELDS = [
+    QQ,
+    PrimeField(2),
+    PrimeField(3),
+    PrimeField(2**31 - 1),
+    QuadraticField(2),
+    QuadraticField(3),
+    QuadraticField(5),
+]
+
+
+def _raw(field, rng):
+    """A random raw value, zero one time in five."""
+    if rng.random() < 0.2:
+        return field.zero_raw
+    if field is QQ:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+    if isinstance(field, QuadraticField):
+        return (rng.randrange(field.p), rng.randrange(field.p))
+    return rng.randrange(field.p)
+
+
+def plain_horner(field, coeffs, x):
+    value = field.zero_raw
+    for c in reversed(coeffs):
+        value = field.add(field.mul(value, x), c)
+    return value
+
+
+def plain_eliminate(field, lead, row, c, prow):
+    return [
+        field.add(field.mul(lead, a), field.neg(field.mul(c, b)))
+        for a, b in zip(row, prow)
+    ]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_kernels_agree_with_plain_arithmetic(field):
+    # the scan's horner and eliminate against add and mul, on lists of
+    # every length from empty up, with zero leads, points and entries
+    rng = random.Random(f"kernels:{field!r}")
+    for length in list(range(8)) * 25 + [40]:
+        coeffs = [_raw(field, rng) for _ in range(length)]
+        x = _raw(field, rng)
+        assert field.horner(coeffs, x) == plain_horner(field, coeffs, x)
+        row = [_raw(field, rng) for _ in range(length)]
+        prow = [_raw(field, rng) for _ in range(length)]
+        lead, c = _raw(field, rng), _raw(field, rng)
+        assert field.eliminate(lead, row, c, prow) == plain_eliminate(
+            field, lead, row, c, prow
+        )
+        assert field.eliminate(field.zero_raw, row, c, prow) == plain_eliminate(
+            field, field.zero_raw, row, c, prow
+        )
+    # x is not read when there is at most one coefficient
+    assert field.horner([], None) == field.zero_raw
+    assert field.horner([field.one_raw], None) == field.one_raw
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_quadratic_extension_satisfies_frobenius(p):
     field = QuadraticField(p)

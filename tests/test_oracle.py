@@ -428,6 +428,82 @@ def test_scan_without_the_minor_matches_the_reference_loop(field, monkeypatch):
             assert scan_outcome(vanishing_scan, query, gens, field, points, 10**6) == expected
 
 
+F5 = PrimeField(5)
+R5 = PolyRing(F5, ("x", "y"))
+
+
+def x_only_minor_problems():
+    """Generators over F5[x, y] whose minor, x(x - 3), depends on x only:
+    the lines x = 0 and x = 3 reach the echelon form, every other line
+    passes on the minor alone.  The first query is a combination of the
+    generators and passes; the second fails first at (3, 1), the 17th
+    point in odometer order."""
+    x, y = R5.variables()
+    gens = [VectorPoly(R5, [x, y]), VectorPoly(R5, [0, x - 3])]
+    combination = x * gens[0] + (y + 1) * gens[1]
+    return gens, [combination, VectorPoly(R5, [x, 0])]
+
+
+@pytest.mark.parametrize("query_index", [0, 1], ids=["pass", "counterexample"])
+def test_scan_with_a_constant_minor_on_each_line_matches_the_reference(query_index):
+    gens, queries = x_only_minor_problems()
+    query = queries[query_index]
+    in_order = list(odometer(F5.elements(), 2))
+    shuffled = random.Random(5).sample(in_order, len(in_order))
+    outcomes = []
+    for points in (in_order, shuffled):
+        # caps 3, 7 and 12 cross the lines x = 0, 1 and 2 part way
+        for cap in (3, 7, 12, 10**6):
+            expected = scan_outcome(reference_scan, query, gens, F5, points, cap)
+            assert scan_outcome(vanishing_scan, query, gens, F5, points, cap) == expected
+            outcomes.append(expected)
+    assert outcomes[:3] == [("cap", "point cap of 3 crossed"),
+                            ("cap", "point cap of 7 crossed"),
+                            ("cap", "point cap of 12 crossed")]
+    if query_index:
+        assert outcomes[3][0] == 17
+        assert outcomes[3][3] == Witness(
+            (FieldElement(F5, 3), FieldElement(F5, 1)),
+            (FieldElement(F5, 3), FieldElement(F5, 1)),
+        )
+    else:
+        assert outcomes[3][:3] == (25, 10, 10) and outcomes[3][3] is None
+
+
+def test_lines_with_a_constant_minor_pass_without_evaluation(monkeypatch):
+    # on x = 1, 2, 4 the minor is a nonzero constant: one Horner call
+    # specializes it per line, and no point of the line evaluates anything
+    gens, queries = x_only_minor_problems()
+    calls = []
+    plain = PrimeField.horner
+
+    def counted(self, coeffs, x):
+        calls.append(x)
+        return plain(self, coeffs, x)
+
+    monkeypatch.setattr(PrimeField, "horner", counted)
+    points = [(a, b) for a in (1, 2, 4) for b in range(5)]
+    report = vanishing_scan(queries[1], gens, F5, points, 10**6)
+    assert (report.points, report.evaluations, report.passed) == (15, 0, True)
+    assert calls == [1, 2, 4]
+
+
+def test_a_wrong_horner_kernel_is_caught_by_the_re_verification(monkeypatch):
+    # the re-check of a violation evaluates with plain add and mul, so a
+    # kernel that is off by one ends in an invariant error, never in a
+    # reported counterexample
+    gens, queries = x_only_minor_problems()
+    assert oracle_check(queries[0], gens, F5).passed
+    plain = PrimeField.horner
+    monkeypatch.setattr(
+        PrimeField, "horner", lambda self, coeffs, x: (plain(self, coeffs, x) + 1) % self.p
+    )
+    with pytest.raises(InvariantViolationError):
+        oracle_check(queries[0], gens, F5)
+    with pytest.raises(InvariantViolationError):
+        find_vanishing_witness(queries[0], gens)
+
+
 @pytest.mark.parametrize("field", SCAN_FIELDS, ids=repr)
 def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
     # a zero generator of rank 3 leaves a three-dimensional kernel at every

@@ -39,6 +39,36 @@ def test_no_imports_inside_functions():
     assert sorted(found) == []
 
 
+# the independent path that re-checks every violation the scan reports,
+# by module; it must not share the scan's kernels
+PLAIN_EVALUATORS = {
+    "poly.py": {"evaluate_raw"},
+    "linalg.py": {"dot_raw"},
+    "oracle.py": {"_verify_violation", "_rows_at"},
+    "fields.py": {"power"},
+}
+SCAN_KERNELS = {"horner", "eliminate", "echelon_insert"}
+
+
+def test_violation_re_check_does_not_use_the_scan_kernels():
+    root = pathlib.Path(semimod.__file__).parent
+    checked, found = set(), []
+    for module, names in PLAIN_EVALUATORS.items():
+        tree = ast.parse((root / module).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.FunctionDef) and node.name in names):
+                continue
+            checked.add((module, node.name))
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                    if name in SCAN_KERNELS:
+                        found.append(f"{module}:{call.lineno} {node.name} calls {name}")
+    assert checked == {(m, n) for m, names in PLAIN_EVALUATORS.items() for n in names}
+    assert found == []
+
+
 def test_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies, so every import in the
     # package is from the standard library or from semimod itself

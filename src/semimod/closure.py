@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationCapExceededError, InvariantViolationError, MismatchedRingError
+from .errors import EnumerationCapExceededError, InvariantViolationError
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
@@ -38,7 +38,7 @@ from .groebner import (
     submodule_member,
 )
 from .oracle import odometer, vanishing_scan
-from .poly import DEFAULT_ORDER, OrderSpec, Polynomial, PolyRing, VectorPoly
+from .poly import DEFAULT_ORDER, OrderSpec, Polynomial, PolyRing, VectorPoly, check_operands
 from .submodules import prime_closure_at
 from .verdicts import Verdict
 
@@ -56,6 +56,7 @@ class BilinearEncoding:
 
 def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
     base = f.ring
+    check_operands(base, len(f), generators, "generator")
     ext = base.extended(f"v{i}" for i in range(1, len(f) + 1))
     vblock = VectorPoly(ext, ext.variables()[base.num_vars :])
     enc_gens = tuple(g.embed_into(ext).dot(vblock) for g in generators)
@@ -66,9 +67,7 @@ def _radical_member(f, gens, order, limits) -> Verdict:
     """The radical test with its evidence: the counters of the basis of
     I + <1 - t*f>."""
     ring = f.ring
-    for g in gens:
-        if g.ring != ring:
-            raise MismatchedRingError("radical test over mismatched rings")
+    check_operands(ring, None, gens, "generator")
     ext = ring.extended(["t"])
     (t,) = ext.variables()[ring.num_vars :]
     aug = [ext.embed(g) for g in gens]

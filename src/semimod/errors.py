@@ -32,6 +32,9 @@ class MismatchedRingError(SemimodError):
 
 
 class DimensionMismatchError(SemimodError):
+    """Operands have different ranks, or matrices different sizes, or a
+    point or polynomial does not fit the ring's x-block."""
+
     code = "DimensionMismatch"
 
 
@@ -40,7 +43,8 @@ class ZeroCovectorError(SemimodError):
 
 
 class ResourceLimitExceededError(SemimodError):
-    """A basis computation crossed its pair or degree cap.
+    """A basis computation crossed its pair or degree cap, or a report
+    would print a coefficient too long to print.
 
     This signals that the instance is beyond desk scale; it is never a
     wrong answer.

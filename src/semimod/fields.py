@@ -10,10 +10,10 @@ is immutable and pure, so values can be shared freely across threads.
 
 Two kernels serve the vanishing scan and the echelon form: ``horner``
 evaluates a coefficient list at a point and ``eliminate`` forms
-lead*row - c*prow.  ``Field`` defines them by ``add`` and ``mul``; each
-field overrides them with inline arithmetic, reducing mod p at every step
-over a finite field, so a whole list costs one call instead of one method
-call per ``add`` and ``mul``.
+lead*row - c*prow.  ``Field`` declares them as hooks beside ``add`` and
+``mul``, and each field implements them with inline arithmetic, reducing
+mod p at every step over a finite field, so a whole list costs one call
+instead of one method call per ``add`` and ``mul``.
 Polynomial evaluation (``Polynomial.evaluate_raw``) and ``linalg.dot_raw``
 keep plain ``add`` and ``mul``: they re-check every violation the scan
 reports, independently of the kernels.
@@ -28,7 +28,15 @@ from .errors import (
     DivisionByZeroError,
     InfiniteFieldError,
     MismatchedFieldError,
+    ResourceLimitExceededError,
 )
+
+# The longest integer the problem format reads or prints, the default
+# limit of int() and str() on decimal strings.  The parser checks literals
+# against it, and ``RationalField.format`` checks numerators and
+# denominators against _PRINT_BOUND, the least integer with more digits.
+MAX_INTEGER_DIGITS = 4_300
+_PRINT_BOUND = 10**MAX_INTEGER_DIGITS
 
 
 def is_prime(n: int) -> bool:
@@ -118,24 +126,6 @@ class Field:
         order."""
         raise InfiniteFieldError(f"{self} is infinite")
 
-    # -- kernels: the vanishing scan's arithmetic --------------------------
-    def horner(self, coeffs, x):
-        """The value at x of the polynomial with coefficients ``coeffs``,
-        lowest degree first; x is not read when there is at most one
-        coefficient."""
-        if not coeffs:
-            return self.zero_raw
-        add, mul = self.add, self.mul
-        acc = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            acc = add(mul(acc, x), c)
-        return acc
-
-    def eliminate(self, lead, row, c, prow):
-        """The row lead*row - c*prow, entry by entry."""
-        sub, mul = self.sub, self.mul
-        return [sub(mul(lead, x), mul(c, y)) for x, y in zip(row, prow)]
-
     # -- Groebner hooks: the reducer's division steps ----------------------
     def normalize(self, m, lc):
         """``(scale * m, scale)`` for a nonzero ``scale``, where ``m`` is a
@@ -166,6 +156,17 @@ class Field:
         raise NotImplementedError
 
     def inv(self, a):
+        raise NotImplementedError
+
+    def horner(self, coeffs, x):
+        """Kernel of the vanishing scan: the value at x of the polynomial
+        with coefficients ``coeffs``, lowest degree first; x is not read
+        when there is at most one coefficient."""
+        raise NotImplementedError
+
+    def eliminate(self, lead, row, c, prow):
+        """Kernel of the echelon form: the row lead*row - c*prow, entry by
+        entry."""
         raise NotImplementedError
 
     def coerce(self, value):
@@ -239,6 +240,10 @@ class RationalField(Field):
         raise TypeError(f"cannot coerce {value!r} into {self}")
 
     def format(self, a) -> str:
+        if abs(a.numerator) >= _PRINT_BOUND or a.denominator >= _PRINT_BOUND:
+            raise ResourceLimitExceededError(
+                f"a coefficient of more than {MAX_INTEGER_DIGITS} digits cannot be printed"
+            )
         return str(a)
 
     def __eq__(self, other):

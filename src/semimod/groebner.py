@@ -95,11 +95,7 @@ from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from operator import mul as _imul
 
-from .errors import (
-    DimensionMismatchError,
-    MismatchedRingError,
-    ResourceLimitExceededError,
-)
+from .errors import ResourceLimitExceededError
 from .poly import (
     DEFAULT_ORDER,
     GREVLEX,
@@ -108,6 +104,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     VectorPoly,
+    check_operands,
     mono_div,
     mono_lcm,
     mono_mul,
@@ -345,22 +342,15 @@ def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> Norma
     ring, rank = f.ring, len(f)
     field = ring.field
     if isinstance(basis, GroebnerBasis) and basis.order == order:
-        if basis.ring != ring:
-            raise MismatchedRingError("basis from a different ring")
-        if basis.rank != rank:
-            raise DimensionMismatchError("basis of a different rank")
+        check_operands(basis.ring, basis.rank, [f], "query")
         pk, infos = basis._packing, basis._divisors
         scales = [lc for (_, lc, _) in infos]
         basis = basis.elements  # repacked only if f outgrows pk
     else:
         basis = list(basis)
-        for g in basis:
-            if g.ring != ring:
-                raise MismatchedRingError("basis element from a different ring")
-            if len(g) != rank:
-                raise DimensionMismatchError("basis element of a different rank")
-            if g.is_zero():
-                raise ValueError("basis elements must be nonzero")
+        check_operands(ring, rank, basis, "basis element")
+        if any(g.is_zero() for g in basis):
+            raise ValueError("basis elements must be nonzero")
         degree = 2 * max(map(_vector_degree, [f, *basis]))
         pk, infos = _first_packing(ring, rank, order, degree), None
     while True:
@@ -392,8 +382,7 @@ def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
     """The S-vector of two module elements, or None when their leading
     components differ (no cancellation is possible).  Tuple-based, as an
     independent check of the packed engine."""
-    if g1.ring != g2.ring or len(g1) != len(g2):
-        raise MismatchedRingError("S-vector over mismatched rings or ranks")
+    check_operands(g1.ring, len(g1), [g2], "S-vector operand")
     if g1.is_zero() or g2.is_zero():
         raise ValueError("S-vector of a zero vector")
     ring, field, mkey = g1.ring, g1.ring.field, order.module_key
@@ -505,12 +494,8 @@ def buchberger(
     if not gens:
         raise ValueError("buchberger needs at least one vector to fix ring and rank")
     ring, rank = gens[0].ring, len(gens[0])
-    kept = []
-    for g in gens:
-        if g.ring != ring or len(g) != rank:
-            raise MismatchedRingError("generators share neither ring nor rank")
-        if not g.is_zero():
-            kept.append(g)
+    check_operands(ring, rank, gens, "generator")
+    kept = [g for g in gens if not g.is_zero()]
     degree = 2 * max([limits.max_degree, *map(_vector_degree, kept)])
     pk = _first_packing(ring, rank, order, degree)
     while True:
@@ -656,15 +641,9 @@ class SubmodulePresentation:
     def __init__(self, ring: PolyRing, rank: int, generators=()):
         self.ring = ring
         self.rank = rank
-        gens = []
-        for g in generators:
-            if g.ring != ring:
-                raise MismatchedRingError("generator from a different ring")
-            if len(g) != rank:
-                raise DimensionMismatchError("generator of a different rank")
-            if not g.is_zero():
-                gens.append(g)
-        self.generators = gens
+        generators = list(generators)
+        check_operands(ring, rank, generators, "generator")
+        self.generators = [g for g in generators if not g.is_zero()]
         self._bases = {}
 
     @classmethod
@@ -700,8 +679,7 @@ def submodule_member(
 ) -> Verdict:
     """Decide f in N; on membership the certificate cofactors satisfy
     sum(cofactor_j * generator_j) == f exactly."""
-    if f.ring != submodule.ring or len(f) != submodule.rank:
-        raise MismatchedRingError("query does not match the submodule's ring/rank")
+    check_operands(submodule.ring, submodule.rank, [f], "query")
     gb = submodule.groebner(order, limits)
     nf = normal_form(f, gb, order)
     if not nf.remainder.is_zero():

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .closure import semiprime_member
-from .errors import DimensionMismatchError, InfiniteFieldError, MismatchedRingError
+from .errors import InfiniteFieldError
 from .fields import Field, PrimeField, QuadraticField
 from .groebner import (
     DEFAULT_LIMITS,
@@ -30,7 +30,7 @@ from .groebner import (
     submodule_member,
 )
 from .oracle import DEFAULT_CAP, oracle_check
-from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, VectorPoly
+from .poly import DEFAULT_ORDER, OrderSpec, PolyMatrix, PolyRing, VectorPoly, check_operands
 from .submodules import HyperplaneSubmodule, hyperplane_member
 from .verdicts import Verdict
 
@@ -47,10 +47,7 @@ class LeftIdealPresentation:
         for g in self.generators:
             if not isinstance(g, PolyMatrix):
                 raise TypeError("left ideal generators must be matrices")
-            if g.ring != self.ring:
-                raise MismatchedRingError("generator from a different ring")
-            if g.size != self.size:
-                raise DimensionMismatchError("generator of a different size")
+        check_operands(self.ring, self.size, self.generators, "generator")
 
 
 def row_module(ideal: LeftIdealPresentation) -> SubmodulePresentation:
@@ -78,8 +75,7 @@ def matrix_member(
 ) -> Verdict:
     """Left-ideal membership: every row must lie in the row module.  On
     membership the certificate holds one cofactor list per row."""
-    if x.ring != ideal.ring or x.size != ideal.size:
-        raise MismatchedRingError("matrix does not match the ideal's ring/size")
+    check_operands(ideal.ring, ideal.size, [x], "query")
     module = row_module(ideal)
     row_certificates = []
     for row in x.rows:

@@ -54,11 +54,10 @@ from .errors import (
     EnumerationCapExceededError,
     InfiniteFieldError,
     InvariantViolationError,
-    MismatchedRingError,
 )
 from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
 from .linalg import dot_raw, echelon_insert, kernel_basis as _kernel_basis
-from .poly import PolyMatrix
+from .poly import PolyMatrix, check_operands
 from .verdicts import Witness
 
 DEFAULT_CAP = 1_000_000
@@ -116,10 +115,6 @@ def odometer(values, dim: int):
 def _rows(obj):
     """A matrix's row vectors; a vector is its own single row."""
     return obj.rows if isinstance(obj, PolyMatrix) else (obj,)
-
-
-def _rank(obj):
-    return len(_rows(obj)[0])
 
 
 def _rows_at(obj, point):
@@ -187,12 +182,8 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     the last coordinate fastest, specializes each prefix once.  Raises
     EnumerationCapExceededError once more than ``cap`` points or
     kernel-vector evaluations are needed."""
-    n = _rank(query)
-    for g in generators:
-        if g.ring != query.ring:
-            raise MismatchedRingError(f"generator over {g.ring}, query over {query.ring}")
-        if _rank(g) != n:
-            raise DimensionMismatchError(f"generator of rank {_rank(g)}, query of rank {n}")
+    n = len(query)
+    check_operands(query.ring, n, generators, "generator")
     nx, zero, is_zero = query.ring.nx, field.zero_raw, field.is_zero
     gen_rows = [row for g in generators for row in _rows(g)]
     gen_count = len(gen_rows)

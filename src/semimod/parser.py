@@ -32,7 +32,15 @@ from .errors import (
     ProblemSyntaxError,
     UndefinedNameError,
 )
-from .fields import QQ, Field, FieldElement, PrimeField, QuadraticField, field_from_name
+from .fields import (
+    MAX_INTEGER_DIGITS,
+    QQ,
+    Field,
+    FieldElement,
+    PrimeField,
+    QuadraticField,
+    field_from_name,
+)
 from .poly import Polynomial, PolyMatrix, PolyRing, VectorPoly, mono_mul
 
 KEYWORDS = {"ring", "poly", "vec", "mat", "query", "in", "at"}
@@ -48,11 +56,6 @@ MAX_PAREN_DEPTH = 100
 # a one-line power such as (x + y + z + 1)^80 runs for minutes.
 MAX_EXPONENT = 10_000
 MAX_PRODUCT_TERMS = 10_000
-
-# The longest integer literal: int() refuses longer decimal strings by
-# default (sys.int_info.default_max_str_digits), so every literal that
-# passes this check converts.
-MAX_INTEGER_DIGITS = 4_300
 
 # the punctuation marks, one character each
 _PUNCT = r";=,\[\](){}^*+\-/"

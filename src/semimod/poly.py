@@ -180,6 +180,21 @@ def _check_ring(a, b):
         raise MismatchedRingError(f"{a.ring} vs {b.ring}")
 
 
+def check_operands(ring: PolyRing, rank, objects, what: str):
+    """The operand rule of every decision: each of ``objects`` lies over
+    ``ring`` (else MismatchedRingError) and, unless ``rank`` is None as for
+    polynomials, has length ``rank`` (else DimensionMismatchError), the
+    rank of a vector and the size of a matrix alike.  ``what`` names the
+    objects in the message."""
+    for obj in objects:
+        if obj.ring != ring:
+            raise MismatchedRingError(f"{what} over {obj.ring!r}, expected {ring!r}")
+        if rank is not None and len(obj) != rank:
+            raise DimensionMismatchError(
+                f"{what} of rank or size {len(obj)}, expected {rank}"
+            )
+
+
 def _coerce_point(ring: PolyRing, point):
     if len(point) != ring.nx:
         raise DimensionMismatchError(
@@ -370,9 +385,7 @@ class VectorPoly:
         )
         if not entries:
             raise DimensionMismatchError("vector rank must be at least 1")
-        for e in entries:
-            if e.ring != ring:
-                raise MismatchedRingError("vector entries from a different ring")
+        check_operands(ring, None, entries, "vector entry")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "entries", entries)
 
@@ -412,10 +425,7 @@ class VectorPoly:
     def _check(self, other):
         if not isinstance(other, VectorPoly):
             raise TypeError("expected a vector")
-        if other.ring != self.ring:
-            raise MismatchedRingError(f"{self.ring} vs {other.ring}")
-        if len(other) != len(self):
-            raise DimensionMismatchError(f"rank {len(self)} vs {len(other)}")
+        check_operands(self.ring, len(self), [other], "vector")
 
     def dot(self, other) -> Polynomial:
         """Sum of entrywise products with a vector of the same ring and rank."""
@@ -460,7 +470,8 @@ def unit_vector(ring: PolyRing, rank: int, i: int) -> VectorPoly:
 
 class PolyMatrix:
     """Square matrix over R, stored as a tuple of its rows, each a VectorPoly;
-    the operations below act row by row through the vector operations."""
+    the operations below act row by row through the vector operations.  Its
+    ``len`` is its size, the rank of its rows."""
 
     __slots__ = ("ring", "rows")
 
@@ -469,8 +480,7 @@ class PolyMatrix:
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise DimensionMismatchError("matrix must be square and nonempty")
-        if any(row.ring != ring for row in rows):
-            raise MismatchedRingError("matrix entries from a different ring")
+        check_operands(ring, n, rows, "matrix row")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", rows)
 
@@ -479,6 +489,9 @@ class PolyMatrix:
 
     @property
     def size(self) -> int:
+        return len(self.rows)
+
+    def __len__(self):
         return len(self.rows)
 
     def is_zero(self) -> bool:
@@ -495,10 +508,7 @@ class PolyMatrix:
     def _check(self, other):
         if not isinstance(other, PolyMatrix):
             raise TypeError("expected a matrix")
-        if other.ring != self.ring:
-            raise MismatchedRingError(f"{self.ring} vs {other.ring}")
-        if other.size != self.size:
-            raise DimensionMismatchError(f"size {self.size} vs {other.size}")
+        check_operands(self.ring, len(self), [other], "matrix")
 
     def __matmul__(self, other):
         if isinstance(other, PolyMatrix):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import DimensionMismatchError, MismatchedRingError, ZeroCovectorError
+from .errors import ZeroCovectorError
 from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
@@ -27,6 +27,7 @@ from .poly import (
     PolyRing,
     VectorPoly,
     _coerce_point,
+    check_operands,
     unit_vector,
 )
 
@@ -64,10 +65,7 @@ class HyperplaneSubmodule:
 
 def hyperplane_member(f: VectorPoly, hyperplane: HyperplaneSubmodule) -> bool:
     """Evaluate the defining equation sum f_i(a) u_i = 0 exactly."""
-    if f.ring != hyperplane.ring:
-        raise MismatchedRingError(f"vector over {f.ring}, hyperplane over {hyperplane.ring}")
-    if len(f) != hyperplane.rank:
-        raise DimensionMismatchError("vector rank does not match the covector")
+    check_operands(hyperplane.ring, hyperplane.rank, [f], "query")
     field = f.ring.field
     values = f.evaluate_raw(hyperplane.point)
     return field.is_zero(dot_raw(field, values, hyperplane.covector))

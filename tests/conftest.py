@@ -11,18 +11,18 @@ ORDERS = [OrderSpec(s, m) for s in ("grevlex", "lex") for m in ("top", "pot")]
 
 
 @pytest.fixture
-def ring_qxy():
+def R():
     return PolyRing(QQ, ("x", "y"))
 
 
 @pytest.fixture
-def twisted_pair(ring_qxy):
+def twisted(R):
     """The classic weakly-semiprime-but-not-semiprime submodule of Q[x,y]^2:
     all multiples t*(x, y) with t in the ideal (x, y)."""
-    x, y = ring_qxy.variables()
-    g1 = VectorPoly(ring_qxy, [x * x, x * y])
-    g2 = VectorPoly(ring_qxy, [x * y, y * y])
-    return SubmodulePresentation(ring_qxy, 2, [g1, g2])
+    x, y = R.variables()
+    g1 = VectorPoly(R, [x * x, x * y])
+    g2 = VectorPoly(R, [x * y, y * y])
+    return SubmodulePresentation(R, 2, [g1, g2])
 
 
 @pytest.fixture
@@ -72,3 +72,12 @@ def random_generators(rng: random.Random, ring, rank, count=None, max_degree=2,
         random_vector(rng, ring, rank, max_degree, coeffs=coeffs)
         for _ in range(count)
     ]
+
+
+def combine(cofactors, gens):
+    """The sum of cofactor * generator over a certificate."""
+    total = None
+    for c, g in zip(cofactors, gens):
+        piece = c * g
+        total = piece if total is None else total + piece
+    return total

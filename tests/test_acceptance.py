@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_generators, random_polynomial, random_vector
+from conftest import combine, random_generators, random_polynomial, random_vector
 
 from semimod.closure import (
     closure_law_check,
@@ -72,14 +72,6 @@ def criterion(name, budget_s=None):
 def twisted_pair(ring):
     x, y = ring.variables()
     return [VectorPoly(ring, [x * x, x * y]), VectorPoly(ring, [x * y, y * y])]
-
-
-def combine(cofactors, gens):
-    total = None
-    for c, g in zip(cofactors, gens):
-        piece = c * g
-        total = piece if total is None else total + piece
-    return total
 
 
 def test_criterion_1_twisted_pair_fixture():

@@ -210,6 +210,41 @@ def test_cli_overlong_integer_literal_is_a_syntax_error(tmp_path, capsys, body, 
     assert (report["error"]["line"], report["error"]["column"]) == where
 
 
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("member", "poly p = 9^10000 x;\npoly q = x;\nquery member p in {q};"),
+        (
+            "semiprime-member",
+            "vec p = [9^10000 x, 0];\nvec q = [x, 0];\nquery semiprime-member p in {q};",
+        ),
+    ],
+    ids=["member", "semiprime-member"],
+)
+def test_cli_overlong_printed_coefficient_is_a_resource_limit(tmp_path, capsys, command, body):
+    # str() refuses more than 4,300 digits, so a certificate cofactor of
+    # 9^10000 (9,543 digits) once escaped as an untyped "Error" report
+    code, report = run(capsys, command, write(tmp_path, f"ring Q[x];\n{body}\n"))
+    assert code == 2
+    assert report["error"] == {
+        "type": "ResourceLimitExceeded",
+        "message": f"a coefficient of more than {MAX_INTEGER_DIGITS} digits cannot be printed",
+    }
+
+
+@pytest.mark.parametrize("exponent, prints", [(4299, True), (4300, False)])
+def test_cli_printing_bound_is_the_literal_bound(tmp_path, capsys, exponent, prints):
+    # 10^4299 has 4,300 digits, the longest literal the parser reads back
+    body = f"poly p = 10^{exponent} x;\npoly q = x;\nquery member p in {{q}};"
+    code, report = run(capsys, "member", write(tmp_path, f"ring Q[x];\n{body}\n"))
+    if prints:
+        assert code == 0
+        assert report["certificate"]["cofactors"] == [str(10**exponent)]
+    else:
+        assert code == 2
+        assert report["error"]["type"] == "ResourceLimitExceeded"
+
+
 def test_cli_missing_file(capsys):
     code, report = run(capsys, "member", "/nonexistent/problem.sm")
     assert code == 2

@@ -15,7 +15,7 @@ from semimod.closure import (
     radical_member,
     semiprime_member,
 )
-from semimod.errors import InvariantViolationError, MismatchedRingError
+from semimod.errors import DimensionMismatchError, InvariantViolationError
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import (
     DEFAULT_LIMITS,
@@ -25,19 +25,6 @@ from semimod.groebner import (
 )
 from semimod.poly import DEFAULT_ORDER, PolyRing, VectorPoly, unit_vector
 from semimod.verdicts import EXTENSION_STABLE, SOUND_ONLY, guarantee_for
-
-
-@pytest.fixture
-def R():
-    return PolyRing(QQ, ("x", "y"))
-
-
-@pytest.fixture
-def twisted(R):
-    x, y = R.variables()
-    return SubmodulePresentation(
-        R, 2, [VectorPoly(R, [x * x, x * y]), VectorPoly(R, [x * y, y * y])]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +117,8 @@ def test_twisted_pair_query_is_semiprime_member(R, twisted):
 
 def test_query_of_the_wrong_rank_is_rejected(R, twisted):
     x, y = R.variables()
-    message = "query does not match the submodule's ring/rank"
-    with pytest.raises(MismatchedRingError, match=message):
+    message = "query of rank or size 3, expected 2"
+    with pytest.raises(DimensionMismatchError, match=message):
         semiprime_member(VectorPoly(R, [x, y, x]), twisted)
 
 

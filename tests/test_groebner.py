@@ -5,7 +5,7 @@ from heapq import heapify, heappop, heappush
 
 import pytest
 
-from conftest import ORDERS, random_generators, random_vector
+from conftest import ORDERS, combine, random_generators, random_vector
 
 from semimod import groebner
 from semimod.closure import radical_member, semiprime_member
@@ -44,22 +44,9 @@ RATIONAL_COEFFS = (
 
 
 @pytest.fixture
-def R():
-    return PolyRing(QQ, ("x", "y"))
-
-
-@pytest.fixture
 def pair_basis(R):
     x, y = R.variables()
     return [VectorPoly(R, [x * x, x * y]), VectorPoly(R, [x * y, y * y])]
-
-
-def combine(cofactors, gens):
-    total = None
-    for c, g in zip(cofactors, gens):
-        piece = c * g
-        total = piece if total is None else total + piece
-    return total
 
 
 def tuple_map(v):

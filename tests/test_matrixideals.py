@@ -21,11 +21,6 @@ from semimod.submodules import HyperplaneSubmodule, hyperplane_member
 
 
 @pytest.fixture
-def R():
-    return PolyRing(QQ, ("x", "y"))
-
-
-@pytest.fixture
 def twisted_matrix_ideal(R):
     x, y = R.variables()
     G = PolyMatrix(R, [[x * x, x * y], [x * y, y * y]])

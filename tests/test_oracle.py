@@ -37,11 +37,6 @@ from semimod.verdicts import Witness
 
 
 @pytest.fixture
-def R():
-    return PolyRing(QQ, ("x", "y"))
-
-
-@pytest.fixture
 def twisted_gens(R):
     x, y = R.variables()
     return [VectorPoly(R, [x * x, x * y]), VectorPoly(R, [x * y, y * y])]

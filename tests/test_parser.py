@@ -161,17 +161,17 @@ def test_tokenize_matches_reference_on_examples(path):
     assert_same_tokens(path.read_text(encoding="utf-8"))
 
 
-def test_tokenize_matches_reference_on_test_problem_texts(twisted_pair, twisted_pair_f3):
-    pairs = [(p.ring, p.generators) for p in (twisted_pair, twisted_pair_f3)]
+def test_tokenize_matches_reference_on_test_problem_texts(twisted, twisted_pair_f3):
+    pairs = [(p.ring, p.generators) for p in (twisted, twisted_pair_f3)]
     texts = _test_file_texts() + _printed_problems(pairs)
     assert len(texts) > 40
     for text in texts:
         assert_same_tokens(text)
 
 
-def test_tokenize_matches_reference_on_mutations(twisted_pair):
+def test_tokenize_matches_reference_on_mutations(twisted):
     texts = [p.read_text(encoding="utf-8") for p in EXAMPLES]
-    texts += _printed_problems([(twisted_pair.ring, twisted_pair.generators)])
+    texts += _printed_problems([(twisted.ring, twisted.generators)])
     rejected = sum(assert_same_tokens(text) for text in _mutations(texts, 2000, seed=7))
     assert rejected > 100
 

@@ -26,11 +26,6 @@ from semimod.poly import (
 )
 
 
-@pytest.fixture
-def R():
-    return PolyRing(QQ, ("x", "y"))
-
-
 def test_product_of_sum_and_difference(R):
     x, y = R.variables()
     assert (x + y) * (x - y) == x * x - y * y

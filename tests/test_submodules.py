@@ -22,19 +22,6 @@ from semimod.submodules import (
 )
 
 
-@pytest.fixture
-def R():
-    return PolyRing(QQ, ("x", "y"))
-
-
-@pytest.fixture
-def twisted(R):
-    x, y = R.variables()
-    return SubmodulePresentation(
-        R, 2, [VectorPoly(R, [x * x, x * y]), VectorPoly(R, [x * y, y * y])]
-    )
-
-
 # ---------------------------------------------------------------------------
 # hyperplane submodules
 # ---------------------------------------------------------------------------

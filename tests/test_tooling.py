@@ -69,6 +69,21 @@ def test_violation_re_check_does_not_use_the_scan_kernels():
     assert found == []
 
 
+def test_ring_faults_are_raised_only_in_poly():
+    # one operand rule: entry points call poly.check_operands instead of
+    # testing rings by hand
+    root = pathlib.Path(semimod.__file__).parent
+    found = []
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) == "MismatchedRingError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert any(entry.startswith("poly.py:") for entry in found)
+    assert [entry for entry in found if not entry.startswith("poly.py:")] == []
+
+
 def test_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies, so every import in the
     # package is from the standard library or from semimod itself

@@ -18,6 +18,11 @@ positive verdict stays sound for every extension point, while a negative
 one may have no base-field witness; ``verdicts.guarantee_for`` names the
 case that applies to a field.
 
+A decision reads no monic basis and no cofactor: the radical test asks
+only whether 1 reduces to zero, and reads its basis's elements only to
+re-check a unit ideal.  Over Q the witness search evaluates in integers
+(see ``find_vanishing_witness``).
+
 Everything here is pure; long computations are bounded by the resource
 caps and independent queries may run in parallel.
 """
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import EnumerationCapExceededError, InvariantViolationError
 from .groebner import (
@@ -104,12 +108,13 @@ WITNESS_RADIUS = 2
 
 
 def _grid_values():
-    """Small rational coordinates, nearest to zero first, so the first
-    witness found is the smallest one."""
-    yield Fraction(0)
+    """Small integer coordinates, nearest to zero first, so the first
+    witness found is the smallest one.  Plain ints, so the scan over Q
+    evaluates its integral rows in integers."""
+    yield 0
     for k in range(1, WITNESS_RADIUS + 1):
-        yield Fraction(k)
-        yield Fraction(-k)
+        yield k
+        yield -k
 
 
 def find_vanishing_witness(f, generators):
@@ -117,10 +122,11 @@ def find_vanishing_witness(f, generators):
     generator while f(a).v != 0, using the oracle's vanishing scan.  The
     query and the generators may be vectors or matrices; for matrices the
     test is G(a)v = 0 for every generator while F(a)v != 0.  Over Q the
-    points form the integer grid {-WITNESS_RADIUS..WITNESS_RADIUS}^d; over
-    a finite field they are every point of the field, in the oracle's
-    order.  Points are enumerated lazily, and the search gives up after
-    WITNESS_CAP points or kernel-vector evaluations.  Returns a verified
+    points form the integer grid {-WITNESS_RADIUS..WITNESS_RADIUS}^d, as
+    plain ints, so the scan's rows, cleared of denominators, evaluate in
+    integers; over a finite field they are every point of the field, in the
+    oracle's order.  Points are enumerated lazily, and the search gives up
+    after WITNESS_CAP points or kernel-vector evaluations.  Returns a verified
     Witness or None; absence of a witness proves nothing."""
     field = f.ring.field
     if field.char == 0:

@@ -17,6 +17,12 @@ instead of one method call per ``add`` and ``mul``.
 Polynomial evaluation (``Polynomial.evaluate_raw``) and ``linalg.dot_raw``
 keep plain ``add`` and ``mul``: they re-check every violation the scan
 reports, independently of the kernels.
+
+``split`` takes a coefficient map to its numerators over one common
+denominator and ``join`` takes it back.  Over Q the numerators are ints, so
+certificate expansion and the vanishing scan run on integers and Fractions
+are made only for what a report prints; over a finite field both are the
+identity.
 """
 
 from __future__ import annotations
@@ -145,6 +151,19 @@ class Field:
         one = self.one_raw
         return one, (c if lead == one else self.div(c, lead))
 
+    # -- common denominators: certificate expansion and the vanishing scan --
+    def split(self, m):
+        """``(numerators, d)`` for a coefficient map ``m``: the map of
+        numerators over one denominator d, a positive int, with m equal to
+        numerators / d.  Over a finite field every value is its own
+        numerator and d is 1."""
+        return m, 1
+
+    def join(self, m, d):
+        """The coefficient map of the numerators ``m`` over the int ``d``;
+        undoes ``split``.  Over a finite field d is 1."""
+        return m
+
     # -- hooks -----------------------------------------------------------
     def add(self, a, b):
         raise NotImplementedError
@@ -203,7 +222,7 @@ class RationalField(Field):
 
     def horner(self, coeffs, x):
         if not coeffs:
-            return self.zero_raw
+            return 0  # the scan's rows are integral over Q (``split``)
         acc = coeffs[-1]
         for c in coeffs[-2::-1]:
             acc = acc * x + c
@@ -212,11 +231,19 @@ class RationalField(Field):
     def eliminate(self, lead, row, c, prow):
         return [lead * a - c * b for a, b in zip(row, prow)]
 
+    def split(self, m):
+        """Integer numerators over the least common denominator; takes ints
+        as well as Fractions."""
+        den = lcm(*[v.denominator for v in m.values()])
+        return {k: v.numerator * (den // v.denominator) for k, v in m.items()}, den
+
+    def join(self, m, d):
+        return {k: Fraction(v, d) for k, v in m.items()}
+
     def normalize(self, m, lc):
         """The primitive integer multiple of ``m`` whose coefficient ``lc``
         is positive: denominators cleared, content divided out."""
-        den = lcm(*[v.denominator for v in m.values()])
-        ints = {k: v.numerator * (den // v.denominator) for k, v in m.items()}
+        ints, den = self.split(m)
         content = gcd(*ints.values())
         if lc < 0:
             content = -content

@@ -14,19 +14,22 @@ integer maps never meet a Fraction.  It returns the product S of the a's
 with the remainder, so S*input = sum(cof_k*b_k) + rem exactly; over a finite
 field a and S are always 1.  S-vectors are a*ti*b_i - q*tj*b_j in the same
 way.  The engine's 1 is ``field.normalize``'s image of 1 (over Q the
-integer 1), so scales and recipe scalars stay integers too.  Only
-``buchberger``'s last step turns the reduced basis into monic Fraction
-vectors, and ``normal_form`` scales its cofactors and remainder back by
-1/S.
+integer 1), so scales and recipe scalars stay integers too.  Over Q,
+Fractions are made only for what a caller reads: a basis's monic elements
+are built from its integer divisors when first read, and ``normal_form``'s
+remainder and cofactors, scaled back by 1/S, likewise.  A decision reads
+only the remainder, so a non-member builds no cofactor and no monic element.
 
 Each working element keeps a recipe: the (scalar map, earlier index) pairs
 it was made from, and one scale factor, the one its normalization applied.
 An input points at itself, an S-pair remainder is S*a*ti*b_i - S*q*tj*b_j -
 sum cof_k*b_k, a tail-reduced element is S*b_pos - sum cof_q*b_q, and a
 basis element that is not monic gets one more step scaling by 1/L.  Only a
-certificate multiplies recipes out, through ``_combine``, which applies each
-scale once, into combinations of the input generators; radical tests,
-refutation checks and prime closures never do.
+certificate multiplies recipes out, through ``_combine``, into combinations
+of the input generators; radical tests, refutation checks and prime
+closures never do.  Over Q ``_combine`` works on integer maps over one
+common denominator (``field.split``) and the cofactors become Fractions
+once, at the end (``field.join``).
 
 Inside the engine a module monomial (component, exponents) is one
 non-negative int, laid out by a ``_Packing`` that is cached per (number of
@@ -84,8 +87,11 @@ Every basis's ``stats`` counts ``pairs_processed`` (pairs taken off the
 queue, the quantity ``GroebnerLimits.max_pairs`` bounds), ``pairs_skipped``
 (those dropped by either criterion), ``zero_reductions`` (S-vectors that
 reduced to zero) and ``basis_size`` (elements of the reduced basis, 0 for
-the empty one).  Each invocation owns its working state; separate
-invocations may run concurrently.
+the empty one).  Besides the pair and degree caps of ``GroebnerLimits``,
+every new working element over Q must keep its integer coefficients within
+MAX_COEFFICIENT_BITS, a constant, or the basis ends in
+ResourceLimitExceededError.  Each invocation owns its working state;
+separate invocations may run concurrently.
 """
 
 from __future__ import annotations
@@ -93,6 +99,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 from operator import mul as _imul
 
 from .errors import ResourceLimitExceededError
@@ -127,6 +134,10 @@ class GroebnerLimits:
 
 
 DEFAULT_LIMITS = GroebnerLimits()
+
+# The largest integer coefficient, in bits, of a working element over Q.
+# The pools peak at 125 bits; lex bases can grow past 10^5 bits in seconds.
+MAX_COEFFICIENT_BITS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +278,18 @@ def _normalized(m, field):
     return (lead, m[lead], m), scale
 
 
+def _check_coefficients(m, field):
+    """Raise once an integer map's coefficients pass MAX_COEFFICIENT_BITS.
+    Only Q's integers grow; a finite field keeps its values below p."""
+    if not field.char:
+        bits = max(map(int.bit_length, m.values()))
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ResourceLimitExceededError(
+                f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed ({bits} bits); "
+                "instance is beyond desk scale"
+            )
+
+
 def _reduce(fmap, infos, field, guard):
     """Full reduction of a flattened map against the ``_info`` divisors in
     ``infos``; guard is the packing's guard mask.
@@ -325,27 +348,47 @@ def _reduce(fmap, infos, field, guard):
     return rem, cofs, scale
 
 
-@dataclass
 class NormalFormResult:
     """Remainder plus one cofactor per basis element; the division identity
-    input = sum(cofactor_i * basis_i) + remainder holds exactly."""
+    input = sum(cofactor_i * basis_i) + remainder holds exactly.  Each is
+    built from the reducer's packed maps when first read, so a caller that
+    reads only the remainder builds no cofactor."""
 
-    remainder: VectorPoly
-    cofactors: list
+    def __init__(self, ring, rank, packing, rem, cofs, back, scales):
+        self._ring = ring
+        self._rank = rank
+        self._packing = packing
+        self._rem = rem  # packed; the remainder is back * rem
+        self._cofs = cofs  # per divisor k, packed; cofactor k is back * scales[k] * cofs[k]
+        self._back = back
+        self._scales = scales
+
+    @cached_property
+    def remainder(self) -> VectorPoly:
+        rem = _pscale(self._rem, self._back, self._ring.field)
+        return _map_to_vec(self._ring, self._rank, rem, self._packing)
+
+    @cached_property
+    def cofactors(self) -> list:
+        mul, exps, back = self._ring.field.mul, self._packing.exps, self._back
+        return [
+            Polynomial(self._ring, {exps(t): mul(b, c) for t, c in self._cofs.get(k, {}).items()})
+            for k, b in enumerate(mul(back, s) for s in self._scales)
+        ]
 
 
 def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> NormalFormResult:
     """Divide f by a ``GroebnerBasis`` or a list of module elements; no
     remainder term is divisible by any basis leading module-monomial.  A
-    basis computed under ``order`` lends its packed integer divisors; a list
-    is packed and normalized here."""
+    basis computed under ``order`` lends its packed integer divisors, and
+    its monic elements are read only if f outgrows their packing; a list is
+    packed and normalized here."""
     ring, rank = f.ring, len(f)
     field = ring.field
     if isinstance(basis, GroebnerBasis) and basis.order == order:
         check_operands(basis.ring, basis.rank, [f], "query")
         pk, infos = basis._packing, basis._divisors
         scales = [lc for (_, lc, _) in infos]
-        basis = basis.elements  # repacked only if f outgrows pk
     else:
         basis = list(basis)
         check_operands(ring, rank, basis, "basis element")
@@ -365,17 +408,12 @@ def normal_form(f: VectorPoly, basis, order: OrderSpec = DEFAULT_ORDER) -> Norma
             rem, cofs, scale = _reduce(fmap, infos, field, pk.guard)
             break
         except _Overflow:
+            if isinstance(basis, GroebnerBasis):
+                basis = basis.elements
             pk, infos = pk.wider(), None
     # the reducer saw fscale*f and s_k*g_k: S*fscale*f = sum(cof_k*s_k*g_k) + rem
-    back, mul = field.inv(field.mul(scale, fscale)), field.mul
-    exps = pk.exps
-    return NormalFormResult(
-        remainder=_map_to_vec(ring, rank, _pscale(rem, back, field), pk),
-        cofactors=[
-            Polynomial(ring, {exps(t): mul(b, c) for t, c in cofs.get(k, {}).items()})
-            for k, b in enumerate(mul(back, s) for s in scales)
-        ],
-    )
+    back = field.inv(field.mul(scale, fscale))
+    return NormalFormResult(ring, rank, pk, rem, cofs, back, scales)
 
 
 def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
@@ -407,19 +445,35 @@ def s_vector(g1: VectorPoly, g2: VectorPoly, order: OrderSpec = DEFAULT_ORDER):
 
 def _combine(recipe, reps, nin, field):
     """scale * sum of c * reps[k] over a recipe (scale, [(scalar map, index)])
-    with exponent-tuple keys, where reps[k] holds one scalar map per input.
-    The only routine that multiplies representations out."""
+    with exponent-tuple keys.  reps[k] and the result are (one scalar map
+    per input, d): numerators over the common denominator d, as
+    ``field.split`` leaves them.  Over Q the products run on ints and d is
+    kept least; over a finite field d is 1.  The only routine that
+    multiplies representations out."""
     scale, steps = recipe
     add, mul, is_zero = field.add, field.mul, field.is_zero
-    out = [dict() for _ in range(nin)]
+    parts = []
     for c, k in steps:
-        for dst, src in zip(out, reps[k]):
+        if scale != field.one_raw:
+            c = _pscale(c, scale, field)
+        c, d = field.split(c)
+        maps, den = reps[k]
+        parts.append((c, maps, d * den))
+    den = lcm(*[d for _, _, d in parts])
+    out = [dict() for _ in range(nin)]
+    for c, maps, d in parts:
+        if d != den:
+            c = {m: (den // d) * v for m, v in c.items()}
+        for dst, src in zip(out, maps):
             for m1, c1 in c.items():
                 for m2, c2 in src.items():
                     _acc(dst, mono_mul(m1, m2), mul(c1, c2), add, is_zero)
-    if scale != field.one_raw:
-        out = [_pscale(m, scale, field) for m in out]
-    return out
+    if den != 1:
+        g = gcd(den, *[v for m in out for v in m.values()])
+        if g != 1:
+            den //= g
+            out = [{key: v // g for key, v in m.items()} for m in out]
+    return out, den
 
 
 class GroebnerBasis:
@@ -427,40 +481,49 @@ class GroebnerBasis:
     and the recipes of the working elements it was made from; ``final[k]``
     indexes the working element equal to ``elements[k]``.
 
-    Over Q the working elements were primitive integer maps; ``elements``
-    are their monic forms, with Fraction coefficients, and the recipe of
-    each one whose lead coefficient L was not 1 ends in a step scaling by
-    1/L.  The basis keeps the packed divisors (lead, L, primitive map) of
-    its elements, and their packing, for ``normal_form``.  Only
-    ``buchberger`` builds one, whole; the empty basis has no elements and
-    the same four counters.  Recipe scalars carry every scale factor of the
-    integer reduction, so certificates are exact.  The first certificate
-    expands every recipe and keeps the result.  That cache is written once,
-    whole, so two threads racing for it only compute it twice."""
+    The basis keeps the packed divisors (lead, L, map) of its elements, and
+    their packing, for ``normal_form``.  Over Q each map is a primitive
+    integer map; ``elements`` are their monic forms, with Fraction
+    coefficients, built from the divisors when first read, and the recipe
+    of each one whose lead coefficient L was not 1 ends in a step scaling by
+    1/L.  Only ``buchberger`` builds a basis, whole; the empty basis has no
+    elements and the same four counters.  Recipe scalars carry every scale
+    factor of the integer reduction, so certificates are exact.  The first
+    certificate expands every recipe, over Q on integers over a common
+    denominator, and keeps the result.  Each cache is written once, whole,
+    so two threads racing for it only compute it twice."""
 
-    def __init__(self, ring, rank, order, elements, inputs, stats,
-                 recipes, final, divisors, packing):
+    def __init__(self, ring, rank, order, inputs, stats, recipes, final, divisors, packing):
         self.ring = ring
         self.rank = rank
         self.order = order
-        self.elements = elements  # list[VectorPoly], monic, sorted by lead
         self.inputs = inputs  # the nonzero generators the basis was built from
         self.stats = stats
         self._recipes = recipes  # per working element: (scale, [(map, index)])
         self._final = final
-        self._divisors = divisors  # per element: its packed _info
+        self._divisors = divisors  # per element: its packed _info, sorted by lead
         self._packing = packing
+
+    @cached_property
+    def elements(self):
+        """The monic elements (list[VectorPoly]), sorted by lead."""
+        field, pk = self.ring.field, self._packing
+        return [
+            _map_to_vec(self.ring, self.rank, _pscale(m, field.inv(lc), field), pk)
+            for _, lc, m in self._divisors
+        ]
 
     def __iter__(self):
         return iter(self.elements)
 
     @cached_property
     def _element_reps(self):
-        """Per element, one scalar map per input."""
+        """Per element, (one scalar map per input, common denominator)."""
         field, nin, pk = self.ring.field, len(self.inputs), self._packing
+        one = _engine_one(field)
         # slot j starts as input j itself, which the input's recipe points at
-        work = [[{self.ring._zero_exps: field.one_raw} if jj == j else {}
-                 for jj in range(nin)] for j in range(nin)]
+        work = [([{self.ring._zero_exps: one} if jj == j else {} for jj in range(nin)], 1)
+                for j in range(nin)]
         work += [None] * (len(self._recipes) - nin)
         for idx, (scale, steps) in enumerate(self._recipes):
             steps = [({pk.exps(t): c for t, c in m.items()}, k) for m, k in steps]
@@ -470,16 +533,18 @@ class GroebnerBasis:
     @property
     def input_reps(self):
         """Per element, its combination of the inputs as Polynomials."""
-        return [[Polynomial(self.ring, r) for r in rep] for rep in self._element_reps]
+        join = self.ring.field.join
+        return [[Polynomial(self.ring, join(m, den)) for m in maps]
+                for maps, den in self._element_reps]
 
     def certificate(self, cofactors):
         """Cofactors over the inputs of sum(cofactors[k] * elements[k])."""
         field = self.ring.field
         steps = [(q.terms, k) for k, q in enumerate(cofactors) if q.terms]
-        maps = _combine(
+        maps, den = _combine(
             (field.one_raw, steps), self._element_reps, len(self.inputs), field
         )
-        return [Polynomial(self.ring, m) for m in maps]
+        return [Polynomial(self.ring, field.join(m, den)) for m in maps]
 
 
 def buchberger(
@@ -526,6 +591,7 @@ def _buchberger(ring, rank, kept, order, limits, pk):
     def add_element(emap, steps):
         nonlocal counter
         info, scale = _normalized(emap, field)
+        _check_coefficients(info[2], field)
         lead = info[0]
         comp, exps = comp_of(lead), pk.exps(lead)
         new_idx = len(infos)
@@ -610,20 +676,18 @@ def _buchberger(ring, rank, kept, order, limits, pk):
             steps += [(_negated(cof, field), kept_idx[others[qi]])
                       for qi, cof in cofs.items()]
             final[pos], rscale = _normalized(rem, field)
+            _check_coefficients(final[pos][2], field)
             kept_idx[pos] = len(recipes)
             recipes.append((rscale, steps))
 
-    # -- the boundary: monic elements, one last recipe step scaling by 1/lc --
-    elements = []
-    for pos, (_, lc, m) in enumerate(final):
-        inv = field.inv(lc)
-        elements.append(_map_to_vec(ring, rank, _pscale(m, inv, field), pk))
+    # -- the boundary: one last recipe step scaling by 1/lc; the monic
+    # elements themselves wait for a reader --
+    for pos, (_, lc, _) in enumerate(final):
         if lc != one:
-            recipes.append((field.one_raw, [({0: inv}, kept_idx[pos])]))
+            recipes.append((field.one_raw, [({0: field.inv(lc)}, kept_idx[pos])]))
             kept_idx[pos] = len(recipes) - 1
-    stats["basis_size"] = len(elements)
-    return GroebnerBasis(ring, rank, order, elements, kept, stats, recipes, kept_idx,
-                         final, pk)
+    stats["basis_size"] = len(final)
+    return GroebnerBasis(ring, rank, order, kept, stats, recipes, kept_idx, final, pk)
 
 
 # ---------------------------------------------------------------------------

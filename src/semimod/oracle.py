@@ -5,16 +5,21 @@ G_i(a)v = 0 for every generator, then F(a)v = 0.  ``vanishing_scan`` runs
 that test over any lazy source of points.  Once per scan it compiles every
 entry of the query and the generators into coefficient lists in the last
 coordinate, which the odometer varies fastest, each coefficient nested the
-same way in the coordinates before it.  Up to rank n = MINOR_MAX_RANK it
-also takes the minor D, the determinant of the first n generator rows (n
-the module rank), with polynomial arithmetic; its cofactor expansion costs
-n! products, so at larger ranks the scan goes straight to the echelon form
-below.  When the prefix a[:-1] of a point changes, D is specialized at the
-new prefix, and the rows are specialized at it when first needed; each
-value at a point is then one Horner evaluation in a[-1].  Horner is the
-scan's one evaluator, in the specialization as at the points, and it is the
-field's own kernel, ``Field.horner``, with inline arithmetic per field; a
-one-coordinate prefix is specialized with one call per coefficient list.
+same way in the coordinates before it.  Each row, and the minor below, is
+first multiplied by the least common denominator of its coefficients
+(``Field.split``): that keeps every kernel and every zero, and over Q, at
+the integer points of the witness grid, Horner and the echelon form run on
+ints.  The re-check of a violation evaluates the original rational rows.
+Up to rank n = MINOR_MAX_RANK the scan also takes the minor D, the
+determinant of the first n generator rows (n the module rank), with
+polynomial arithmetic; its cofactor expansion costs n! products, so at
+larger ranks the scan goes straight to the echelon form below.  When the
+prefix a[:-1] of a point changes, D is specialized at the new prefix, and
+the rows are specialized at it when first needed; each value at a point is
+then one Horner evaluation in a[-1].  Horner is the scan's one evaluator,
+in the specialization as at the points, and it is the field's own kernel,
+``Field.horner``, with inline arithmetic per field; a one-coordinate
+prefix is specialized with one call per coefficient list.
 
 Where D(a) != 0 the first n rows are independent, the joint kernel is
 trivial and the point passes.  The specialized D has its trailing zeros
@@ -148,10 +153,25 @@ def _nest(terms, d, zero):
     return [_nest(groups.get(e, []), d - 1, zero) for e in range(top + 1)]
 
 
-def _compile(poly, nx, zero):
-    """One entry as coefficient lists in the last x-variable, the scan's
-    fastest coordinate; without x-variables, a list of its one constant."""
-    terms = list(poly.terms.items())
+def _integral(polys, field):
+    """The term lists of ``polys``, one row or one minor, times the least
+    common denominator of all their coefficients (``field.split``).  One
+    factor for the whole row keeps its kernel, and its products with any
+    vector vanish where the row's did, so over Q the scan runs on ints; over
+    a finite field the terms are unchanged."""
+    nums, _ = field.split(
+        {(i, exps): c for i, p in enumerate(polys) for exps, c in p.terms.items()}
+    )
+    out = [[] for _ in polys]
+    for (i, exps), c in nums.items():
+        out[i].append((exps, c))
+    return out
+
+
+def _compile(terms, nx, zero):
+    """One entry's terms as coefficient lists in the last x-variable, the
+    scan's fastest coordinate; without x-variables, a list of its one
+    constant."""
     if any(any(exps[nx:]) for exps, _ in terms):
         raise DimensionMismatchError("polynomial involves variables outside the x-block")
     return _nest(terms, nx, zero) if nx else [_nest(terms, 0, zero)]
@@ -184,14 +204,17 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     kernel-vector evaluations are needed."""
     n = len(query)
     check_operands(query.ring, n, generators, "generator")
-    nx, zero, is_zero = query.ring.nx, field.zero_raw, field.is_zero
+    nx, is_zero = query.ring.nx, field.is_zero
+    zero = field.split({0: field.zero_raw})[0][0]  # over Q the int 0
     gen_rows = [row for g in generators for row in _rows(g)]
     gen_count = len(gen_rows)
     compiled = [
-        [_compile(p, nx, zero) for p in row] for row in gen_rows + list(_rows(query))
+        [_compile(terms, nx, zero) for terms in _integral(row.entries, field)]
+        for row in gen_rows + list(_rows(query))
     ]
     minor = _det(gen_rows[:n]) if n <= MINOR_MAX_RANK and gen_count >= n else None
-    minor = None if minor is None or minor.is_zero() else _compile(minor, nx, zero)
+    if minor is not None:
+        minor = None if minor.is_zero() else _compile(_integral([minor], field)[0], nx, zero)
     horner = field.horner
     prefix = cache = None
     minor_at = ()  # the minor on the current line, trailing zeros trimmed
@@ -238,7 +261,7 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
                 if any(not is_zero(dot_raw(field, row, v)) for row in query_values):
                     _verify_violation(query, generators, field, point, v)
                     violation = Witness(
-                        tuple(FieldElement(field, x) for x in point),
+                        tuple(map(field.element, point)),
                         tuple(FieldElement(field, x) for x in v),
                     )
                     return OracleReport(

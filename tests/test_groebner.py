@@ -1,5 +1,8 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -12,7 +15,10 @@ from semimod.closure import radical_member, semiprime_member
 from semimod.errors import ResourceLimitExceededError
 from semimod.fields import QQ, PrimeField, field_from_name
 from semimod.groebner import (
+    MAX_COEFFICIENT_BITS,
+    GroebnerBasis,
     GroebnerLimits,
+    NormalFormResult,
     SubmodulePresentation,
     _vector_degree,
     buchberger,
@@ -428,6 +434,52 @@ def test_resource_limits_raise(R):
         )
 
 
+_LEX_CASE = """\
+from semimod.closure import semiprime_member
+from semimod.errors import ResourceLimitExceededError
+from semimod.fields import QQ
+from semimod.groebner import SubmodulePresentation
+from semimod.poly import OrderSpec, PolyRing, VectorPoly
+R = PolyRing(QQ, ("x", "y"))
+x, y = R.variables()
+f = VectorPoly(R, [x * y + 2 * y * y, x * x + 2 * x])
+gens = [VectorPoly(R, [2 * x * x + x, y * y]), VectorPoly(R, [-x * x - x * y, 2 * x * x + 2 * y])]
+try:
+    semiprime_member(f, SubmodulePresentation(R, 2, gens), OrderSpec(scalar="lex", module="top"))
+except ResourceLimitExceededError as exc:
+    print(exc)
+"""
+
+
+def test_lex_radical_basis_ends_at_the_coefficient_cap():
+    # under grevlex this problem is decided in 0.02 s; under lex top its
+    # radical basis grows integer coefficients past 10^5 bits inside every
+    # pair and degree cap, and once ran for minutes
+    src = os.path.dirname(os.path.dirname(groebner.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _LEX_CASE],
+        capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed")
+
+
+def test_coefficient_cap_counts_the_bits_of_each_new_element(R, monkeypatch):
+    # 1000003/2 and its kin put 20-bit integers into the working elements;
+    # over F7 every value stays below 7, so no cap applies
+    x, y = R.variables()
+    gens = [VectorPoly(R, [x * x + R.const(Fraction(1000003, 2)) * y]),
+            VectorPoly(R, [x * y - R.const(3)])]
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 20)
+    buchberger(gens)
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 19)
+    with pytest.raises(ResourceLimitExceededError, match="coefficient cap of 19 bits"):
+        buchberger(gens)
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 0)
+    R7 = PolyRing(PrimeField(7), ("x", "y"))
+    buchberger([g.map_coefficients(R7.field) for g in gens])
+
+
 def test_presentation_caches_a_basis_per_order_and_limits(R):
     # a basis computed under generous caps must not answer a query that a
     # tighter cap would stop on a fresh presentation
@@ -616,6 +668,107 @@ def test_representations_are_built_only_for_certificates(R, pair_basis, monkeypa
     verdict = submodule_member(f, SubmodulePresentation(R, 2, gens))
     assert verdict.member
     assert combine(verdict.certificate, gens) == f
+
+
+def test_monic_bases_and_cofactors_are_built_only_when_read(R, pair_basis, monkeypatch):
+    # deciding reads the packed divisors; only a positive radical test reads
+    # monic elements, those of its one-element unit basis, for its re-check
+    x, y = R.variables()
+    reads = []
+    monic = GroebnerBasis.elements.func
+
+    def counted(gb):
+        reads.append(len(gb._divisors))
+        return monic(gb)
+
+    def refuse(nf):
+        raise AssertionError("normal-form cofactors were built")
+
+    with monkeypatch.context() as m:
+        m.setattr(GroebnerBasis, "elements", property(counted))
+        m.setattr(NormalFormResult, "cofactors", property(refuse))
+        assert not radical_member(y, [x * x])
+        assert radical_member(x, [x * x, x * y])
+        assert reads and set(reads) == {1}
+        reads.clear()
+        N = SubmodulePresentation(R, 2, pair_basis)
+        verdict = semiprime_member(VectorPoly(R, [x, R.one()]), N)
+        assert not verdict.member and verdict.method == "radical"
+        assert not submodule_member(VectorPoly(R, [x, y]), N).member
+        assert reads == []
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_lazy_elements_are_the_monic_divisors(R, order):
+    rng = random.Random(109)
+    for _ in range(10):
+        gb = buchberger(random_generators(rng, R, 2, coeffs=RATIONAL_COEFFS), order)
+        assert "elements" not in vars(gb)
+        pk, expected = gb._packing, []
+        for _, lc, m in gb._divisors:
+            entries = [dict() for _ in range(gb.rank)]
+            for key, c in m.items():
+                entries[pk.comp(key)][pk.exps(key)] = Fraction(c, lc)
+            expected.append(VectorPoly(R, [Polynomial(R, e) for e in entries]))
+        assert gb.elements == expected
+        assert gb.elements is gb.elements  # built once
+        for g in gb.elements:
+            values = [c for e in g.entries for c in e.terms.values()]
+            assert all(type(c) is Fraction for c in values)
+            lead = max(((comp, exps) for comp, e in enumerate(g.entries) for exps in e.terms),
+                       key=order.module_key)
+            assert g.entries[lead[0]].terms[lead[1]] == 1
+
+
+def fraction_combine(recipe, reps, nin):
+    """Certificate expansion as it was before integer maps: scale * sum of
+    c * reps[k] over a recipe, in Fraction arithmetic throughout."""
+    scale, steps = recipe
+    out = [dict() for _ in range(nin)]
+    for c, k in steps:
+        for dst, src in zip(out, reps[k]):
+            for m1, c1 in c.items():
+                for m2, c2 in src.items():
+                    m = mono_mul(m1, m2)
+                    dst[m] = dst.get(m, 0) + Fraction(c1) * c2
+    return [{m: scale * v for m, v in d.items() if v} for d in out]
+
+
+def fraction_reps(gb):
+    """Per element, its Fraction combination of the inputs."""
+    nin, pk, zero = len(gb.inputs), gb._packing, gb.ring._zero_exps
+    work = [[{zero: Fraction(1)} if jj == j else {} for jj in range(nin)] for j in range(nin)]
+    work += [None] * (len(gb._recipes) - nin)
+    for idx, (scale, steps) in enumerate(gb._recipes):
+        steps = [({pk.exps(t): c for t, c in m.items()}, k) for m, k in steps]
+        work[idx] = fraction_combine((scale, steps), work, nin)
+    return [work[k] for k in gb._final]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")
+def test_integer_certificate_expansion_matches_fractions(order, rank):
+    R = PolyRing(QQ, ("x", "y"))
+    rng = random.Random(113 + rank)
+    boundary = 0
+    for _ in range(8):
+        gens = random_generators(rng, R, rank, coeffs=RATIONAL_COEFFS)
+        gb = buchberger(gens, order)
+        boundary += sum(
+            type(c) is Fraction for k in gb._final for c in gb._recipes[k][1][0][0].values()
+        )
+        reference = fraction_reps(gb)
+        reps = gb.input_reps
+        assert reps == [[Polynomial(R, m) for m in rep] for rep in reference]
+        cofactors = [random_vector(rng, R, 1, coeffs=RATIONAL_COEFFS)[0] for _ in gb.elements]
+        certificate = gb.certificate(cofactors)
+        steps = [(q.terms, k) for k, q in enumerate(cofactors)]
+        expected = fraction_combine((1, steps), reference, len(gb.inputs))
+        assert certificate == [Polynomial(R, m) for m in expected]
+        values = [c for rep in reps for q in rep + certificate for c in q.terms.values()]
+        assert values and all(type(c) is Fraction for c in values)
+    # elements whose recipe ends in the 1/lc step were among them
+    assert boundary > 0
 
 
 def test_membership_invariances(R):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_generators, random_polynomial, random_vector
 
 import semimod.oracle
-from semimod.closure import find_vanishing_witness
+from semimod.closure import _grid_values, find_vanishing_witness
 from semimod.errors import (
     DimensionMismatchError,
     EnumerationCapExceededError,
@@ -14,7 +14,7 @@ from semimod.errors import (
     InvariantViolationError,
     MismatchedRingError,
 )
-from semimod.fields import QQ, FieldElement, PrimeField, QuadraticField
+from semimod.fields import QQ, FieldElement, PrimeField, QuadraticField, RationalField
 from semimod.linalg import dot_raw, kernel_basis
 from semimod.matrixideals import agreement_check, matrix_semiprime_member
 from semimod.oracle import (
@@ -405,6 +405,41 @@ def test_scan_matches_the_reference_loop(field, matrix):
             if both(cap)[0] == "cap":
                 outcomes.add("cap")
     assert {"pass", "counterexample", "cap"} <= outcomes
+
+
+def test_integer_rows_over_q_match_the_reference_and_print_the_same_witnesses(monkeypatch):
+    # the witness grid is plain ints and the scan clears each row of its
+    # denominators, so over Q Horner runs on ints; the reference evaluates
+    # the rational rows at Fraction points
+    results = []
+    plain = RationalField.horner
+
+    def recorded(self, coeffs, x):
+        value = plain(self, coeffs, x)
+        results.append(type(value))
+        return value
+
+    monkeypatch.setattr(RationalField, "horner", recorded)
+    rng = random.Random("integer-rows")
+    values = list(_grid_values())
+    assert all(type(v) is int for v in values)
+    coeffs = [Fraction(c) for c in (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), 2, -1)]
+    witnesses = 0
+    for matrix in (False, True):
+        for _ in range(20):
+            d = rng.randint(1, 2)
+            ring = PolyRing(QQ, ("x", "y")[:d])
+            query, gens = random_problem(rng, ring, coeffs, matrix)
+            points = list(odometer(values, d))
+            rational = [tuple(map(Fraction, point)) for point in points]
+            expected = scan_outcome(reference_scan, query, gens, QQ, rational, 10**6)
+            assert scan_outcome(vanishing_scan, query, gens, QQ, points, 10**6) == expected
+            if expected[3] is not None:
+                witnesses += 1
+                printed = Witness(*expected[3]).as_json()
+                assert find_vanishing_witness(query, gens).as_json() == printed
+    assert witnesses > 0
+    assert results and set(results) == {int}
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), QuadraticField(3)], ids=repr)

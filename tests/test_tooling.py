@@ -84,6 +84,30 @@ def test_ring_faults_are_raised_only_in_poly():
     assert [entry for entry in found if not entry.startswith("poly.py:")] == []
 
 
+def test_monic_elements_are_read_only_where_needed():
+    # a basis's monic elements are built on first read; deciding reads the
+    # packed divisors, and only groebner.py and the unit re-check of
+    # closure._radical_member read the elements, so the Fraction boundary
+    # stays off the hot paths.  Calls such as field.elements() are excluded.
+    root = pathlib.Path(semimod.__file__).parent
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        scope = {}  # id of each node: the innermost function around it
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((id(node), func.name) for node in ast.walk(func))
+        found.update(
+            f"{path.name}:{scope.get(id(node), '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "elements"
+            and id(node) not in called
+        )
+    outside = {entry for entry in found if not entry.startswith("groebner.py:")}
+    assert outside == {"closure.py:_radical_member"}
+
+
 def test_package_imports_only_the_standard_library():
     # pyproject.toml declares no dependencies, so every import in the
     # package is from the standard library or from semimod itself

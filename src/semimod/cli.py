@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -26,7 +27,7 @@ from .groebner import (
 from .matrixideals import matrix_semiprime_member
 from .oracle import DEFAULT_CAP, default_field, oracle_check, oracle_check_escalating
 from .parser import QUERY_KINDS, Query, parse_problem
-from .poly import OrderSpec
+from .poly import OrderSpec, VectorPoly
 from .submodules import (
     prime_closure_at,
     semiprime_refutation,
@@ -56,11 +57,16 @@ def _certificate_json(cofactors):
 
 
 def _witness_json(verdict, query, generators):
-    """A refuting point of a negative closure verdict, searched on the query
-    itself, so a matrix gets F's first violation, not one row's."""
+    """A refuting point of a negative closure verdict.  Over Q a vector
+    query's verdict has searched the grid already and carries what it found;
+    otherwise the search runs here, on the query itself, so a matrix gets
+    F's first violation, not one row's."""
     if verdict.member:
         return None
-    witness = find_vanishing_witness(query, generators)
+    if isinstance(query, VectorPoly) and query.ring.field.char == 0:
+        witness = verdict.witness
+    else:
+        witness = find_vanishing_witness(query, generators)
     return witness.as_json() if witness else None
 
 
@@ -270,11 +276,18 @@ def main(argv=None) -> int:
             reports.append(report)
             code = max(code, query_code)
         payload = reports[0] if len(reports) == 1 else reports
-        print(json.dumps(payload, indent=2))
-        return code
     except (SemimodError, OSError, ValueError) as exc:
-        print(json.dumps(_error_report(exc), indent=2))
+        payload, code = _error_report(exc), 2
+    try:
+        print(json.dumps(payload, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered nowhere, so the
+        # interpreter's final flush raises no second error
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
+    return code
 
 
 if __name__ == "__main__":

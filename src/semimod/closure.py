@@ -20,8 +20,11 @@ case that applies to a field.
 
 A decision reads no monic basis and no cofactor: the radical test asks
 only whether 1 reduces to zero, and reads its basis's elements only to
-re-check a unit ideal.  Over Q the witness search evaluates in integers
-(see ``find_vanishing_witness``).
+re-check a unit ideal.  Over Q a negative closure verdict is decided by a
+re-verified grid witness, when the search finds one, before any radical
+basis is built; over a finite field the search only decorates a negative
+the radical test has decided (see ``semiprime_member``).  Over Q the
+witness search evaluates in integers (see ``find_vanishing_witness``).
 
 Everything here is pure; long computations are bounded by the resource
 caps and independent queries may run in parallel.
@@ -101,8 +104,8 @@ def radical_member(
 # witness search
 # ---------------------------------------------------------------------------
 
-# A witness only decorates a verdict the algebraic test has already
-# decided, so its search gets a budget of its own, far below the oracle's.
+# The search runs before the radical test over Q and after it over a finite
+# field, so its budget is its own, far below the oracle's.
 WITNESS_CAP = 1 << 16
 WITNESS_RADIUS = 2
 
@@ -154,18 +157,27 @@ def semiprime_member(
     """Decide whether f lies in the smallest semiprime submodule containing
     the presented one.
 
-    Fast path: plain membership, which yields a cofactor certificate.
-    Otherwise the bilinear encoding reduces the question to radical
-    membership in k[x, v].  A negative verdict stands on the algebraic
-    test alone; ``find_vanishing_witness`` may find a refuting point."""
+    Fast path: plain membership, which yields a cofactor certificate.  Over
+    Q a non-member is then searched for a grid witness, a point a and
+    direction v with g(a).v = 0 for every generator while f(a).v != 0: by
+    the Nullstellensatz one proves f outside the closure over Q-bar too, so
+    a re-verified witness decides the negative (method "witness", the
+    counters of the direct phase alone).  Otherwise, and always over a
+    finite field, whose scan may enumerate every point, the bilinear
+    encoding reduces the question to radical membership in k[x, v]; over Q
+    the verdict's ``witness`` is then None, as the grid has been searched."""
     direct = submodule_member(f, submodule, order, limits)
     if direct.member:
         return Verdict(
             member=True,
-            certificate=direct.certificate,
+            certificate=lambda: direct.certificate,
             method="cofactor",
             stats=direct.stats,
         )
+    if f.ring.field.char == 0:
+        witness = find_vanishing_witness(f, submodule.generators)
+        if witness is not None:
+            return Verdict(member=False, method="witness", stats=direct.stats, witness=witness)
     enc = bilinear_encoding(f, submodule.generators)
     verdict = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
     stats = Counter(direct.stats)  # each counter summed over both phases

@@ -18,7 +18,9 @@ integer 1), so scales and recipe scalars stay integers too.  Over Q,
 Fractions are made only for what a caller reads: a basis's monic elements
 are built from its integer divisors when first read, and ``normal_form``'s
 remainder and cofactors, scaled back by 1/S, likewise.  A decision reads
-only the remainder, so a non-member builds no cofactor and no monic element.
+only the remainder, so a non-member builds no cofactor and no monic element,
+and a member's cofactors and certificate wait until its
+``Verdict.certificate`` is read.
 
 Each working element keeps a recipe: the (scalar map, earlier index) pairs
 it was made from, and one scale factor, the one its normalization applied.
@@ -26,10 +28,10 @@ An input points at itself, an S-pair remainder is S*a*ti*b_i - S*q*tj*b_j -
 sum cof_k*b_k, a tail-reduced element is S*b_pos - sum cof_q*b_q, and a
 basis element that is not monic gets one more step scaling by 1/L.  Only a
 certificate multiplies recipes out, through ``_combine``, into combinations
-of the input generators; radical tests, refutation checks and prime
-closures never do.  Over Q ``_combine`` works on integer maps over one
-common denominator (``field.split``) and the cofactors become Fractions
-once, at the end (``field.join``).
+of the input generators; radical tests, refutation checks, prime closures
+and verdicts whose certificate nobody reads never do.  Over Q ``_combine``
+works on integer maps over one common denominator (``field.split``) and the
+cofactors become Fractions once, at the end (``field.join``).
 
 Inside the engine a module monomial (component, exponents) is one
 non-negative int, laid out by a ``_Packing`` that is cached per (number of
@@ -742,14 +744,16 @@ def submodule_member(
     limits: GroebnerLimits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Decide f in N; on membership the certificate cofactors satisfy
-    sum(cofactor_j * generator_j) == f exactly."""
+    sum(cofactor_j * generator_j) == f exactly.  They are expanded when
+    ``certificate`` is first read, so a caller that reads only the verdict
+    expands no recipe."""
     check_operands(submodule.ring, submodule.rank, [f], "query")
     gb = submodule.groebner(order, limits)
     nf = normal_form(f, gb, order)
     if not nf.remainder.is_zero():
         return Verdict(member=False, stats=dict(gb.stats))
-    certificate = gb.certificate(nf.cofactors)
-    return Verdict(member=True, certificate=certificate, stats=dict(gb.stats))
+    return Verdict(member=True, certificate=lambda: gb.certificate(nf.cofactors),
+                   stats=dict(gb.stats))
 
 
 def ideal_presentation(ring: PolyRing, polys) -> SubmodulePresentation:

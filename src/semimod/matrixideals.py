@@ -77,13 +77,13 @@ def matrix_member(
     membership the certificate holds one cofactor list per row."""
     check_operands(ideal.ring, ideal.size, [x], "query")
     module = row_module(ideal)
-    row_certificates = []
+    verdicts = []
     for row in x.rows:
         verdict = submodule_member(row, module, order, limits)
         if not verdict.member:
             return Verdict(member=False)
-        row_certificates.append(verdict.certificate)
-    return Verdict(member=True, certificate=row_certificates)
+        verdicts.append(verdict)
+    return Verdict(member=True, certificate=lambda: [v.certificate for v in verdicts])
 
 
 def matrix_semiprime_member(
@@ -97,7 +97,9 @@ def matrix_semiprime_member(
     generators' row module, checked row by row until one fails.  The
     verdict carries no certificate, its counters are summed over the rows
     checked, and ``method`` is "cofactor" only when every row checked passed
-    by cofactors."""
+    by cofactors.  A negative takes the method and the witness of the row
+    that failed; that row's witness refutes F too, though it need not be
+    F's first violation in scan order."""
     module = row_module(LeftIdealPresentation(f.ring, f.size, list(generators)))
     stats = Counter()  # each counter summed over the rows checked
     cofactors_only = True
@@ -107,11 +109,10 @@ def matrix_semiprime_member(
         cofactors_only = cofactors_only and verdict.method == "cofactor"
         if not verdict.member:
             break
-    return Verdict(
-        member=verdict.member,
-        method="cofactor" if cofactors_only else "radical",
-        stats=dict(stats),
-    )
+    stats = dict(stats)
+    if not verdict.member:  # the failing row's method, "radical" or "witness"
+        return Verdict(False, method=verdict.method, stats=stats, witness=verdict.witness)
+    return Verdict(True, method="cofactor" if cofactors_only else "radical", stats=stats)
 
 
 def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 # How a verdict transfers to extension fields.  Over the rationals the
@@ -33,19 +32,29 @@ class Witness(NamedTuple):
         }
 
 
-@dataclass
 class Verdict:
     """Boolean decision plus whatever evidence the deciding path produced.
 
     ``certificate`` holds cofactors over the presentation's generators when
-    membership was established by division.  A verdict carries no refuting
-    point; ``closure.find_vanishing_witness`` searches for one on the query.
+    membership was established by division.  It may be given as a
+    zero-argument callable, which builds it on first read, so a caller that
+    reads only ``member`` expands no cofactor.  ``witness`` is the refuting
+    point a negative closure verdict over Q was decided by, when the grid
+    search found one (``closure.semiprime_member``); otherwise None.
     """
 
-    member: bool
-    certificate: list | None = None
-    method: str | None = None
-    stats: dict = field(default_factory=dict)
+    def __init__(self, member, certificate=None, method=None, stats=None, witness=None):
+        self.member = member
+        self._certificate = certificate
+        self.method = method
+        self.stats = {} if stats is None else stats
+        self.witness = witness
+
+    @property
+    def certificate(self):
+        if callable(self._certificate):
+            self._certificate = self._certificate()
+        return self._certificate
 
     def __bool__(self):
         return self.member

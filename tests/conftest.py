@@ -2,6 +2,12 @@ import random
 
 import pytest
 
+from semimod.closure import (
+    bilinear_encoding,
+    find_vanishing_witness,
+    radical_member,
+    semiprime_member,
+)
 from semimod.fields import QQ, PrimeField
 from semimod.groebner import SubmodulePresentation
 from semimod.poly import OrderSpec, Polynomial, PolyRing, VectorPoly
@@ -81,3 +87,15 @@ def combine(cofactors, gens):
         piece = c * g
         total = piece if total is None else total + piece
     return total
+
+
+def check_witness_verdict(f, gens):
+    """Decide f against gens; a negative decided by a grid witness must be
+    negative by the radical test on the encoding too, and carry the witness
+    the search finds on the same query.  Returns the verdict's method."""
+    verdict = semiprime_member(f, SubmodulePresentation(f.ring, len(f), gens))
+    if verdict.method == "witness":
+        enc = bilinear_encoding(f, gens)
+        assert not radical_member(enc.encoded_query, enc.encoded_generators)
+        assert verdict.witness == find_vanishing_witness(f, gens)
+    return verdict.method

@@ -343,18 +343,22 @@ def test_cli_oracle(tmp_path, capsys):
 
 
 def test_cli_matrix_semiprime(tmp_path, capsys):
-    text = (
-        "ring Q[x];\n"
-        "mat G = [[x, 0], [0, x]];\n"
-        "mat F = [[1, 0], [0, 1]];\n"
-        "query matrix-semiprime-member F in {G};"
-    )
-    path = write(tmp_path, text)
-    code, report = run(capsys, "matrix-semiprime-member", path)
-    assert code == 1
-    assert report["member"] is False
-    assert report["witness"]["point"] == ["0"]
-    assert report["counters"]["pairs_processed"] > 0
+    # over F7 the failing row reaches the radical test, whose pairs the
+    # counters include; over Q the row's grid witness decides it first, so
+    # the counters are those of the direct phase alone
+    for ring, radical in [("F7", True), ("Q", False)]:
+        text = (
+            f"ring {ring}[x];\n"
+            "mat G = [[x, 0], [0, x]];\n"
+            "mat F = [[1, 0], [0, 1]];\n"
+            "query matrix-semiprime-member F in {G};"
+        )
+        path = write(tmp_path, text)
+        code, report = run(capsys, "matrix-semiprime-member", path)
+        assert code == 1
+        assert report["member"] is False
+        assert report["witness"]["point"] == ["0"]
+        assert (report["counters"]["pairs_processed"] > 0) == radical
 
 
 def test_cli_matrix_witness_is_the_oracles_first_counterexample(tmp_path, capsys):
@@ -486,8 +490,9 @@ def test_cli_cross_check_runs_in_the_problem_field(tmp_path, capsys):
 )
 def test_cli_counts_all_zero_generators_like_any_basis(tmp_path, capsys, command, basis_size):
     # the empty basis reports the four counters; semiprime-member adds its
-    # radical phase, the one-element basis of 1 - t*f.v
-    text = f"ring Q[x, y];\nvec z = [0, 0];\nvec f = [x, y];\nquery {command} f in {{z}};"
+    # radical phase, the one-element basis of 1 - t*f.v (over F7, where the
+    # radical test decides negatives; over Q a grid witness would)
+    text = f"ring F7[x, y];\nvec z = [0, 0];\nvec f = [x, y];\nquery {command} f in {{z}};"
     code, report = run(capsys, command, write(tmp_path, text))
     assert code == 1 and report["member"] is False
     assert report["counters"] == {
@@ -728,3 +733,69 @@ def test_help_lists_every_command(capsys):
     out = capsys.readouterr().out
     for command in sorted(QUERY_KINDS) + ["run"]:
         assert f"\n  {command} " in out
+
+
+def test_cli_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # a reader that goes away (`semimod run FILE | head -1`) must not turn
+    # into a second report, a traceback and the non-member exit code
+    # two negative queries: f = (x, y) is not in N
+    path = write(tmp_path, TWISTED_PAIR_PROBLEM.format(query="member")
+                 + "query member f in {g1};\n")
+    src = os.path.dirname(os.path.dirname(semimod.__file__))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts, so before it writes
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "semimod", "run", path],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+    finally:
+        os.close(write_end)
+    _, stderr = child.communicate(timeout=20)
+    assert child.returncode == 2, stderr
+    assert "Traceback" not in stderr
+
+
+TWISTED = "vec g1 = [x^2, x*y];\nvec g2 = [x*y, y^2];\n"
+# (x^2 - 2)*Q[x, y]^2 vanishes at no rational point, so no grid witness
+IRRATIONAL = "vec g1 = [x^2 - 2, 0];\nvec g2 = [0, x^2 - 2];\n"
+
+
+@pytest.mark.parametrize(
+    "gens, f, member, method, bases",
+    [
+        (TWISTED, "[x^2, x*y]", True, "cofactor", 1),
+        (TWISTED, "[x, y]", True, "radical", 2),
+        (TWISTED, "[1, 0]", False, "witness", 1),
+        (IRRATIONAL, "[1, 0]", False, "radical", 2),
+    ],
+    ids=["cofactor", "radical-member", "witness", "radical-nonmember"],
+)
+def test_cli_rational_closure_query_searches_the_grid_at_most_once(
+    tmp_path, capsys, monkeypatch, gens, f, member, method, bases
+):
+    # the verdict's own search is the report's: the CLI does not scan the
+    # grid again, and a witness negative builds only the direct basis
+    calls = {"find_vanishing_witness": 0, "buchberger": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (semimod.closure, semimod.cli):
+        count(module, "find_vanishing_witness")
+    for module in (semimod.closure, semimod.groebner):
+        count(module, "buchberger")
+    text = f"ring Q[x, y];\n{gens}vec f = {f};\nquery semiprime-member f in {{g1, g2}};"
+    code, report = run(capsys, "semiprime-member", write(tmp_path, text))
+    assert report["member"] is member and code == (0 if member else 1)
+    assert report["method"] == method
+    assert calls["find_vanishing_witness"] == (0 if method == "cofactor" else 1)
+    assert calls["buchberger"] == bases
+    assert (report["witness"] is not None) == (method == "witness")

@@ -1,10 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import random_generators, random_vector
+from conftest import check_witness_verdict, random_generators, random_vector
 
 import semimod.closure
 from semimod.closure import (
@@ -123,8 +124,12 @@ def test_query_of_the_wrong_rank_is_rejected(R, twisted):
 
 
 def test_semiprime_counters_sum_the_direct_and_radical_phases(R, twisted):
-    x, y = R.variables()
-    f = VectorPoly(R, [y * y, x * x])
+    # over F101, where the radical test decides negatives; over Q the grid
+    # witness at (0, 1) decides this one first
+    gens = [g.map_coefficients(PrimeField(101)) for g in twisted.generators]
+    twisted = SubmodulePresentation(gens[0].ring, 2, gens)
+    x, y = twisted.ring.variables()
+    f = VectorPoly(twisted.ring, [y * y, x * x])
     direct = submodule_member(f, twisted)
     assert not direct.member and direct.stats["pairs_processed"] == 1
     verdict = semiprime_member(f, twisted)
@@ -144,6 +149,22 @@ def test_generators_are_members_with_certificates(R, twisted):
     assert total == twisted.generators[0]
 
 
+def test_witness_verdicts_agree_with_the_radical_test():
+    # a seeded corpus over Q[x, y] and Q[x, y, z]; half the problems adjoin
+    # f_i * f, so members, witness negatives and radical verdicts all occur
+    methods = Counter()
+    for nvars, rank in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]:
+        ring = PolyRing(QQ, ("x", "y", "z")[:nvars])
+        rng = random.Random(21)
+        for _ in range(40):
+            gens = random_generators(rng, ring, rank)
+            f = random_vector(rng, ring, rank)
+            if rng.random() < 0.5:
+                gens += [e * f for e in f.entries if not e.is_zero()]
+            methods[check_witness_verdict(f, gens)] += 1
+    assert min(methods[m] for m in ("cofactor", "witness", "radical")) >= 20
+
+
 def test_constant_vector_is_not_member_and_witness_verified(R, twisted):
     verdict = semiprime_member(unit_vector(R, 2, 0), twisted)
     assert not verdict.member
@@ -151,6 +172,13 @@ def test_constant_vector_is_not_member_and_witness_verified(R, twisted):
     assert witness is not None
     assert [str(c) for c in witness.point] == ["0", "0"]
     assert [str(c) for c in witness.vector] == ["1", "0"]
+    # the grid witness decides it: the counters are those of the direct
+    # phase alone, and no radical basis is built
+    assert verdict.method == "witness" and verdict.witness == witness
+    assert verdict.certificate is None
+    assert verdict.stats == {
+        "pairs_processed": 1, "pairs_skipped": 0, "zero_reductions": 1, "basis_size": 2,
+    }
 
 
 def test_membership_implies_semiprime_membership(R):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from conftest import ORDERS, combine, random_generators, random_vector
 
 from semimod import groebner
+from semimod.cli import main
 from semimod.closure import radical_member, semiprime_member
 from semimod.errors import ResourceLimitExceededError
 from semimod.fields import QQ, PrimeField, field_from_name
@@ -27,10 +29,13 @@ from semimod.groebner import (
     s_vector,
     submodule_member,
 )
+from semimod.matrixideals import matrix_semiprime_member
+from semimod.parser import parse_polynomial
 from semimod.poly import (
     GREVLEX,
     TOP,
     OrderSpec,
+    PolyMatrix,
     Polynomial,
     PolyRing,
     VectorPoly,
@@ -39,6 +44,7 @@ from semimod.poly import (
     mono_mul,
     unit_vector,
 )
+from semimod.submodules import semiprime_refutation, weakly_semiprime_refutation
 
 POT = OrderSpec(module="pot")
 
@@ -435,17 +441,19 @@ def test_resource_limits_raise(R):
 
 
 _LEX_CASE = """\
-from semimod.closure import semiprime_member
+from semimod.closure import _radical_member, bilinear_encoding
 from semimod.errors import ResourceLimitExceededError
 from semimod.fields import QQ
-from semimod.groebner import SubmodulePresentation
+from semimod.groebner import DEFAULT_LIMITS
 from semimod.poly import OrderSpec, PolyRing, VectorPoly
 R = PolyRing(QQ, ("x", "y"))
 x, y = R.variables()
 f = VectorPoly(R, [x * y + 2 * y * y, x * x + 2 * x])
 gens = [VectorPoly(R, [2 * x * x + x, y * y]), VectorPoly(R, [-x * x - x * y, 2 * x * x + 2 * y])]
+enc = bilinear_encoding(f, gens)
+lex = OrderSpec(scalar="lex", module="top")
 try:
-    semiprime_member(f, SubmodulePresentation(R, 2, gens), OrderSpec(scalar="lex", module="top"))
+    _radical_member(enc.encoded_query, enc.encoded_generators, lex, DEFAULT_LIMITS)
 except ResourceLimitExceededError as exc:
     print(exc)
 """
@@ -454,7 +462,9 @@ except ResourceLimitExceededError as exc:
 def test_lex_radical_basis_ends_at_the_coefficient_cap():
     # under grevlex this problem is decided in 0.02 s; under lex top its
     # radical basis grows integer coefficients past 10^5 bits inside every
-    # pair and degree cap, and once ran for minutes
+    # pair and degree cap, and once ran for minutes.  The radical test runs
+    # on the encoding itself: semiprime_member decides the query by its grid
+    # witness at (0, 1) without a radical basis
     src = os.path.dirname(os.path.dirname(groebner.__file__))
     done = subprocess.run(
         [sys.executable, "-c", _LEX_CASE],
@@ -693,9 +703,45 @@ def test_monic_bases_and_cofactors_are_built_only_when_read(R, pair_basis, monke
         reads.clear()
         N = SubmodulePresentation(R, 2, pair_basis)
         verdict = semiprime_member(VectorPoly(R, [x, R.one()]), N)
+        assert not verdict.member and verdict.method == "witness"
+        # (x^2 - 2)*R^2 vanishes at no rational point, so no grid witness
+        # decides this query and the radical test runs
+        c = x * x - R.const(2)
+        M = SubmodulePresentation(R, 2, [VectorPoly(R, [c, 0]), VectorPoly(R, [0, c])])
+        verdict = semiprime_member(VectorPoly(R, [x, R.one()]), M)
         assert not verdict.member and verdict.method == "radical"
         assert not submodule_member(VectorPoly(R, [x, y]), N).member
         assert reads == []
+
+
+def test_certificates_are_expanded_only_when_read(R, pair_basis, tmp_path, capsys, monkeypatch):
+    # refutation checks and matrix rows read only whether a query is a
+    # member, so their positive verdicts expand no recipe
+    x, y = R.variables()
+    N = SubmodulePresentation(R, 2, pair_basis)
+    G = PolyMatrix(R, [g.entries for g in pair_basis])
+
+    def refuse(*args):
+        raise AssertionError("a certificate was expanded")
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_combine", refuse)
+        assert semiprime_refutation(N, VectorPoly(R, [x, y])) is not None
+        assert weakly_semiprime_refutation(N, x, VectorPoly(R, [x, y])) is None
+        verdict = matrix_semiprime_member(G, [G])
+        assert verdict.member and verdict.method == "cofactor"
+        verdict = submodule_member(pair_basis[0], N)
+        assert verdict.member
+        with pytest.raises(AssertionError, match="certificate was expanded"):
+            verdict.certificate
+    # a member report still prints a certificate, and it recombines
+    path = tmp_path / "member.sm"
+    path.write_text("ring Q[x, y];\nvec g1 = [x^2, x*y];\nvec g2 = [x*y, y^2];\n"
+                    "vec f = [x^3 + x*y, x^2*y + y^2];\nquery member f in {g1, g2};")
+    assert main(["member", str(path)]) == 0
+    cofactors = json.loads(capsys.readouterr().out)["certificate"]["cofactors"]
+    f = VectorPoly(R, [x**3 + x * y, x * x * y + y * y])
+    assert combine([parse_polynomial(c, R) for c in cofactors], pair_basis) == f
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=lambda o: f"{o.scalar}-{o.module}")

@@ -174,8 +174,17 @@ def test_matrix_semiprime_member_names_its_method(R, twisted_matrix_ideal):
     F = PolyMatrix(R, [[x * x, x * y], [x, y]])
     verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
     assert verdict.member and verdict.method == "radical"
+    # a negative takes the method of its failing row: over Q the first row
+    # of I has a grid witness, which also refutes I
     verdict = matrix_semiprime_member(identity_matrix(R, 2), twisted_matrix_ideal.generators)
+    assert not verdict.member and verdict.method == "witness"
+    G = twisted_matrix_ideal.generators[0]
+    assert verdict.witness is not None and find_vanishing_witness(I, [G]) is not None
+    # (x^2 - 2)*I vanishes at no rational point, so the radical test decides
+    c = x * x - R.const(2)
+    verdict = matrix_semiprime_member(I, [PolyMatrix(R, [[c, R.zero()], [R.zero(), c]])])
     assert not verdict.member and verdict.method == "radical"
+    assert verdict.witness is None
 
 
 def test_matrix_semiprime_member_generator(R, twisted_matrix_ideal):

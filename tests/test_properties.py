@@ -17,7 +17,7 @@ try:
 except ImportError:
     sympy = None
 
-from conftest import ORDERS
+from conftest import ORDERS, check_witness_verdict
 
 from semimod.closure import (
     bilinear_encoding,
@@ -76,6 +76,8 @@ def test_radical_member_matches_sympy_rabinowitsch(problem):
     ideal.append(1 - t * to_sympy(enc.encoded_query))
     theirs = list(sympy.groebner(ideal, *syms, t, order="grevlex").exprs) == [1]
     assert radical_member(enc.encoded_query, enc.encoded_generators) == theirs
+    # a negative decided by a grid witness agrees with the radical test
+    check_witness_verdict(f, gens)
 
 
 # ``derandomize`` seeds a test from its source text.  The two tests below
@@ -102,6 +104,8 @@ def test_semiprime_verdicts_agree_across_orders(problem):
         for order in ORDERS
     }
     assert len(verdicts) == 1
+    # a negative decided by a grid witness agrees with the radical test
+    check_witness_verdict(f, gens)
 
 
 finite_problems = st.sampled_from([3, 5]).flatmap(

@@ -234,19 +234,28 @@ def test_every_membership_call_passes_order_and_limits():
     assert found == []
 
 
-def test_only_the_cli_searches_for_witnesses():
-    # decisions only decide: the witness search runs once per negative
-    # report, on the query itself, so no decision procedure calls it
+def test_witnesses_are_searched_by_the_closure_and_the_cli_only():
+    # over Q a grid witness decides a negative before the radical test, and
+    # the CLI searches a query the verdict has not searched (a finite field,
+    # a matrix); no other function, and no module body, calls the search
     root = pathlib.Path(semimod.__file__).parent
     callers = set()
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                callee = node.func
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
                 name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
                 if name == "find_vanishing_witness":
-                    callers.add(path.name)
-    assert callers == {"cli.py"}
+                    callers.add(f"{path.stem}.{owner}")
+            visit(child, owner)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert callers == {"closure.semiprime_member", "cli._witness_json"}
 
 
 def test_the_flag_table_lists_every_cli_flag():

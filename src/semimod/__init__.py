@@ -4,9 +4,9 @@ The library decides membership in finitely generated submodules of R^n,
 in their smallest semiprime enlargements, and in left ideals of M_n(R),
 for R = k[x_1..x_d] with k the rationals or a small finite field.  All
 arithmetic is exact.  Positives reached by division carry cofactor
-certificates; ``find_vanishing_witness`` searches for a re-verified
-refuting point of a negative verdict, and over Q such a point decides a
-negative closure verdict before any radical basis is built.
+certificates, and negative closure verdicts the re-verified refuting point
+``find_vanishing_witness`` finds; over Q such a point decides a negative
+closure verdict before any radical basis is built.
 """
 
 from .closure import (

@@ -4,6 +4,8 @@ Exit codes: 0 for member/pass, 1 for non-member/counterexample, 2 for any
 error.  The report schema is versioned ("schema": 1) and documented in
 docs/schema.json.  Dispatch is single-threaded; one query runs per typed
 invocation, and ``run`` executes a file's queries in order (batch mode).
+Reports only print the evidence a verdict carries: the decisions attach
+every certificate and witness, and this module searches for none.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 import time
 
-from .closure import _radical_member, find_vanishing_witness, semiprime_member
+from .closure import _radical_member, semiprime_member
 from .errors import ProblemSyntaxError, SemimodError
 from .fields import field_from_flag
 from .groebner import (
@@ -27,7 +29,7 @@ from .groebner import (
 from .matrixideals import matrix_semiprime_member
 from .oracle import DEFAULT_CAP, default_field, oracle_check, oracle_check_escalating
 from .parser import QUERY_KINDS, Query, parse_problem
-from .poly import OrderSpec, VectorPoly
+from .poly import OrderSpec
 from .submodules import (
     prime_closure_at,
     semiprime_refutation,
@@ -56,17 +58,9 @@ def _certificate_json(cofactors):
     return {"cofactors": [str(c) for c in cofactors]}
 
 
-def _witness_json(verdict, query, generators):
-    """A refuting point of a negative closure verdict.  Over Q a vector
-    query's verdict has searched the grid already and carries what it found;
-    otherwise the search runs here, on the query itself, so a matrix gets
-    F's first violation, not one row's."""
-    if verdict.member:
-        return None
-    if isinstance(query, VectorPoly) and query.ring.field.char == 0:
-        witness = verdict.witness
-    else:
-        witness = find_vanishing_witness(query, generators)
+def _witness_json(witness):
+    """The refuting point a negative closure verdict carries, if any; the
+    decision attached it, so the report only prints it."""
     return witness.as_json() if witness else None
 
 
@@ -102,7 +96,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         report["guarantee"] = guarantee
         report["method"] = verdict.method
         report["certificate"] = _certificate_json(verdict.certificate)
-        report["witness"] = _witness_json(verdict, value, gens)
+        report["witness"] = _witness_json(verdict.witness)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
@@ -117,7 +111,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         verdict = matrix_semiprime_member(value, gens, order, limits)
         report["member"] = verdict.member
         report["guarantee"] = guarantee
-        report["witness"] = _witness_json(verdict, value, gens)
+        report["witness"] = _witness_json(verdict.witness)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 

@@ -22,9 +22,9 @@ A decision reads no monic basis and no cofactor: the radical test asks
 only whether 1 reduces to zero, and reads its basis's elements only to
 re-check a unit ideal.  Over Q a negative closure verdict is decided by a
 re-verified grid witness, when the search finds one, before any radical
-basis is built; over a finite field the search only decorates a negative
-the radical test has decided (see ``semiprime_member``).  Over Q the
-witness search evaluates in integers (see ``find_vanishing_witness``).
+basis is built; over a finite field the search decorates a negative the
+radical test has decided, on first read (see ``semiprime_member``).  The
+decisions attach every witness.  Over Q the search evaluates in integers.
 
 Everything here is pure; long computations are bounded by the resource
 caps and independent queries may run in parallel.
@@ -164,8 +164,9 @@ def semiprime_member(
     a re-verified witness decides the negative (method "witness", the
     counters of the direct phase alone).  Otherwise, and always over a
     finite field, whose scan may enumerate every point, the bilinear
-    encoding reduces the question to radical membership in k[x, v]; over Q
-    the verdict's ``witness`` is then None, as the grid has been searched."""
+    encoding reduces the question to radical membership in k[x, v].  A
+    radical negative's ``witness`` is None over Q, whose grid has been
+    searched; over a finite field it searches f on first read."""
     direct = submodule_member(f, submodule, order, limits)
     if direct.member:
         return Verdict(
@@ -179,11 +180,13 @@ def semiprime_member(
         if witness is not None:
             return Verdict(member=False, method="witness", stats=direct.stats, witness=witness)
     enc = bilinear_encoding(f, submodule.generators)
-    verdict = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
+    radical = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
     stats = Counter(direct.stats)  # each counter summed over both phases
-    stats.update(verdict.stats)
-    verdict.stats = dict(stats)
-    return verdict
+    stats.update(radical.stats)
+    witness = None
+    if not radical.member and f.ring.field.char:
+        witness = lambda: find_vanishing_witness(f, submodule.generators)
+    return Verdict(radical.member, method="radical", stats=dict(stats), witness=witness)
 
 
 def closure_law_check(

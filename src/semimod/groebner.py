@@ -90,10 +90,10 @@ queue, the quantity ``GroebnerLimits.max_pairs`` bounds), ``pairs_skipped``
 (those dropped by either criterion), ``zero_reductions`` (S-vectors that
 reduced to zero) and ``basis_size`` (elements of the reduced basis, 0 for
 the empty one).  Besides the pair and degree caps of ``GroebnerLimits``,
-every new working element over Q must keep its integer coefficients within
-MAX_COEFFICIENT_BITS, a constant, or the basis ends in
-ResourceLimitExceededError.  Each invocation owns its working state;
-separate invocations may run concurrently.
+every new working element over Q must keep its integer coefficients, and
+every reduction its scale, within MAX_COEFFICIENT_BITS, a constant, or the
+computation ends in ResourceLimitExceededError.  Each invocation owns its
+working state; separate invocations may run concurrently.
 """
 
 from __future__ import annotations
@@ -280,16 +280,20 @@ def _normalized(m, field):
     return (lead, m[lead], m), scale
 
 
+def _check_bits(bits):
+    """Raise once an integer over Q passes MAX_COEFFICIENT_BITS."""
+    if bits > MAX_COEFFICIENT_BITS:
+        raise ResourceLimitExceededError(
+            f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed ({bits} bits); "
+            "instance is beyond desk scale"
+        )
+
+
 def _check_coefficients(m, field):
     """Raise once an integer map's coefficients pass MAX_COEFFICIENT_BITS.
     Only Q's integers grow; a finite field keeps its values below p."""
     if not field.char:
-        bits = max(map(int.bit_length, m.values()))
-        if bits > MAX_COEFFICIENT_BITS:
-            raise ResourceLimitExceededError(
-                f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed ({bits} bits); "
-                "instance is beyond desk scale"
-            )
+        _check_bits(max(map(int.bit_length, m.values())))
 
 
 def _reduce(fmap, infos, field, guard):
@@ -300,7 +304,8 @@ def _reduce(fmap, infos, field, guard):
     so over Q integer maps stay integral.  Returns (remainder, cofactors, S):
     cofactors maps the index k of each divisor used to its cofactor map, and
     S * input = sum(cofactor_k * basis_k) + remainder exactly.  Over a finite
-    field a is always 1, so S is 1.
+    field a is always 1, so S is 1; over Q, S past MAX_COEFFICIENT_BITS
+    ends the reduction in ResourceLimitExceededError.
     """
     add, mul, neg, is_zero = field.add, field.mul, field.neg, field.is_zero
     pseudo_quotient = field.pseudo_quotient
@@ -320,8 +325,9 @@ def _reduce(fmap, infos, field, guard):
             if t & guard:
                 continue
             a, q = pseudo_quotient(c, blc)
-            if a != one:
+            if a != one:  # only over Q, whose scale is an int
                 scale = mul(a, scale)
+                _check_bits(scale.bit_length())
                 for part in (p, rem, *cofs.values()):
                     for key, val in part.items():
                         part[key] = mul(a, val)
@@ -531,13 +537,6 @@ class GroebnerBasis:
             steps = [({pk.exps(t): c for t, c in m.items()}, k) for m, k in steps]
             work[idx] = _combine((scale, steps), work, nin, field)
         return [work[k] for k in self._final]
-
-    @property
-    def input_reps(self):
-        """Per element, its combination of the inputs as Polynomials."""
-        join = self.ring.field.join
-        return [[Polynomial(self.ring, join(m, den)) for m in maps]
-                for maps, den in self._element_reps]
 
     def certificate(self, cofactors):
         """Cofactors over the inputs of sum(cofactors[k] * elements[k])."""

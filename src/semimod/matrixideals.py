@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .closure import semiprime_member
+from .closure import find_vanishing_witness, semiprime_member
 from .errors import InfiniteFieldError
 from .fields import Field, PrimeField, QuadraticField
 from .groebner import (
@@ -97,10 +97,11 @@ def matrix_semiprime_member(
     generators' row module, checked row by row until one fails.  The
     verdict carries no certificate, its counters are summed over the rows
     checked, and ``method`` is "cofactor" only when every row checked passed
-    by cofactors.  A negative takes the method and the witness of the row
-    that failed; that row's witness refutes F too, though it need not be
-    F's first violation in scan order."""
-    module = row_module(LeftIdealPresentation(f.ring, f.size, list(generators)))
+    by cofactors.  A negative takes the method of the row that failed; its
+    ``witness`` searches F itself on first read, so it is F's first
+    violation in scan order, not one row's (over Q, a second grid scan)."""
+    generators = list(generators)
+    module = row_module(LeftIdealPresentation(f.ring, f.size, generators))
     stats = Counter()  # each counter summed over the rows checked
     cofactors_only = True
     for row in f.rows:
@@ -111,7 +112,8 @@ def matrix_semiprime_member(
             break
     stats = dict(stats)
     if not verdict.member:  # the failing row's method, "radical" or "witness"
-        return Verdict(False, method=verdict.method, stats=stats, witness=verdict.witness)
+        return Verdict(False, method=verdict.method, stats=stats,
+                       witness=lambda: find_vanishing_witness(f, generators))
     return Verdict(True, method="cofactor" if cofactors_only else "radical", stats=stats)
 
 

@@ -43,11 +43,6 @@ def mono_mul(a, b):
     return tuple(map(operator.add, a, b))
 
 
-def mono_divides(a, b):
-    """True when x^a divides x^b."""
-    return all(map(operator.le, a, b))
-
-
 def mono_div(b, a):
     """Exponent tuple of x^b / x^a; caller guarantees divisibility."""
     return tuple(map(operator.sub, b, a))
@@ -295,9 +290,6 @@ class Polynomial:
                 base = base * base
             k >>= 1
         return result
-
-    def leading_monomial(self, order: OrderSpec = DEFAULT_ORDER):
-        return max(self.terms, key=order.mono_key)
 
     def evaluate_raw(self, point):
         """Evaluate at raw x-block values; rejects terms outside the x-block."""

@@ -36,11 +36,10 @@ class Verdict:
     """Boolean decision plus whatever evidence the deciding path produced.
 
     ``certificate`` holds cofactors over the presentation's generators when
-    membership was established by division.  It may be given as a
-    zero-argument callable, which builds it on first read, so a caller that
-    reads only ``member`` expands no cofactor.  ``witness`` is the refuting
-    point a negative closure verdict over Q was decided by, when the grid
-    search found one (``closure.semiprime_member``); otherwise None.
+    membership was established by division; ``witness`` a refuting point of
+    a negative closure verdict, attached by the decision and only printed by
+    the CLI.  Either may be given as a zero-argument callable, run on first
+    read and kept, so reading only ``member`` builds neither.
     """
 
     def __init__(self, member, certificate=None, method=None, stats=None, witness=None):
@@ -48,13 +47,17 @@ class Verdict:
         self._certificate = certificate
         self.method = method
         self.stats = {} if stats is None else stats
-        self.witness = witness
+        self._witness = witness
 
-    @property
-    def certificate(self):
-        if callable(self._certificate):
-            self._certificate = self._certificate()
-        return self._certificate
+    def _on_first_read(self, slot):
+        value = getattr(self, slot)
+        if callable(value):
+            value = value()
+            setattr(self, slot, value)
+        return value
+
+    certificate = property(lambda self: self._on_first_read("_certificate"))
+    witness = property(lambda self: self._on_first_read("_witness"))
 
     def __bool__(self):
         return self.member

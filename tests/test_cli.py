@@ -16,6 +16,7 @@ from semimod.errors import (
     UndefinedNameError,
 )
 from semimod.fields import QQ, PrimeField, QuadraticField
+from semimod.matrixideals import matrix_semiprime_member
 from semimod.oracle import oracle_check
 from semimod.parser import (
     MAX_INTEGER_DIGITS,
@@ -371,6 +372,8 @@ def test_cli_matrix_witness_is_the_oracles_first_counterexample(tmp_path, capsys
     code, report = run(capsys, "matrix-semiprime-member", write(tmp_path, MATRIX_F5_PROBLEM))
     assert code == 1 and report["member"] is False
     assert report["witness"] == expected.as_json()
+    # the library's verdict carries the same point the report prints
+    assert matrix_semiprime_member(F, [G]).witness == expected
 
 
 def test_cli_quadratic_extension_pipeline(tmp_path, capsys):
@@ -760,23 +763,34 @@ def test_cli_closed_stdout_exits_2_without_a_traceback(tmp_path):
 TWISTED = "vec g1 = [x^2, x*y];\nvec g2 = [x*y, y^2];\n"
 # (x^2 - 2)*Q[x, y]^2 vanishes at no rational point, so no grid witness
 IRRATIONAL = "vec g1 = [x^2 - 2, 0];\nvec g2 = [0, x^2 - 2];\n"
+# the left ideal of the matrices whose rows lie in the twisted submodule;
+# the first row of E11 = [[1, 0], [0, 0]] is (1, 0), outside its closure
+TWISTED_MATRICES = "mat g1 = [[x^2, x*y], [0, 0]];\nmat g2 = [[x*y, y^2], [0, 0]];\n"
+E11 = "mat f = [[1, 0], [0, 0]];"
 
 
 @pytest.mark.parametrize(
-    "gens, f, member, method, bases",
+    "ring, kind, gens, f, member, method, bases, searches, witness",
     [
-        (TWISTED, "[x^2, x*y]", True, "cofactor", 1),
-        (TWISTED, "[x, y]", True, "radical", 2),
-        (TWISTED, "[1, 0]", False, "witness", 1),
-        (IRRATIONAL, "[1, 0]", False, "radical", 2),
+        ("Q", "semiprime-member", TWISTED, "vec f = [x^2, x*y];", True, "cofactor", 1, 0, False),
+        ("Q", "semiprime-member", TWISTED, "vec f = [x, y];", True, "radical", 2, 1, False),
+        ("Q", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "witness", 1, 1, True),
+        ("Q", "semiprime-member", IRRATIONAL, "vec f = [1, 0];", False, "radical", 2, 1, False),
+        ("F7", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "radical", 2, 1, True),
+        ("F7", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, None, 2, 1, True),
+        ("Q", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, None, 1, 2, True),
     ],
-    ids=["cofactor", "radical-member", "witness", "radical-nonmember"],
+    ids=["cofactor", "radical-member", "witness", "radical-nonmember",
+         "F7-radical-nonmember", "F7-matrix-nonmember", "Q-matrix-nonmember"],
 )
 def test_cli_rational_closure_query_searches_the_grid_at_most_once(
-    tmp_path, capsys, monkeypatch, gens, f, member, method, bases
+    tmp_path, capsys, monkeypatch, ring, kind, gens, f, member, method, bases, searches, witness
 ):
-    # the verdict's own search is the report's: the CLI does not scan the
-    # grid again, and a witness negative builds only the direct basis
+    # the verdict's own search is the report's: the CLI searches for no
+    # point, and a witness negative builds only the direct basis.  Over F7
+    # the radical negative's witness is searched once, when the report
+    # reads it; a matrix negative searches F itself once, after the
+    # failing row's own grid search over Q
     calls = {"find_vanishing_witness": 0, "buchberger": 0}
 
     def count(module, name):
@@ -788,14 +802,14 @@ def test_cli_rational_closure_query_searches_the_grid_at_most_once(
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (semimod.closure, semimod.cli):
+    for module in (semimod.closure, semimod.matrixideals):
         count(module, "find_vanishing_witness")
     for module in (semimod.closure, semimod.groebner):
         count(module, "buchberger")
-    text = f"ring Q[x, y];\n{gens}vec f = {f};\nquery semiprime-member f in {{g1, g2}};"
-    code, report = run(capsys, "semiprime-member", write(tmp_path, text))
+    text = f"ring {ring}[x, y];\n{gens}{f}\nquery {kind} f in {{g1, g2}};"
+    code, report = run(capsys, kind, write(tmp_path, text))
     assert report["member"] is member and code == (0 if member else 1)
-    assert report["method"] == method
-    assert calls["find_vanishing_witness"] == (0 if method == "cofactor" else 1)
+    assert report.get("method") == method
+    assert calls["find_vanishing_witness"] == searches
     assert calls["buchberger"] == bases
-    assert (report["witness"] is not None) == (method == "witness")
+    assert (report["witness"] is not None) == witness

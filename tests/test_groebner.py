@@ -40,7 +40,6 @@ from semimod.poly import (
     PolyRing,
     VectorPoly,
     mono_div,
-    mono_divides,
     mono_mul,
     unit_vector,
 )
@@ -59,6 +58,11 @@ RATIONAL_COEFFS = (
 def pair_basis(R):
     x, y = R.variables()
     return [VectorPoly(R, [x * x, x * y]), VectorPoly(R, [x * y, y * y])]
+
+
+def mono_divides(a, b):
+    """True when x^a divides x^b."""
+    return all(x <= y for x, y in zip(a, b))
 
 
 def tuple_map(v):
@@ -327,10 +331,16 @@ def assert_is_groebner(gb):
             assert normal_form(s, gb.elements, gb.order).remainder.is_zero()
 
 
+def input_reps(gb):
+    """Per element of ``gb``, its combination of the inputs as Polynomials."""
+    join = gb.ring.field.join
+    return [[Polynomial(gb.ring, join(m, den)) for m in maps] for maps, den in gb._element_reps]
+
+
 def assert_provenance(gb):
     """Each basis element is an explicit combination of the kept inputs and
     each input reduces to zero against the basis."""
-    for elem, rep in zip(gb.elements, gb.input_reps):
+    for elem, rep in zip(gb.elements, input_reps(gb)):
         assert combine(rep, gb.inputs) == elem
     for g in gb.inputs:
         assert normal_form(g, gb.elements, gb.order).remainder.is_zero()
@@ -488,6 +498,22 @@ def test_coefficient_cap_counts_the_bits_of_each_new_element(R, monkeypatch):
     monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 0)
     R7 = PolyRing(PrimeField(7), ("x", "y"))
     buchberger([g.map_coefficients(R7.field) for g in gens])
+
+
+def test_coefficient_cap_bounds_the_reduction_scale(monkeypatch):
+    # dividing x^6 by 3x + 1 scales the input by 3 at each of six steps, so
+    # the scale is 3^6, 10 bits; over F7 the scale stays 1
+    R1 = PolyRing(QQ, ("x",))
+    x = R1.variable(0)
+    f, g = VectorPoly(R1, [x**6]), VectorPoly(R1, [R1.const(3) * x + R1.one()])
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 9)
+    with pytest.raises(ResourceLimitExceededError, match="coefficient cap of 9 bits crossed .10 bits"):
+        normal_form(f, [g])
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 10)
+    assert normal_form(f, [g]).remainder == VectorPoly(R1, [R1.const(Fraction(1, 729))])
+    monkeypatch.setattr(groebner, "MAX_COEFFICIENT_BITS", 0)
+    F7 = PrimeField(7)
+    normal_form(f.map_coefficients(F7), [g.map_coefficients(F7)])
 
 
 def test_presentation_caches_a_basis_per_order_and_limits(R):
@@ -804,7 +830,7 @@ def test_integer_certificate_expansion_matches_fractions(order, rank):
             type(c) is Fraction for k in gb._final for c in gb._recipes[k][1][0][0].values()
         )
         reference = fraction_reps(gb)
-        reps = gb.input_reps
+        reps = input_reps(gb)
         assert reps == [[Polynomial(R, m) for m in rep] for rep in reference]
         cofactors = [random_vector(rng, R, 1, coeffs=RATIONAL_COEFFS)[0] for _ in gb.elements]
         certificate = gb.certificate(cofactors)

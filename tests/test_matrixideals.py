@@ -4,12 +4,14 @@ import pytest
 
 from conftest import random_polynomial, random_vector
 
+from semimod import closure, matrixideals
 from semimod.closure import find_vanishing_witness, semiprime_member
 from semimod.errors import DimensionMismatchError, ZeroCovectorError
-from semimod.fields import QQ
+from semimod.fields import QQ, PrimeField
 from semimod.groebner import SubmodulePresentation, submodule_member
 from semimod.matrixideals import (
     LeftIdealPresentation,
+    agreement_check,
     ideal_with_rows_in,
     matrix_member,
     matrix_semiprime_member,
@@ -185,6 +187,46 @@ def test_matrix_semiprime_member_names_its_method(R, twisted_matrix_ideal):
     verdict = matrix_semiprime_member(I, [PolyMatrix(R, [[c, R.zero()], [R.zero(), c]])])
     assert not verdict.member and verdict.method == "radical"
     assert verdict.witness is None
+
+
+def test_witnesses_are_searched_only_when_read(R, twisted_matrix_ideal, monkeypatch):
+    # a caller that reads only ``member`` scans no point: a finite-field
+    # radical negative and every matrix negative search on first read, and
+    # over Q only the failing row's grid pre-check runs while deciding
+    F7 = PrimeField(7)
+    G = twisted_matrix_ideal.generators[0]
+    I = identity_matrix(R, 2)
+    G7, I7 = G.map_coefficients(F7), I.map_coefficients(F7)
+    e1 = I7.rows[0]
+    N7 = SubmodulePresentation(e1.ring, 2, list(G7.rows))
+    original = find_vanishing_witness
+    searches = []
+
+    def search(*args):
+        searches.append(args)
+        return original(*args)
+
+    def refuse(*args):
+        raise AssertionError("a witness was searched")
+
+    with monkeypatch.context() as m:
+        for module in (closure, matrixideals):
+            m.setattr(module, "find_vanishing_witness", refuse)
+        vector = semiprime_member(e1, N7)
+        assert not vector.member and vector.method == "radical"
+        matrix = matrix_semiprime_member(I7, [G7])
+        assert not matrix.member
+        assert agreement_check(I, [G], F7) and agreement_check(I.rows[0], list(G.rows), F7)
+        m.setattr(closure, "find_vanishing_witness", search)
+        rational = matrix_semiprime_member(I, [G])
+        assert not rational.member and len(searches) == 1
+    for module in (closure, matrixideals):
+        monkeypatch.setattr(module, "find_vanishing_witness", search)
+    for verdict, query, gens in ((vector, e1, N7.generators), (matrix, I7, [G7]), (rational, I, [G])):
+        searches.clear()
+        assert verdict.witness == original(query, gens) is not None
+        assert verdict.witness is verdict.witness
+        assert len(searches) == 1
 
 
 def test_matrix_semiprime_member_generator(R, twisted_matrix_ideal):

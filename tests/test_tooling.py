@@ -234,10 +234,11 @@ def test_every_membership_call_passes_order_and_limits():
     assert found == []
 
 
-def test_witnesses_are_searched_by_the_closure_and_the_cli_only():
+def test_witnesses_are_searched_by_the_decisions_only():
     # over Q a grid witness decides a negative before the radical test, and
-    # the CLI searches a query the verdict has not searched (a finite field,
-    # a matrix); no other function, and no module body, calls the search
+    # the other negatives attach a search that runs on first read; the CLI
+    # prints what a verdict carries, and no other function, and no module
+    # body, calls the search
     root = pathlib.Path(semimod.__file__).parent
     callers = set()
 
@@ -255,7 +256,7 @@ def test_witnesses_are_searched_by_the_closure_and_the_cli_only():
 
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    assert callers == {"closure.semiprime_member", "cli._witness_json"}
+    assert callers == {"closure.semiprime_member", "matrixideals.matrix_semiprime_member"}
 
 
 def test_the_flag_table_lists_every_cli_flag():

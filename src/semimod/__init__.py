@@ -5,8 +5,9 @@ in their smallest semiprime enlargements, and in left ideals of M_n(R),
 for R = k[x_1..x_d] with k the rationals or a small finite field.  All
 arithmetic is exact.  Positives reached by division carry cofactor
 certificates, and negative closure verdicts the re-verified refuting point
-``find_vanishing_witness`` finds; over Q such a point decides a negative
-closure verdict before any radical basis is built.
+``find_vanishing_witness`` finds: the query's own first violation, a
+vector or a matrix being scanned at most once.  Over Q such a point decides
+a negative closure verdict before any radical basis is built.
 """
 
 from .closure import (

@@ -26,7 +26,6 @@ from .groebner import (
     ideal_member,
     submodule_member,
 )
-from .matrixideals import matrix_semiprime_member
 from .oracle import DEFAULT_CAP, default_field, oracle_check, oracle_check_escalating
 from .parser import QUERY_KINDS, Query, parse_problem
 from .poly import OrderSpec
@@ -89,7 +88,7 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
-    elif query.kind == "semiprime-member":
+    elif query.kind in ("semiprime-member", "matrix-semiprime-member"):
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
         verdict = semiprime_member(value, submodule, order, limits)
         report["member"] = verdict.member
@@ -99,19 +98,14 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         report["witness"] = _witness_json(verdict.witness)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
+        if options.cross_check:
+            oracle_field = options.field or default_field(problem.ring.field)
+            report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
 
     elif query.kind == "radical-member":
         verdict = _radical_member(value, gens, order, limits)
         report["member"] = verdict.member
         report["guarantee"] = guarantee
-        report["counters"] = verdict.stats
-        code = 0 if verdict.member else 1
-
-    elif query.kind == "matrix-semiprime-member":
-        verdict = matrix_semiprime_member(value, gens, order, limits)
-        report["member"] = verdict.member
-        report["guarantee"] = guarantee
-        report["witness"] = _witness_json(verdict.witness)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
@@ -161,13 +155,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
 
     else:  # pragma: no cover - the parser rejects unknown kinds
         raise SemimodError(f"unsupported query kind {query.kind!r}")
-
-    if options.cross_check and query.kind in (
-        "semiprime-member",
-        "matrix-semiprime-member",
-    ):
-        oracle_field = options.field or default_field(problem.ring.field)
-        report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
 
     report["timing_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return report, code

@@ -9,7 +9,12 @@ equivalent to "g_j(a)v = 0 for all j implies f(a)v = 0 at every point
 (a, v)", which is exactly the statement that f.v vanishes on the zero set
 of the g_j.v, i.e. classical radical membership.  Radical membership
 itself is decided with one extra tag variable: f is in the radical of I
-iff 1 lies in I + <1 - t*f>.
+iff 1 lies in I + <1 - t*f>.  A matrix F lies in the smallest semiprime
+left ideal of M_n(R) containing G_1..G_k iff every row of F lies in the
+closure of the rows of the G_i, so ``semiprime_member`` decides a vector
+and a matrix in one loop over the query's rows (a vector is its own single
+row), and the vanishing test reads G_i(a)v = 0 for all i implies
+F(a)v = 0.
 
 Verdicts computed over Q agree with the verdicts over the algebraic
 closure, because basis computations never leave the base field and "1 in
@@ -20,11 +25,12 @@ case that applies to a field.
 
 A decision reads no monic basis and no cofactor: the radical test asks
 only whether 1 reduces to zero, and reads its basis's elements only to
-re-check a unit ideal.  Over Q a negative closure verdict is decided by a
-re-verified grid witness, when the search finds one, before any radical
-basis is built; over a finite field the search decorates a negative the
-radical test has decided, on first read (see ``semiprime_member``).  The
-decisions attach every witness.  Over Q the search evaluates in integers.
+re-check a unit ideal.  Each query is scanned for a witness at most
+once, and every witness is the query's own first violation.  Over Q a
+negative closure verdict is decided by a re-verified grid witness, when
+the scan finds one, before any radical basis is built; over a finite field
+the scan decorates a negative the radical test has decided, on first read
+(see ``semiprime_member``).  Over Q the search evaluates in integers.
 
 Everything here is pure; long computations are bounded by the resource
 caps and independent queries may run in parallel.
@@ -149,44 +155,55 @@ def find_vanishing_witness(f, generators):
 # ---------------------------------------------------------------------------
 
 def semiprime_member(
-    f: VectorPoly,
+    query,
     submodule: SubmodulePresentation,
     order: OrderSpec = DEFAULT_ORDER,
     limits: GroebnerLimits = DEFAULT_LIMITS,
 ) -> Verdict:
-    """Decide whether f lies in the smallest semiprime submodule containing
-    the presented one.
+    """Decide whether the query, a vector or a matrix, lies in the smallest
+    semiprime submodule containing the presented one; a matrix does iff
+    every one of its rows does.
 
-    Fast path: plain membership, which yields a cofactor certificate.  Over
-    Q a non-member is then searched for a grid witness, a point a and
-    direction v with g(a).v = 0 for every generator while f(a).v != 0: by
-    the Nullstellensatz one proves f outside the closure over Q-bar too, so
-    a re-verified witness decides the negative (method "witness", the
-    counters of the direct phase alone).  Otherwise, and always over a
-    finite field, whose scan may enumerate every point, the bilinear
-    encoding reduces the question to radical membership in k[x, v].  A
-    radical negative's ``witness`` is None over Q, whose grid has been
-    searched; over a finite field it searches f on first read."""
-    direct = submodule_member(f, submodule, order, limits)
-    if direct.member:
-        return Verdict(
-            member=True,
-            certificate=lambda: direct.certificate,
-            method="cofactor",
-            stats=direct.stats,
-        )
-    if f.ring.field.char == 0:
-        witness = find_vanishing_witness(f, submodule.generators)
-        if witness is not None:
-            return Verdict(member=False, method="witness", stats=direct.stats, witness=witness)
-    enc = bilinear_encoding(f, submodule.generators)
-    radical = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
-    stats = Counter(direct.stats)  # each counter summed over both phases
-    stats.update(radical.stats)
-    witness = None
-    if not radical.member and f.ring.field.char:
-        witness = lambda: find_vanishing_witness(f, submodule.generators)
-    return Verdict(radical.member, method="radical", stats=dict(stats), witness=witness)
+    Each row first tries plain membership, which yields cofactors.  Over Q,
+    at the first row that fails it, the whole query is searched once for a
+    grid witness, a point a and direction v with g(a).v = 0 for every
+    generator while the query does not vanish at (a, v): by the
+    Nullstellensatz one proves the query outside the closure over Q-bar
+    too, so a re-verified witness decides the negative (method "witness").
+    Otherwise, and always over a finite field, whose scan may enumerate
+    every point, the bilinear encoding reduces the row to radical
+    membership in k[x, v]; a radical negative ends the loop.
+
+    Counters are summed over every phase of every row run.  ``method`` is
+    "cofactor" when every row passed by cofactors, and a vector's verdict
+    then carries them as its certificate; a matrix verdict carries none.  A
+    negative's witness is the query's first violation: attached over Q,
+    None for a radical negative, whose grid has been searched, and over a
+    finite field searched on first read."""
+    generators = submodule.generators
+    rational = query.ring.field.char == 0
+    stats = Counter()  # each counter summed over the phases and rows run
+    method = "cofactor"
+    for row in query.rows:
+        direct = submodule_member(row, submodule, order, limits)
+        stats.update(direct.stats)
+        if direct.member:
+            continue
+        if rational and method == "cofactor":  # the first row outside the submodule
+            witness = find_vanishing_witness(query, generators)
+            if witness is not None:
+                return Verdict(False, method="witness", stats=dict(stats), witness=witness)
+        enc = bilinear_encoding(row, generators)
+        radical = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
+        stats.update(radical.stats)
+        method = "radical"
+        if not radical.member:
+            witness = None if rational else lambda: find_vanishing_witness(query, generators)
+            return Verdict(False, method=method, stats=dict(stats), witness=witness)
+    certificate = None
+    if method == "cofactor" and isinstance(query, VectorPoly):
+        certificate = lambda: direct.certificate
+    return Verdict(True, certificate=certificate, method=method, stats=dict(stats))
 
 
 def closure_law_check(

@@ -698,9 +698,12 @@ def _buchberger(ring, rank, kept, order, limits, pk):
 class SubmodulePresentation:
     """Finite generator list for a submodule of R^n with cached bases.
 
-    Zero generators are dropped on construction; the empty list presents
-    the zero submodule.  The basis cache is populated once per order and
-    limits; until then readers simply recompute, so concurrent use is safe.
+    A generator is a vector, or an n x n matrix standing for its rows (a
+    vector is its own single row), so the rows of a left ideal's generators
+    present its row module.  Zero rows are dropped on construction; the
+    empty list presents the zero submodule.  The basis cache is populated
+    once per order and limits; until then readers simply recompute, so
+    concurrent use is safe.
     """
 
     def __init__(self, ring: PolyRing, rank: int, generators=()):
@@ -708,7 +711,7 @@ class SubmodulePresentation:
         self.rank = rank
         generators = list(generators)
         check_operands(ring, rank, generators, "generator")
-        self.generators = [g for g in generators if not g.is_zero()]
+        self.generators = [row for g in generators for row in g.rows if not row.is_zero()]
         self._bases = {}
 
     @classmethod

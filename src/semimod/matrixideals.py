@@ -5,8 +5,10 @@ rows of all its elements, and a matrix lies in the ideal iff every one of
 its rows lies in that submodule.  All decisions below reduce to the module
 engine through that correspondence; matrices are never divided directly.
 A ``PolyMatrix`` holds its rows as vectors (``rows``), so they go to the
-module engine as they are.  Only commutative polynomial base rings are
-supported.
+module engine as they are, and the semiprime closure of a left ideal is
+decided by the module's own closure decision, which loops over the rows
+of a matrix query as it does over the single row of a vector.  Only
+commutative polynomial base rings are supported.
 
 ``agreement_check`` sets the whole pipeline, for a vector or a matrix,
 against the finite-field oracle over one field.
@@ -17,10 +19,9 @@ could run concurrently, with the verdict their deterministic conjunction.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .closure import find_vanishing_witness, semiprime_member
+from .closure import semiprime_member
 from .errors import InfiniteFieldError
 from .fields import Field, PrimeField, QuadraticField
 from .groebner import (
@@ -52,9 +53,7 @@ class LeftIdealPresentation:
 
 def row_module(ideal: LeftIdealPresentation) -> SubmodulePresentation:
     """The submodule of R^n generated by every row of every generator."""
-    return SubmodulePresentation(
-        ideal.ring, ideal.size, [row for g in ideal.generators for row in g.rows]
-    )
+    return SubmodulePresentation(ideal.ring, ideal.size, ideal.generators)
 
 
 def ideal_with_rows_in(submodule: SubmodulePresentation) -> LeftIdealPresentation:
@@ -93,28 +92,13 @@ def matrix_semiprime_member(
     limits: GroebnerLimits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Decide whether F lies in the smallest semiprime left ideal containing
-    the generators: every row of F must lie in the semiprime closure of the
-    generators' row module, checked row by row until one fails.  The
-    verdict carries no certificate, its counters are summed over the rows
-    checked, and ``method`` is "cofactor" only when every row checked passed
-    by cofactors.  A negative takes the method of the row that failed; its
-    ``witness`` searches F itself on first read, so it is F's first
-    violation in scan order, not one row's (over Q, a second grid scan)."""
-    generators = list(generators)
-    module = row_module(LeftIdealPresentation(f.ring, f.size, generators))
-    stats = Counter()  # each counter summed over the rows checked
-    cofactors_only = True
-    for row in f.rows:
-        verdict = semiprime_member(row, module, order, limits)
-        stats.update(verdict.stats)
-        cofactors_only = cofactors_only and verdict.method == "cofactor"
-        if not verdict.member:
-            break
-    stats = dict(stats)
-    if not verdict.member:  # the failing row's method, "radical" or "witness"
-        return Verdict(False, method=verdict.method, stats=stats,
-                       witness=lambda: find_vanishing_witness(f, generators))
-    return Verdict(True, method="cofactor" if cofactors_only else "radical", stats=stats)
+    the generators: ``closure.semiprime_member`` of F against the
+    generators' row module, which checks F row by row until one fails.  The
+    verdict carries no certificate and counters summed over the rows run;
+    a negative's witness is F's own first violation against the generator
+    matrices."""
+    ideal = LeftIdealPresentation(f.ring, f.size, list(generators))
+    return semiprime_member(f, row_module(ideal), order, limits)
 
 
 def max_left_ideal_member(x: PolyMatrix, point, covector) -> bool:
@@ -130,16 +114,13 @@ def agreement_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> 
     base field (and its quadratic extension) and check the implication: a
     positive algebraic verdict forces an oracle pass.  Equivalently, any
     base-field counterexample forces a negative verdict.  The query and the
-    generators may be vectors or matrices."""
+    generators may be vectors or matrices: the query is decided against the
+    rows of the generators."""
     if field.size is None:
         raise InfiniteFieldError("agreement checks need a finite base field")
     query = query.map_coefficients(field)
     generators = [g.map_coefficients(field) for g in generators]
-    if isinstance(query, PolyMatrix):
-        verdict = matrix_semiprime_member(query, generators)
-    else:
-        presentation = SubmodulePresentation(query.ring, len(query), generators)
-        verdict = semiprime_member(query, presentation)
+    verdict = semiprime_member(query, SubmodulePresentation(query.ring, len(query), generators))
     if not verdict.member:
         return True
     fields = [field]

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
 from .linalg import dot_raw, echelon_insert, kernel_basis as _kernel_basis
-from .poly import PolyMatrix, check_operands
+from .poly import check_operands
 from .verdicts import Witness
 
 DEFAULT_CAP = 1_000_000
@@ -115,16 +115,6 @@ def odometer(values, dim: int):
         seen.append(value)
         yield (seen[0],) * (dim - 1) + (value,)
     yield from itertools.islice(itertools.product(seen, repeat=dim), len(seen), None)
-
-
-def _rows(obj):
-    """A matrix's row vectors; a vector is its own single row."""
-    return obj.rows if isinstance(obj, PolyMatrix) else (obj,)
-
-
-def _rows_at(obj, point):
-    """The values of the rows at a point."""
-    return [row.evaluate_raw(point) for row in _rows(obj)]
 
 
 def _det(rows):
@@ -206,11 +196,11 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     check_operands(query.ring, n, generators, "generator")
     nx, is_zero = query.ring.nx, field.is_zero
     zero = field.split({0: field.zero_raw})[0][0]  # over Q the int 0
-    gen_rows = [row for g in generators for row in _rows(g)]
+    gen_rows = [row for g in generators for row in g.rows]
     gen_count = len(gen_rows)
     compiled = [
         [_compile(terms, nx, zero) for terms in _integral(row.entries, field)]
-        for row in gen_rows + list(_rows(query))
+        for row in gen_rows + list(query.rows)
     ]
     minor = _det(gen_rows[:n]) if n <= MINOR_MAX_RANK and gen_count >= n else None
     if minor is not None:
@@ -275,7 +265,7 @@ def _verify_violation(query, generators, field, point, vector):
 
     def vanishes(obj):
         return all(
-            field.is_zero(dot_raw(field, row, vector)) for row in _rows_at(obj, point)
+            field.is_zero(dot_raw(field, row.evaluate_raw(point), vector)) for row in obj.rows
         )
 
     if not all(vanishes(g) for g in generators) or vanishes(query):

@@ -4,7 +4,8 @@ and the monomial / module-monomial orders.
 A monomial is an exponent tuple, one entry per ring variable.  A polynomial
 is a dict from exponent tuples to nonzero raw field values; the zero
 polynomial is the empty dict.  A vector is a tuple of polynomials, and a
-matrix a tuple of its rows, each a vector.  Module monomials pair a
+matrix a tuple of its rows, each a vector; both have ``rows``, a vector
+being its own single row.  Module monomials pair a
 component index with an exponent tuple.  All values are immutable once
 constructed, so they are safe to share between threads.
 
@@ -392,6 +393,11 @@ class VectorPoly:
 
     def __iter__(self):
         return iter(self.entries)
+
+    @property
+    def rows(self):
+        """A vector as a one-row matrix: itself, its single row."""
+        return (self,)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for e in self.entries)

@@ -345,8 +345,8 @@ def test_cli_oracle(tmp_path, capsys):
 
 def test_cli_matrix_semiprime(tmp_path, capsys):
     # over F7 the failing row reaches the radical test, whose pairs the
-    # counters include; over Q the row's grid witness decides it first, so
-    # the counters are those of the direct phase alone
+    # counters include; over Q the query's grid witness decides it first,
+    # so the counters are those of plain membership alone
     for ring, radical in [("F7", True), ("Q", False)]:
         text = (
             f"ring {ring}[x];\n"
@@ -583,6 +583,11 @@ def test_report_schema_is_stable(tmp_path, capsys):
         "timing_ms",
         "witness",
     ]
+    # a matrix query is decided by the same closure decision, so its report
+    # has the same fields; a matrix verdict carries no flat cofactor list
+    _, matrix = run(capsys, "matrix-semiprime-member", write(tmp_path, MATRIX_F5_PROBLEM))
+    assert sorted(matrix) == sorted(report)
+    assert matrix["method"] == "radical" and matrix["certificate"] is None
 
 
 def test_cli_witness_search_is_lazy_over_a_huge_field(tmp_path):
@@ -777,8 +782,8 @@ E11 = "mat f = [[1, 0], [0, 0]];"
         ("Q", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "witness", 1, 1, True),
         ("Q", "semiprime-member", IRRATIONAL, "vec f = [1, 0];", False, "radical", 2, 1, False),
         ("F7", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "radical", 2, 1, True),
-        ("F7", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, None, 2, 1, True),
-        ("Q", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, None, 1, 2, True),
+        ("F7", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, "radical", 2, 1, True),
+        ("Q", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, "witness", 1, 1, True),
     ],
     ids=["cofactor", "radical-member", "witness", "radical-nonmember",
          "F7-radical-nonmember", "F7-matrix-nonmember", "Q-matrix-nonmember"],
@@ -789,8 +794,7 @@ def test_cli_rational_closure_query_searches_the_grid_at_most_once(
     # the verdict's own search is the report's: the CLI searches for no
     # point, and a witness negative builds only the direct basis.  Over F7
     # the radical negative's witness is searched once, when the report
-    # reads it; a matrix negative searches F itself once, after the
-    # failing row's own grid search over Q
+    # reads it; a matrix query is scanned once, as a whole, like a vector
     calls = {"find_vanishing_witness": 0, "buchberger": 0}
 
     def count(module, name):
@@ -802,14 +806,13 @@ def test_cli_rational_closure_query_searches_the_grid_at_most_once(
 
         monkeypatch.setattr(module, name, wrapper)
 
-    for module in (semimod.closure, semimod.matrixideals):
-        count(module, "find_vanishing_witness")
+    count(semimod.closure, "find_vanishing_witness")
     for module in (semimod.closure, semimod.groebner):
         count(module, "buchberger")
     text = f"ring {ring}[x, y];\n{gens}{f}\nquery {kind} f in {{g1, g2}};"
     code, report = run(capsys, kind, write(tmp_path, text))
     assert report["member"] is member and code == (0 if member else 1)
-    assert report.get("method") == method
+    assert report["method"] == method
     assert calls["find_vanishing_witness"] == searches
     assert calls["buchberger"] == bases
     assert (report["witness"] is not None) == witness

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import random_polynomial, random_vector
 
-from semimod import closure, matrixideals
+from semimod import closure
 from semimod.closure import find_vanishing_witness, semiprime_member
 from semimod.errors import DimensionMismatchError, ZeroCovectorError
 from semimod.fields import QQ, PrimeField
@@ -151,14 +151,17 @@ def test_matrix_semiprime_member_positive(R, twisted_matrix_ideal):
 
 
 def test_matrix_semiprime_member_sums_row_counters(R, twisted_matrix_ideal):
+    # over F7, where no grid witness decides before the radical test (over
+    # Q, F's own witness decides at the first row outside the submodule)
+    F7 = PrimeField(7)
     x, y = R.variables()
-    F = PolyMatrix(R, [[x, y], [y * y, x * x]])
-    verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
+    F = PolyMatrix(R, [[x, y], [y * y, x * x]]).map_coefficients(F7)
+    gens = [g.map_coefficients(F7) for g in twisted_matrix_ideal.generators]
+    verdict = matrix_semiprime_member(F, gens)
     assert not verdict.member
     # the first row is a member, the second is not: both rows ran
-    rows = [
-        semiprime_member(row, row_module(twisted_matrix_ideal)) for row in F.rows
-    ]
+    module = row_module(LeftIdealPresentation(F.ring, 2, gens))
+    rows = [semiprime_member(row, module) for row in F.rows]
     assert [r.member for r in rows] == [True, False]
     for key in ("pairs_processed", "pairs_skipped", "zero_reductions", "basis_size"):
         assert verdict.stats[key] == sum(r.stats[key] for r in rows)
@@ -176,8 +179,8 @@ def test_matrix_semiprime_member_names_its_method(R, twisted_matrix_ideal):
     F = PolyMatrix(R, [[x * x, x * y], [x, y]])
     verdict = matrix_semiprime_member(F, twisted_matrix_ideal.generators)
     assert verdict.member and verdict.method == "radical"
-    # a negative takes the method of its failing row: over Q the first row
-    # of I has a grid witness, which also refutes I
+    # over Q a negative is decided by the query's grid witness, searched
+    # once at the first row outside the submodule
     verdict = matrix_semiprime_member(identity_matrix(R, 2), twisted_matrix_ideal.generators)
     assert not verdict.member and verdict.method == "witness"
     G = twisted_matrix_ideal.generators[0]
@@ -190,9 +193,10 @@ def test_matrix_semiprime_member_names_its_method(R, twisted_matrix_ideal):
 
 
 def test_witnesses_are_searched_only_when_read(R, twisted_matrix_ideal, monkeypatch):
-    # a caller that reads only ``member`` scans no point: a finite-field
-    # radical negative and every matrix negative search on first read, and
-    # over Q only the failing row's grid pre-check runs while deciding
+    # a caller that reads only ``member`` scans no point over a finite
+    # field, where a radical negative, vector or matrix, searches on first
+    # read; over Q the query is searched once while deciding and not again
+    # on read
     F7 = PrimeField(7)
     G = twisted_matrix_ideal.generators[0]
     I = identity_matrix(R, 2)
@@ -210,8 +214,7 @@ def test_witnesses_are_searched_only_when_read(R, twisted_matrix_ideal, monkeypa
         raise AssertionError("a witness was searched")
 
     with monkeypatch.context() as m:
-        for module in (closure, matrixideals):
-            m.setattr(module, "find_vanishing_witness", refuse)
+        m.setattr(closure, "find_vanishing_witness", refuse)
         vector = semiprime_member(e1, N7)
         assert not vector.member and vector.method == "radical"
         matrix = matrix_semiprime_member(I7, [G7])
@@ -220,13 +223,14 @@ def test_witnesses_are_searched_only_when_read(R, twisted_matrix_ideal, monkeypa
         m.setattr(closure, "find_vanishing_witness", search)
         rational = matrix_semiprime_member(I, [G])
         assert not rational.member and len(searches) == 1
-    for module in (closure, matrixideals):
-        monkeypatch.setattr(module, "find_vanishing_witness", search)
-    for verdict, query, gens in ((vector, e1, N7.generators), (matrix, I7, [G7]), (rational, I, [G])):
+    monkeypatch.setattr(closure, "find_vanishing_witness", search)
+    for verdict, query, gens, on_read in (
+        (vector, e1, N7.generators, 1), (matrix, I7, [G7], 1), (rational, I, [G], 0)
+    ):
         searches.clear()
         assert verdict.witness == original(query, gens) is not None
         assert verdict.witness is verdict.witness
-        assert len(searches) == 1
+        assert len(searches) == on_read
 
 
 def test_matrix_semiprime_member_generator(R, twisted_matrix_ideal):
@@ -273,6 +277,71 @@ def test_rowwise_equivalence(R):
             for row in F.rows
         )
         assert matrix_semiprime_member(F, gens).member == rows_ok
+
+
+def corpus_problem(rng, ring, n):
+    """A matrix query of size n and its generator matrices, some of whose
+    rows are zero.  Each query row is a generator row (a member by
+    cofactors), a vector f of linear forms whose products f_i * f are the
+    rows of an added generator (a member, often only by the radical test),
+    or, in half of the queries, possibly a random row."""
+    x, y = ring.variables()
+    zero = [ring.zero()] * n
+
+    def row():
+        return [random_polynomial(rng, ring, 1) for _ in range(n)]
+
+    gens = [
+        PolyMatrix(ring, [row() if rng.random() < 0.7 else zero for _ in range(n)])
+        for _ in range(rng.randint(1, 2))
+    ]
+    rows = []
+    spread = 0.5 if rng.random() < 0.5 else 1.0
+    for _ in range(n):
+        pick = rng.random() * spread
+        if pick < 0.3:
+            rows.append(gens[0].rows[rng.randrange(n)])
+        elif pick < 0.5:
+            f = [x.scale(rng.randint(-2, 2)) + y.scale(rng.randint(-2, 2)) for _ in range(n)]
+            gens.append(PolyMatrix(ring, [[a * b for b in f] for a in f]))
+            rows.append(f)
+        else:
+            rows.append(row())
+    return PolyMatrix(ring, rows), gens
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(101)], ids=["Q", "F7", "F101"])
+def test_matrix_verdicts_are_their_rows_and_witnesses_the_querys_own(field, monkeypatch):
+    # one closure decision for a matrix: its verdict is the conjunction of
+    # its rows' vector verdicts, its witness the first violation of F
+    # against the generator matrices themselves (not their row module,
+    # which drops the zero rows), and it searches at most once per query
+    rng = random.Random(2300 + field.char)
+    ring = PolyRing(field, ("x", "y"))
+    original = find_vanishing_witness
+    searches = []
+
+    def search(*args):
+        searches.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(closure, "find_vanishing_witness", search)
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        F, gens = corpus_problem(rng, ring, n)
+        searches.clear()
+        verdict = matrix_semiprime_member(F, gens)
+        witness = verdict.witness
+        assert len(searches) <= 1
+        module = row_module(LeftIdealPresentation(ring, n, gens))
+        assert verdict.member == all(semiprime_member(row, module).member for row in F.rows)
+        assert witness == original(F, gens)
+        assert (witness is not None) <= (not verdict.member)
+        seen.add((verdict.member, verdict.method))
+    # over Q the grid decides the corpus's negatives
+    negative = (False, "witness" if field.char == 0 else "radical")
+    assert {(True, "cofactor"), (True, "radical"), negative} <= seen
 
 
 # ---------------------------------------------------------------------------

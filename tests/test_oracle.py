@@ -19,7 +19,6 @@ from semimod.linalg import dot_raw, kernel_basis
 from semimod.matrixideals import agreement_check, matrix_semiprime_member
 from semimod.oracle import (
     OracleReport,
-    _rows_at,
     odometer,
     oracle_check,
     oracle_check_escalating,
@@ -285,12 +284,12 @@ def reference_scan(query, generators, field, points, cap):
         count += 1
         if count > cap:
             raise EnumerationCapExceededError(f"point cap of {cap} crossed")
-        rows = [row for g in generators for row in _rows_at(g, point)]
+        rows = [row.evaluate_raw(point) for g in generators for row in g.rows]
         kernel = kernel_basis(rows, n, field)
         if not kernel:
             continue
         nontrivial += 1
-        values = _rows_at(query, point)
+        values = [row.evaluate_raw(point) for row in query.rows]
         for v in kernel:
             evaluations += 1
             if evaluations > cap:

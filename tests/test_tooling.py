@@ -44,7 +44,7 @@ def test_no_imports_inside_functions():
 PLAIN_EVALUATORS = {
     "poly.py": {"evaluate_raw"},
     "linalg.py": {"dot_raw"},
-    "oracle.py": {"_verify_violation", "_rows_at"},
+    "oracle.py": {"_verify_violation"},
     "fields.py": {"power"},
 }
 SCAN_KERNELS = {"horner", "eliminate", "echelon_insert"}
@@ -235,10 +235,11 @@ def test_every_membership_call_passes_order_and_limits():
 
 
 def test_witnesses_are_searched_by_the_decisions_only():
-    # over Q a grid witness decides a negative before the radical test, and
-    # the other negatives attach a search that runs on first read; the CLI
-    # prints what a verdict carries, and no other function, and no module
-    # body, calls the search
+    # one closure decision, for vectors and matrices, scans each query at
+    # most once: over Q a grid witness decides a negative before the
+    # radical test, and a finite-field negative attaches a search that runs
+    # on first read; the CLI prints what a verdict carries, and no other
+    # function, and no module body, calls the search
     root = pathlib.Path(semimod.__file__).parent
     callers = set()
 
@@ -256,7 +257,7 @@ def test_witnesses_are_searched_by_the_decisions_only():
 
     for path in sorted(root.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
-    assert callers == {"closure.semiprime_member", "matrixideals.matrix_semiprime_member"}
+    assert callers == {"closure.semiprime_member"}
 
 
 def test_the_flag_table_lists_every_cli_flag():

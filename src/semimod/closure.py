@@ -9,12 +9,24 @@ equivalent to "g_j(a)v = 0 for all j implies f(a)v = 0 at every point
 (a, v)", which is exactly the statement that f.v vanishes on the zero set
 of the g_j.v, i.e. classical radical membership.  Radical membership
 itself is decided with one extra tag variable: f is in the radical of I
-iff 1 lies in I + <1 - t*f>.  A matrix F lies in the smallest semiprime
-left ideal of M_n(R) containing G_1..G_k iff every row of F lies in the
-closure of the rows of the G_i, so ``semiprime_member`` decides a vector
-and a matrix in one loop over the query's rows (a vector is its own single
-row), and the vanishing test reads G_i(a)v = 0 for all i implies
-F(a)v = 0.
+iff 1 lies in I + <1 - t*f>.
+
+The charts: every g_j.v is linear in v, so the zero set of the g_j.v is a
+cone in v, and f.v vanishes wherever v = 0.  Every nonzero v is a scalar
+multiple of exactly one v whose last nonzero coordinate v_k is 1.  So f.v
+lies in the radical iff, for every k, the chart query h_k = f.v at
+v = (v_1..v_{k-1}, 1, 0..0) lies in the radical of the g_j.v at the same v,
+in k[x, v_1..v_{k-1}] (``BilinearEncoding.chart``).  The radical path runs
+one Rabinowitsch basis per chart, k = 1..n in ascending order, each with
+k - 1 v-variables where the full encoding has n.  The charts' verdict
+equals the full encoding's over any field and under any order, since both
+decide membership over the algebraic closure.
+
+A matrix F lies in the smallest semiprime left ideal of M_n(R) containing
+G_1..G_k iff every row of F lies in the closure of the rows of the G_i, so
+``semiprime_member`` decides a vector and a matrix in one loop over the
+query's rows (a vector is its own single row), and the vanishing test
+reads G_i(a)v = 0 for all i implies F(a)v = 0.
 
 Verdicts computed over Q agree with the verdicts over the algebraic
 closure, because basis computations never leave the base field and "1 in
@@ -58,13 +70,32 @@ from .verdicts import Verdict
 
 @dataclass(frozen=True)
 class BilinearEncoding:
-    """Generators and query of a submodule problem, rewritten as scalar
-    polynomials in k[x, v]; every encoded polynomial is homogeneous of
-    degree 1 in the v-block."""
+    """Generators and query of a submodule problem of rank ``rank``,
+    rewritten as scalar polynomials in k[x, v_1..v_rank]; every encoded
+    polynomial is homogeneous of degree 1 in the v-block."""
 
     ring: PolyRing
     encoded_generators: tuple
     encoded_query: Polynomial
+    rank: int
+
+    def chart(self, k: int):
+        """The query and the nonzero generators on the k-th chart of the
+        v-block, 1 <= k <= rank: v_k = 1 and v_{k+1} = ... = v_rank = 0, in
+        k[x, v_1..v_{k-1}], which keeps this ring's variable names and
+        x-block.  Returns ``(query, generators)``."""
+        ring = self.ring
+        cut = ring.num_vars - self.rank + k - 1  # x-block and v_1..v_{k-1}
+        chart_ring = PolyRing(ring.field, ring.names[:cut], nx=ring.nx)
+
+        def restrict(p):
+            # each term carries one v-variable to the first power: v_k
+            # becomes 1, and a term in v_{k+1}..v_rank vanishes
+            kept = {e[:cut]: c for e, c in p.terms.items() if not any(e[cut + 1 :])}
+            return Polynomial(chart_ring, kept)
+
+        gens = tuple(g for g in map(restrict, self.encoded_generators) if not g.is_zero())
+        return restrict(self.encoded_query), gens
 
 
 def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
@@ -73,7 +104,7 @@ def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
     ext = base.extended(f"v{i}" for i in range(1, len(f) + 1))
     vblock = VectorPoly(ext, ext.variables()[base.num_vars :])
     enc_gens = tuple(g.embed_into(ext).dot(vblock) for g in generators)
-    return BilinearEncoding(ext, enc_gens, f.embed_into(ext).dot(vblock))
+    return BilinearEncoding(ext, enc_gens, f.embed_into(ext).dot(vblock), len(f))
 
 
 def _radical_member(f, gens, order, limits) -> Verdict:
@@ -92,6 +123,24 @@ def _radical_member(f, gens, order, limits) -> Verdict:
     if member and (len(gb.elements) != 1 or gb.elements[0] != one):
         raise InvariantViolationError("unit ideal without the reduced basis {1}")
     return Verdict(member=member, method="radical", stats=dict(gb.stats))
+
+
+def _radical_member_by_charts(enc: BilinearEncoding, order, limits) -> Verdict:
+    """The radical test of the encoded query, one chart of the v-block at a
+    time in ascending order: the query lies in the radical iff it does on
+    every chart.  A chart whose query is 0 passes without a basis; the
+    counters are summed over the charts run, and the first negative ends
+    the test."""
+    stats = Counter()
+    for k in range(1, enc.rank + 1):
+        h, gens = enc.chart(k)
+        if h.is_zero():
+            continue
+        verdict = _radical_member(h, gens, order, limits)
+        stats.update(verdict.stats)
+        if not verdict.member:
+            return Verdict(False, method="radical", stats=dict(stats))
+    return Verdict(True, method="radical", stats=dict(stats))
 
 
 def radical_member(
@@ -172,14 +221,18 @@ def semiprime_member(
     too, so a re-verified witness decides the negative (method "witness").
     Otherwise, and always over a finite field, whose scan may enumerate
     every point, the bilinear encoding reduces the row to radical
-    membership in k[x, v]; a radical negative ends the loop.
+    membership in k[x, v], decided one chart of the v-block at a time (see
+    the module docstring): chart k sets v_k = 1 and the later v to 0, and
+    the row passes iff it passes on every chart.  A radical negative ends
+    the loop.
 
-    Counters are summed over every phase of every row run.  ``method`` is
-    "cofactor" when every row passed by cofactors, and a vector's verdict
-    then carries them as its certificate; a matrix verdict carries none.  A
-    negative's witness is the query's first violation: attached over Q,
-    None for a radical negative, whose grid has been searched, and over a
-    finite field searched on first read."""
+    Counters are summed over every phase of every row run, and over every
+    chart basis of a radical test.  ``method`` is "cofactor" when every row
+    passed by cofactors, and a vector's verdict then carries them as its
+    certificate; a matrix verdict carries none.  A negative's witness is the
+    query's first violation: attached over Q, None for a radical negative,
+    whose grid has been searched, and over a finite field searched on first
+    read."""
     generators = submodule.generators
     rational = query.ring.field.char == 0
     stats = Counter()  # each counter summed over the phases and rows run
@@ -194,7 +247,7 @@ def semiprime_member(
             if witness is not None:
                 return Verdict(False, method="witness", stats=dict(stats), witness=witness)
         enc = bilinear_encoding(row, generators)
-        radical = _radical_member(enc.encoded_query, enc.encoded_generators, order, limits)
+        radical = _radical_member_by_charts(enc, order, limits)
         stats.update(radical.stats)
         method = "radical"
         if not radical.member:

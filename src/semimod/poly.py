@@ -12,9 +12,10 @@ constructed, so they are safe to share between threads.
 Variable blocks: a ring remembers how many leading variables form the
 x-block, the only variables points evaluate; by default that is all of
 them.  ``PolyRing.extended`` appends fresh variables after the existing
-ones and keeps the x-block, so the encoding ring k[x, v, t] is the problem
-ring extended by the v-block and then by the tag, and callers find the new
-variables by position.
+ones and keeps the x-block, so the encoding ring k[x, v] is the problem
+ring extended by the v-block, a chart ring k[x, v_1..v_{k-1}] is a prefix
+of it, and a radical test extends its ring by the tag; callers find the
+new variables by position.
 """
 
 from __future__ import annotations

@@ -778,7 +778,7 @@ E11 = "mat f = [[1, 0], [0, 0]];"
     "ring, kind, gens, f, member, method, bases, searches, witness",
     [
         ("Q", "semiprime-member", TWISTED, "vec f = [x^2, x*y];", True, "cofactor", 1, 0, False),
-        ("Q", "semiprime-member", TWISTED, "vec f = [x, y];", True, "radical", 2, 1, False),
+        ("Q", "semiprime-member", TWISTED, "vec f = [x, y];", True, "radical", 1 + 2, 1, False),
         ("Q", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "witness", 1, 1, True),
         ("Q", "semiprime-member", IRRATIONAL, "vec f = [1, 0];", False, "radical", 2, 1, False),
         ("F7", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "radical", 2, 1, True),
@@ -792,7 +792,9 @@ def test_cli_rational_closure_query_searches_the_grid_at_most_once(
     tmp_path, capsys, monkeypatch, ring, kind, gens, f, member, method, bases, searches, witness
 ):
     # the verdict's own search is the report's: the CLI searches for no
-    # point, and a witness negative builds only the direct basis.  Over F7
+    # point, and a witness negative builds only the direct basis.  A radical
+    # verdict adds one basis per chart run: (x, y) passes both charts, and
+    # (1, 0) fails on the first.  Over F7
     # the radical negative's witness is searched once, when the report
     # reads it; a matrix query is scanned once, as a whole, like a vector
     calls = {"find_vanishing_witness": 0, "buchberger": 0}

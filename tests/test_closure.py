@@ -104,6 +104,33 @@ def test_encoding_is_linear_in_the_new_block(R, twisted):
             assert sum(exps[nx:]) == 1
 
 
+def test_chart_k_sets_v_k_to_one_and_the_later_v_to_zero(R):
+    x, y = R.variables()
+    f = VectorPoly(R, [x, y, x * y])
+    gens = [VectorPoly(R, [x, R.zero(), R.zero()]),
+            VectorPoly(R, [R.zero(), R.zero(), y]),
+            VectorPoly(R, [R.zero()] * 3)]
+    enc = bilinear_encoding(f, gens)
+    assert enc.rank == 3
+    for k in (1, 2, 3):
+        h, chart_gens = enc.chart(k)
+        ring = h.ring
+        assert ring == R.extended(f"v{i}" for i in range(1, k))
+        assert ring.names == enc.ring.names[: R.num_vars + k - 1]
+        assert ring.nx == enc.ring.nx == R.nx
+        for poly in (h, *chart_gens):
+            assert poly.ring == ring and not poly.is_zero()
+            assert all(sum(exps[ring.nx :]) <= 1 for exps in poly.terms)
+        # f.v and the generators' g.v at v = (v_1..v_{k-1}, 1, 0..0); the
+        # generators that vanish there, the zero one always, are dropped
+        point = ring.variables()[R.num_vars :] + [ring.one(), ring.zero(), ring.zero()]
+        v = VectorPoly(ring, point[:3])
+        assert h == f.embed_into(ring).dot(v)
+        substituted = [g.embed_into(ring).dot(v) for g in gens]
+        assert list(chart_gens) == [p for p in substituted if not p.is_zero()]
+        assert len(chart_gens) == [1, 1, 2][k - 1]
+
+
 # ---------------------------------------------------------------------------
 # semiprime membership
 # ---------------------------------------------------------------------------
@@ -125,17 +152,38 @@ def test_query_of_the_wrong_rank_is_rejected(R, twisted):
 
 def test_semiprime_counters_sum_the_direct_and_radical_phases(R, twisted):
     # over F101, where the radical test decides negatives; over Q the grid
-    # witness at (0, 1) decides this one first
+    # witness at (0, 1) decides (y^2, x^2) first.  The radical test runs on
+    # the charts v1 = 1, v2 = 0 (query f_1) and v2 = 1 (query f_1*v1 + f_2),
+    # chart 1 first: (y^2, x^2) fails on chart 1, so its chart 2 never runs,
+    # and (x, y) passes both
     gens = [g.map_coefficients(PrimeField(101)) for g in twisted.generators]
     twisted = SubmodulePresentation(gens[0].ring, 2, gens)
-    x, y = twisted.ring.variables()
-    f = VectorPoly(twisted.ring, [y * y, x * x])
-    direct = submodule_member(f, twisted)
-    assert not direct.member and direct.stats["pairs_processed"] == 1
-    verdict = semiprime_member(f, twisted)
-    assert verdict.method == "radical"
-    # the radical basis alone processes 10 pairs
-    assert verdict.stats["pairs_processed"] == 11
+    ring = twisted.ring
+    x, y = ring.variables()
+    chart2 = ring.extended(["v1"])
+    v1 = chart2.variable("v1")
+    x2, y2 = (chart2.embed(p) for p in (x, y))
+    cases = [
+        (VectorPoly(ring, [y * y, x * x]), False, [(y * y, [x * x, x * y])]),
+        (VectorPoly(ring, [x, y]), True, [
+            (x, [x * x, x * y]),
+            (x2 * v1 + y2, [x2 * x2 * v1 + x2 * y2, x2 * y2 * v1 + y2 * y2]),
+        ]),
+    ]
+    for f, member, charts in cases:
+        direct = submodule_member(f, twisted)
+        assert not direct.member and direct.stats["pairs_processed"] == 1
+        verdict = semiprime_member(f, twisted)
+        assert verdict.member is member and verdict.method == "radical"
+        expected = Counter(direct.stats)
+        for h, chart_gens in charts:
+            ext = h.ring.extended(["t"])
+            t = ext.variable("t")
+            aug = [ext.embed(g) for g in chart_gens]
+            aug.append(ext.one() - t * ext.embed(h))
+            basis = ideal_presentation(ext, aug).groebner(DEFAULT_ORDER, DEFAULT_LIMITS)
+            expected.update(basis.stats)
+        assert verdict.stats == dict(expected)
 
 
 def test_generators_are_members_with_certificates(R, twisted):

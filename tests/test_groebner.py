@@ -11,7 +11,7 @@ import pytest
 
 from conftest import ORDERS, combine, random_generators, random_vector
 
-from semimod import groebner
+from semimod import closure, groebner
 from semimod.cli import main
 from semimod.closure import radical_member, semiprime_member
 from semimod.errors import ResourceLimitExceededError
@@ -482,6 +482,25 @@ def test_lex_radical_basis_ends_at_the_coefficient_cap():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith(f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed")
+
+
+def test_lex_case_is_decided_on_its_first_chart():
+    # the problem of _LEX_CASE, decided chart by chart as semiprime_member
+    # decides a radical row: chart 1 (v1 = 1, v2 = 0) is the radical test of
+    # f_1 over the first entries of the generators in Q[x, y], negative
+    # after 45 pairs, in milliseconds where the full encoding hits the cap
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.variables()
+    f = VectorPoly(R, [x * y + 2 * y * y, x * x + 2 * x])
+    gens = [VectorPoly(R, [2 * x * x + x, y * y]),
+            VectorPoly(R, [-x * x - x * y, 2 * x * x + 2 * y])]
+    enc = closure.bilinear_encoding(f, gens)
+    lex = OrderSpec(scalar="lex", module="top")
+    verdict = closure._radical_member_by_charts(enc, lex, groebner.DEFAULT_LIMITS)
+    assert not verdict.member and verdict.method == "radical"
+    assert verdict.stats["pairs_processed"] == 45
+    h, chart_gens = enc.chart(1)
+    assert h.ring == R and h == f[0] and list(chart_gens) == [g[0] for g in gens]
 
 
 def test_coefficient_cap_counts_the_bits_of_each_new_element(R, monkeypatch):

@@ -5,7 +5,9 @@ error.  The report schema is versioned ("schema": 1) and documented in
 docs/schema.json.  Dispatch is single-threaded; one query runs per typed
 invocation, and ``run`` executes a file's queries in order (batch mode).
 Reports only print the evidence a verdict carries: the decisions attach
-every certificate and witness, and this module searches for none.
+every certificate and witness, and this module searches for none.  The
+three closure commands share one decision, ``closure.semiprime_member``: a
+``radical-member`` query and its generators are its vectors of rank 1.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import os
 import sys
 import time
 
-from .closure import _radical_member, semiprime_member
+from .closure import semiprime_member
 from .errors import ProblemSyntaxError, SemimodError
 from .fields import field_from_flag
 from .groebner import (
@@ -28,7 +30,7 @@ from .groebner import (
 )
 from .oracle import DEFAULT_CAP, default_field, oracle_check, oracle_check_escalating
 from .parser import QUERY_KINDS, Query, parse_problem
-from .poly import OrderSpec
+from .poly import OrderSpec, VectorPoly
 from .submodules import (
     prime_closure_at,
     semiprime_refutation,
@@ -39,28 +41,10 @@ from .verdicts import guarantee_for
 SCHEMA_VERSION = 1
 
 
-def _order_json(order: OrderSpec):
-    return {"scalar": order.scalar, "module": order.module}
-
-
-def _base_report(kind: str, order: OrderSpec):
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": kind,
-        "order": _order_json(order),
-    }
-
-
 def _certificate_json(cofactors):
     if cofactors is None:
         return None
     return {"cofactors": [str(c) for c in cofactors]}
-
-
-def _witness_json(witness):
-    """The refuting point a negative closure verdict carries, if any; the
-    decision attached it, so the report only prints it."""
-    return witness.as_json() if witness else None
 
 
 def run_query(problem, query: Query, options) -> tuple[dict, int]:
@@ -68,14 +52,17 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
     The parser has already checked every name the query uses and its kind."""
     order = options.order
     limits = options.limits
-    report = _base_report(query.kind, order)
+    report = {
+        "schema": SCHEMA_VERSION,
+        "command": query.kind,
+        "order": {"scalar": order.scalar, "module": order.module},
+    }
     started = time.perf_counter()
     code = 0
     args = query.args
     objects = problem.objects
     gens = [objects[name][1] for name in args["generators"]]
     kind, value = objects[args["query"]] if "query" in args else (None, None)
-    guarantee = guarantee_for(problem.ring.field)
 
     if query.kind == "member":
         if kind == "poly":
@@ -88,26 +75,23 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
-    elif query.kind in ("semiprime-member", "matrix-semiprime-member"):
+    elif query.kind in ("semiprime-member", "matrix-semiprime-member", "radical-member"):
+        if kind == "poly":  # an ideal is a submodule of rank 1
+            value = VectorPoly(problem.ring, [value])
+            gens = [VectorPoly(problem.ring, [g]) for g in gens]
         submodule = SubmodulePresentation(problem.ring, len(value), gens)
         verdict = semiprime_member(value, submodule, order, limits)
         report["member"] = verdict.member
-        report["guarantee"] = guarantee
+        report["guarantee"] = guarantee_for(problem.ring.field)
         report["method"] = verdict.method
         report["certificate"] = _certificate_json(verdict.certificate)
-        report["witness"] = _witness_json(verdict.witness)
+        witness = verdict.witness
+        report["witness"] = witness.as_json() if witness else None
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
         if options.cross_check:
             oracle_field = options.field or default_field(problem.ring.field)
             report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
-
-    elif query.kind == "radical-member":
-        verdict = _radical_member(value, gens, order, limits)
-        report["member"] = verdict.member
-        report["guarantee"] = guarantee
-        report["counters"] = verdict.stats
-        code = 0 if verdict.member else 1
 
     elif query.kind == "refute-semiprime":
         submodule = SubmodulePresentation(problem.ring, len(value), gens)

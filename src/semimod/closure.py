@@ -22,6 +22,12 @@ k - 1 v-variables where the full encoding has n.  The charts' verdict
 equals the full encoding's over any field and under any order, since both
 decide membership over the algebraic closure.
 
+An ideal is the rank-1 case: a semiprime submodule of R^1 is a radical
+ideal, so p lies in the closure of (p_1..p_m) iff p lies in their radical,
+and ``semiprime_member`` decides it on the vectors [p] and [p_j].  Its one
+chart sets v_1 = 1 in the problem's own ring, where the radical test is
+the Rabinowitsch test of p itself.
+
 A matrix F lies in the smallest semiprime left ideal of M_n(R) containing
 G_1..G_k iff every row of F lies in the closure of the rows of the G_i, so
 ``semiprime_member`` decides a vector and a matrix in one loop over the
@@ -151,7 +157,11 @@ def radical_member(
 ) -> bool:
     """True iff f lies in the radical of the ideal generated by ``gens``,
     decided by whether 1 - t*f together with the generators produce the
-    unit ideal in one extra variable."""
+    unit ideal in one extra variable.  This is the bare test, with no plain
+    membership and no witness search first, on any ring: the rings k[x, v]
+    of an encoding too, whose v-variables the grid scan cannot evaluate.
+    For a verdict with evidence, decide the rank-1 vectors [f] and [g_j]
+    by ``semiprime_member``, as ``radical-member`` does."""
     return _radical_member(f, gens, order, limits).member
 
 

@@ -131,7 +131,7 @@ class ProblemFile:
 QUERY_KINDS = {
     "member": "submodule or ideal membership with a cofactor certificate",
     "semiprime-member": "membership in the smallest semiprime submodule",
-    "radical-member": "radical ideal membership via one tag variable",
+    "radical-member": "radical ideal membership: semiprime-member at rank 1",
     "matrix-semiprime-member": "membership in the smallest semiprime left ideal",
     "refute-semiprime": "check a candidate refutation of the closure rule",
     "refute-weak": "check a candidate refutation of the classical rule",

@@ -10,6 +10,7 @@ from conftest import random_polynomial, random_vector
 
 import semimod
 from semimod.cli import build_arg_parser, main
+from semimod.closure import radical_member
 from semimod.errors import (
     DimensionMismatchError,
     ProblemSyntaxError,
@@ -271,6 +272,66 @@ def test_cli_radical_member(tmp_path, capsys):
     path = write(tmp_path, text)
     code, report = run(capsys, "radical-member", path)
     assert code == 0 and report["member"] is True
+
+
+def _radical_corpus(rng, ring, rounds=6):
+    """Seeded ideal problems ``(p, generators)`` over ``ring``: zero
+    generators, p = 0, p in I as a combination, p in the radical as
+    bench's radical-power category builds it (p^2 = (p^2 - h*w) + w*h), and
+    random p."""
+    zero = ring.zero()
+    corpus = []
+    for _ in range(rounds):
+        g1, g2, a, b, h, w, p, q = (random_polynomial(rng, ring) for _ in range(8))
+        corpus += [
+            (q, [zero]),
+            (zero, [g1, g2]),
+            (a * g1 + b * g2, [g1, zero, g2]),
+            (p, [p * p - h * w, h]),
+            (q, [g1, g2]),
+        ]
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "name, field", [("Q", QQ), ("F7", PrimeField(7)), ("F101", PrimeField(101))],
+    ids=["Q", "F7", "F101"],
+)
+def test_cli_radical_member_reports_carry_checked_evidence(tmp_path, capsys, name, field):
+    # a radical-member report is the rank-1 closure decision's: its verdict
+    # is the Rabinowitsch test's, its cofactors recombine to p over the
+    # nonzero generators, and its witness is a zero of every generator
+    # where p does not vanish, each re-checked with Polynomial arithmetic
+    ring = PolyRing(field, ("x", "y"))
+    seen = set()
+    for p, gens in _radical_corpus(random.Random(f"radical:{name}"), ring):
+        names = [f"g{j}" for j in range(1, len(gens) + 1)]
+        text = (
+            f"ring {name}[x, y];\n"
+            + "".join(f"poly {n} = {g};\n" for n, g in zip(names, gens))
+            + f"poly p = {p};\nquery radical-member p in {{{', '.join(names)}}};"
+        )
+        code, report = run(capsys, "radical-member", write(tmp_path, text))
+        member, method = report["member"], report["method"]
+        assert member is radical_member(p, gens) and code == (0 if member else 1)
+        certificate, witness = report["certificate"], report["witness"]
+        assert (certificate is not None) == (method == "cofactor")
+        if certificate is not None:
+            nonzero = [g for g in gens if not g.is_zero()]
+            cofactors = [parse_polynomial(c, ring) for c in certificate["cofactors"]]
+            assert len(cofactors) == len(nonzero)
+            assert sum((c * g for c, g in zip(cofactors, nonzero)), ring.zero()) == p
+        if witness is not None:
+            assert not member
+            point = [field.coerce(int(c)) for c in witness["point"]]
+            assert all(field.is_zero(g.evaluate_raw(point)) for g in gens)
+            assert not field.is_zero(p.evaluate_raw(point))
+            assert [field.is_zero(field.coerce(int(c))) for c in witness["vector"]] == [False]
+        if field.char == 0:  # a rational witness decides; none is searched after
+            assert (witness is not None) == (method == "witness")
+        seen.add((member, method, witness is not None))
+    negative = (False, "witness", True) if field.char == 0 else (False, "radical", True)
+    assert {(True, "cofactor", False), (True, "radical", False), negative} <= seen
 
 
 def test_cli_refute_semiprime(tmp_path, capsys):
@@ -550,7 +611,8 @@ def test_reports_validate_against_schema(tmp_path, capsys):
         ("member", TWISTED_PAIR_PROBLEM.format(query="member"), ()),
         ("semiprime-member", TWISTED_PAIR_PROBLEM.format(query="semiprime-member"), ("--oracle",)),
         ("semiprime-member", negative, ("--oracle",)),
-        ("radical-member", "ring Q[x, y];\npoly p = x;\npoly q = x^2;\nquery radical-member p in {q};", ()),
+        ("radical-member", "ring Q[x, y];\npoly p = x;\npoly q = x^2;\nquery radical-member p in {q};",
+         ("--oracle",)),
         ("matrix-semiprime-member", MATRIX_F5_PROBLEM, ("--oracle",)),
         ("refute-semiprime", TWISTED_PAIR_PROBLEM.format(query="refute-semiprime"), ()),
         ("refute-weak", REFUTE_WEAK_PROBLEM, ()),
@@ -588,6 +650,10 @@ def test_report_schema_is_stable(tmp_path, capsys):
     _, matrix = run(capsys, "matrix-semiprime-member", write(tmp_path, MATRIX_F5_PROBLEM))
     assert sorted(matrix) == sorted(report)
     assert matrix["method"] == "radical" and matrix["certificate"] is None
+    # an ideal is the rank-1 case: a radical-member report has them too
+    text = "ring Q[x, y];\npoly p = x;\npoly q = x^2;\nquery radical-member p in {q};"
+    _, radical = run(capsys, "radical-member", write(tmp_path, text))
+    assert sorted(radical) == sorted(report)
 
 
 def test_cli_witness_search_is_lazy_over_a_huge_field(tmp_path):
@@ -772,6 +838,10 @@ IRRATIONAL = "vec g1 = [x^2 - 2, 0];\nvec g2 = [0, x^2 - 2];\n"
 # the first row of E11 = [[1, 0], [0, 0]] is (1, 0), outside its closure
 TWISTED_MATRICES = "mat g1 = [[x^2, x*y], [0, 0]];\nmat g2 = [[x*y, y^2], [0, 0]];\n"
 E11 = "mat f = [[1, 0], [0, 0]];"
+# an ideal is the rank-1 case of the same decision: x is in the radical of
+# (x^2, x*y), y is not, and x^2 - 2, y^2 - 2 share no rational zero
+IDEAL = "poly g1 = x^2;\npoly g2 = x*y;\n"
+IRRATIONAL_IDEAL = "poly g1 = x^2 - 2;\npoly g2 = y^2 - 2;\n"
 
 
 @pytest.mark.parametrize(
@@ -784,9 +854,16 @@ E11 = "mat f = [[1, 0], [0, 0]];"
         ("F7", "semiprime-member", TWISTED, "vec f = [1, 0];", False, "radical", 2, 1, True),
         ("F7", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, "radical", 2, 1, True),
         ("Q", "matrix-semiprime-member", TWISTED_MATRICES, E11, False, "witness", 1, 1, True),
+        ("Q", "radical-member", IDEAL, "poly f = x^2;", True, "cofactor", 1, 0, False),
+        ("Q", "radical-member", IDEAL, "poly f = x;", True, "radical", 2, 1, False),
+        ("Q", "radical-member", IDEAL, "poly f = y;", False, "witness", 1, 1, True),
+        ("F7", "radical-member", IDEAL, "poly f = y;", False, "radical", 2, 1, True),
+        ("Q", "radical-member", IRRATIONAL_IDEAL, "poly f = 1;", False, "radical", 2, 1, False),
     ],
     ids=["cofactor", "radical-member", "witness", "radical-nonmember",
-         "F7-radical-nonmember", "F7-matrix-nonmember", "Q-matrix-nonmember"],
+         "F7-radical-nonmember", "F7-matrix-nonmember", "Q-matrix-nonmember",
+         "ideal-cofactor", "ideal-radical", "ideal-witness", "F7-ideal-radical-nonmember",
+         "ideal-radical-nonmember"],
 )
 def test_cli_rational_closure_query_searches_the_grid_at_most_once(
     tmp_path, capsys, monkeypatch, ring, kind, gens, f, member, method, bases, searches, witness
@@ -794,9 +871,10 @@ def test_cli_rational_closure_query_searches_the_grid_at_most_once(
     # the verdict's own search is the report's: the CLI searches for no
     # point, and a witness negative builds only the direct basis.  A radical
     # verdict adds one basis per chart run: (x, y) passes both charts, and
-    # (1, 0) fails on the first.  Over F7
-    # the radical negative's witness is searched once, when the report
-    # reads it; a matrix query is scanned once, as a whole, like a vector
+    # (1, 0) fails on the first; an ideal has one chart, in its own ring.
+    # Over F7 the radical negative's witness is searched once, when the
+    # report reads it; a matrix query is scanned once, as a whole, like a
+    # vector
     calls = {"find_vanishing_witness": 0, "buchberger": 0}
 
     def count(module, name):

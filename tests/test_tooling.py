@@ -260,6 +260,20 @@ def test_witnesses_are_searched_by_the_decisions_only():
     assert callers == {"closure.semiprime_member"}
 
 
+def test_cli_imports_no_private_name():
+    # the CLI is built on the package's public decisions: a private helper
+    # it imported would be a second path to a verdict
+    path = pathlib.Path(semimod.__file__).parent / "cli.py"
+    private = [
+        f"cli.py:{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_the_flag_table_lists_every_cli_flag():
     # a flag added or removed in the CLI must be added to or removed from
     # the table in docs/format.md too

@@ -5,9 +5,11 @@ error.  The report schema is versioned ("schema": 1) and documented in
 docs/schema.json.  Dispatch is single-threaded; one query runs per typed
 invocation, and ``run`` executes a file's queries in order (batch mode).
 Reports only print the evidence a verdict carries: the decisions attach
-every certificate and witness, and this module searches for none.  The
-three closure commands share one decision, ``closure.semiprime_member``: a
-``radical-member`` query and its generators are its vectors of rank 1.
+every certificate and witness, and this module searches for none.  Each
+query builds one ``SubmodulePresentation``: a ``poly`` query and its
+generators are first lifted to vectors of rank 1, so ``member`` asks
+``groebner.submodule_member`` for ideals and vectors alike, and the three
+closure commands share one decision, ``closure.semiprime_member``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,7 @@ import time
 from .closure import semiprime_member
 from .errors import ProblemSyntaxError, SemimodError
 from .fields import field_from_flag
-from .groebner import (
-    GroebnerLimits,
-    SubmodulePresentation,
-    ideal_member,
-    submodule_member,
-)
+from .groebner import GroebnerLimits, SubmodulePresentation, submodule_member
 from .oracle import DEFAULT_CAP, default_field, oracle_check, oracle_check_escalating
 from .parser import QUERY_KINDS, Query, parse_problem
 from .poly import OrderSpec, VectorPoly
@@ -63,23 +60,19 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
     objects = problem.objects
     gens = [objects[name][1] for name in args["generators"]]
     kind, value = objects[args["query"]] if "query" in args else (None, None)
+    if kind == "poly":  # an ideal is a submodule of rank 1
+        value = VectorPoly(problem.ring, [value])
+        gens = [VectorPoly(problem.ring, [g]) for g in gens]
+    submodule = SubmodulePresentation(problem.ring, len(gens[0]), gens)
 
     if query.kind == "member":
-        if kind == "poly":
-            verdict = ideal_member(value, gens, order, limits)
-        else:
-            submodule = SubmodulePresentation(problem.ring, len(value), gens)
-            verdict = submodule_member(value, submodule, order, limits)
+        verdict = submodule_member(value, submodule, order, limits)
         report["member"] = verdict.member
         report["certificate"] = _certificate_json(verdict.certificate)
         report["counters"] = verdict.stats
         code = 0 if verdict.member else 1
 
     elif query.kind in ("semiprime-member", "matrix-semiprime-member", "radical-member"):
-        if kind == "poly":  # an ideal is a submodule of rank 1
-            value = VectorPoly(problem.ring, [value])
-            gens = [VectorPoly(problem.ring, [g]) for g in gens]
-        submodule = SubmodulePresentation(problem.ring, len(value), gens)
         verdict = semiprime_member(value, submodule, order, limits)
         report["member"] = verdict.member
         report["guarantee"] = guarantee_for(problem.ring.field)
@@ -94,7 +87,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
             report["oracle"] = oracle_check(value, gens, oracle_field, options.cap).as_json()
 
     elif query.kind == "refute-semiprime":
-        submodule = SubmodulePresentation(problem.ring, len(value), gens)
         witness = semiprime_refutation(submodule, value, order, limits)
         report["witness_found"] = witness is not None
         report["witness"] = {"candidate": str(witness.candidate)} if witness else None
@@ -103,7 +95,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
     elif query.kind == "refute-weak":
         scalar = objects[args["scalar"]][1]
         vector = objects[args["vector"]][1]
-        submodule = SubmodulePresentation(problem.ring, len(vector), gens)
         witness = weakly_semiprime_refutation(submodule, scalar, vector, order, limits)
         report["witness_found"] = witness is not None
         report["witness"] = (
@@ -114,7 +105,6 @@ def run_query(problem, query: Query, options) -> tuple[dict, int]:
         code = 1 if witness else 0
 
     elif query.kind == "k-of":
-        submodule = SubmodulePresentation(problem.ring, len(gens[0]), gens)
         closure = prime_closure_at(submodule, args["point"])
         field = problem.ring.field
         report["point"] = [str(c) for c in args["point"]]
@@ -165,7 +155,8 @@ class _Options:
         self.cross_check = args.oracle
 
 
-COMMANDS = {**QUERY_KINDS, "run": "run every query in the file (batch mode)"}
+COMMANDS = {name: summary for name, (_, summary) in QUERY_KINDS.items()}
+COMMANDS["run"] = "run every query in the file (batch mode)"
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

@@ -9,7 +9,9 @@ equivalent to "g_j(a)v = 0 for all j implies f(a)v = 0 at every point
 (a, v)", which is exactly the statement that f.v vanishes on the zero set
 of the g_j.v, i.e. classical radical membership.  Radical membership
 itself is decided with one extra tag variable: f is in the radical of I
-iff 1 lies in I + <1 - t*f>.
+iff 1 lies in I + <1 - t*f>, which the radical test asks of
+``submodule_member`` on that ideal's rank-1 presentation, as any
+membership is asked.
 
 The charts: every g_j.v is linear in v, so the zero set of the g_j.v is a
 cone in v, and f.v vanishes wherever v = 0.  Every nonzero v is a scalar
@@ -42,9 +44,9 @@ one may have no base-field witness; ``verdicts.guarantee_for`` names the
 case that applies to a field.
 
 A decision reads no monic basis and no cofactor: the radical test asks
-only whether 1 reduces to zero, and reads its basis's elements only to
-re-check a unit ideal.  Each query is scanned for a witness at most
-once, and every witness is the query's own first violation.  Over Q a
+only whether 1 is a member, and reads the presentation's cached basis
+only to re-check a unit ideal.  Each query is scanned for a witness at
+most once, and every witness is the query's own first violation.  Over Q a
 negative closure verdict is decided by a re-verified grid witness, when
 the scan finds one, before any radical basis is built; over a finite field
 the scan decorates a negative the radical test has decided, on first read
@@ -64,8 +66,7 @@ from .groebner import (
     DEFAULT_LIMITS,
     GroebnerLimits,
     SubmodulePresentation,
-    buchberger,
-    normal_form,
+    ideal_presentation,
     submodule_member,
 )
 from .oracle import odometer, vanishing_scan
@@ -114,21 +115,21 @@ def bilinear_encoding(f: VectorPoly, generators) -> BilinearEncoding:
 
 
 def _radical_member(f, gens, order, limits) -> Verdict:
-    """The radical test with its evidence: the counters of the basis of
-    I + <1 - t*f>."""
+    """The radical test with its evidence: whether 1 lies in I + <1 - t*f>,
+    with the counters of that ideal's basis."""
     ring = f.ring
     check_operands(ring, None, gens, "generator")
     ext = ring.extended(["t"])
     (t,) = ext.variables()[ring.num_vars :]
     aug = [ext.embed(g) for g in gens]
     aug.append(ext.one() - t * ext.embed(f))
-    gb = buchberger([VectorPoly(ext, [g]) for g in aug], order, limits)
+    ideal = ideal_presentation(ext, aug)
     one = VectorPoly(ext, [ext.one()])
-    member = normal_form(one, gb, order).remainder.is_zero()
+    verdict = submodule_member(one, ideal, order, limits)
     # soundness re-check: the reduced basis of the unit ideal is exactly {1}
-    if member and (len(gb.elements) != 1 or gb.elements[0] != one):
+    if verdict.member and ideal.groebner(order, limits).elements != [one]:
         raise InvariantViolationError("unit ideal without the reduced basis {1}")
-    return Verdict(member=member, method="radical", stats=dict(gb.stats))
+    return Verdict(member=verdict.member, method="radical", stats=verdict.stats)
 
 
 def _radical_member_by_charts(enc: BilinearEncoding, order, limits) -> Verdict:

@@ -715,10 +715,6 @@ class SubmodulePresentation:
         self._bases = {}
 
     @classmethod
-    def zero(cls, ring, rank):
-        return cls(ring, rank, [])
-
-    @classmethod
     def unit(cls, ring, rank):
         return cls(ring, rank, [unit_vector(ring, rank, i) for i in range(rank)])
 
@@ -770,7 +766,8 @@ def ideal_member(
     limits: GroebnerLimits = DEFAULT_LIMITS,
 ) -> Verdict:
     """Ideal membership is submodule membership at rank 1; certificate
-    cofactors come back as scalar polynomials."""
+    cofactors come back as scalar polynomials.  A library convenience: the
+    decisions build their rank-1 presentations themselves."""
     return submodule_member(
         VectorPoly(f.ring, [f]), ideal_presentation(f.ring, gens), order, limits
     )

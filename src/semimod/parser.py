@@ -127,16 +127,25 @@ class ProblemFile:
         return value
 
 
-# each query kind with its one-line summary, as ``semimod --help`` lists it
+# each query kind: the kinds of its named operands, checked in this order,
+# and its one-line summary, as ``semimod --help`` lists it.  The generators
+# take the query's declared kind, or are vectors in a query without one.
 QUERY_KINDS = {
-    "member": "submodule or ideal membership with a cofactor certificate",
-    "semiprime-member": "membership in the smallest semiprime submodule",
-    "radical-member": "radical ideal membership: semiprime-member at rank 1",
-    "matrix-semiprime-member": "membership in the smallest semiprime left ideal",
-    "refute-semiprime": "check a candidate refutation of the closure rule",
-    "refute-weak": "check a candidate refutation of the classical rule",
-    "k-of": "smallest point-prime submodule containing the generators",
-    "oracle": "finite-field point enumeration of the vanishing implication",
+    "member": ({"query": {"vec", "poly"}},
+               "submodule or ideal membership with a cofactor certificate"),
+    "semiprime-member": ({"query": {"vec"}},
+                         "membership in the smallest semiprime submodule"),
+    "radical-member": ({"query": {"poly"}},
+                       "radical ideal membership: semiprime-member at rank 1"),
+    "matrix-semiprime-member": ({"query": {"mat"}},
+                                "membership in the smallest semiprime left ideal"),
+    "refute-semiprime": ({"query": {"vec"}},
+                         "check a candidate refutation of the closure rule"),
+    "refute-weak": ({"scalar": {"poly"}, "vector": {"vec"}},
+                    "check a candidate refutation of the classical rule"),
+    "k-of": ({}, "smallest point-prime submodule containing the generators"),
+    "oracle": ({"query": {"vec", "mat"}},
+               "finite-field point enumeration of the vanishing implication"),
 }
 
 
@@ -329,28 +338,12 @@ class _Parser:
             self.fail("expected a constant scalar", start)
 
     def _check_query(self, problem: ProblemFile, kind: str, args: dict):
-        by_kind = {
-            "member": {"vec", "poly"},
-            "semiprime-member": {"vec"},
-            "radical-member": {"poly"},
-            "matrix-semiprime-member": {"mat"},
-            "refute-semiprime": {"vec"},
-            "oracle": {"vec", "mat"},
-        }
-        if kind in by_kind:
-            problem.get(args["query"], by_kind[kind])
-            # every generator is of the query's declared kind
-            declared = {problem.objects[args["query"]][0]}
-            for g in args["generators"]:
-                problem.get(g, declared)
-        elif kind == "refute-weak":
-            problem.get(args["scalar"], {"poly"})
-            problem.get(args["vector"], {"vec"})
-            for g in args["generators"]:
-                problem.get(g, {"vec"})
-        elif kind == "k-of":
-            for g in args["generators"]:
-                problem.get(g, {"vec"})
+        operands, _ = QUERY_KINDS[kind]
+        for role, kinds in operands.items():
+            problem.get(args[role], kinds)
+        declared = {problem.objects[args["query"]][0] if "query" in args else "vec"}
+        for g in args["generators"]:
+            problem.get(g, declared)
 
     # -- expressions -----------------------------------------------------------
     def parse_expression(self, ring: PolyRing) -> Polynomial:

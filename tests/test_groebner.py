@@ -879,7 +879,7 @@ def test_membership_invariances(R):
 
 def test_zero_vector_is_member_everywhere(R):
     zero = VectorPoly(R, [R.zero(), R.zero()])
-    assert submodule_member(zero, SubmodulePresentation.zero(R, 2)).member
+    assert submodule_member(zero, SubmodulePresentation(R, 2)).member
     assert submodule_member(zero, SubmodulePresentation.unit(R, 2)).member
 
 

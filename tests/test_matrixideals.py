@@ -67,7 +67,7 @@ def test_row_module_of_zero_matrix_is_zero(R):
 
 
 def test_ideal_with_rows_in_zero_module(R):
-    zero_module = SubmodulePresentation.zero(R, 2)
+    zero_module = SubmodulePresentation(R, 2)
     ideal = ideal_with_rows_in(zero_module)
     zero = PolyMatrix(R, [[R.zero(), R.zero()], [R.zero(), R.zero()]])
     assert matrix_member(zero, ideal).member

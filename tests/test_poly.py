@@ -304,7 +304,7 @@ def test_encoding_rings_are_named_x_v_t(monkeypatch):
         rings.append(gens[0].ring)
         return buchberger(gens, order, limits)
 
-    monkeypatch.setattr(semimod.closure, "buchberger", recording_buchberger)
+    monkeypatch.setattr(semimod.groebner, "buchberger", recording_buchberger)
     for names, expected in (
         (("x", "y"), ("x", "y", "v1", "v2", "t")),
         (("t", "v1"), ("t", "v1", "v1_", "v2", "t_")),

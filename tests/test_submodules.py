@@ -120,7 +120,7 @@ def test_prime_closure_of_unit_is_improper(R):
 
 def test_prime_closure_of_zero_is_point_ideal_power(R):
     x, y = R.variables()
-    closure = prime_closure_at(SubmodulePresentation.zero(R, 2), (0, 0))
+    closure = prime_closure_at(SubmodulePresentation(R, 2), (0, 0))
     assert closure.span == []
     e1, e2 = unit_vector(R, 2, 0), unit_vector(R, 2, 1)
     assert closure.submodule.generators == [x * e1, y * e1, x * e2, y * e2]

@@ -260,6 +260,32 @@ def test_witnesses_are_searched_by_the_decisions_only():
     assert callers == {"closure.semiprime_member"}
 
 
+def test_every_basis_is_built_and_read_on_one_membership_path():
+    # each decision asks submodule_member on a presentation: only its cached
+    # basis is built by buchberger, and only submodule_member reduces by it
+    root = pathlib.Path(semimod.__file__).parent
+    callers = {"buchberger": set(), "normal_form": set()}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in callers:
+                    callers[name].add(owner)
+            visit(child, owner)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == {
+        "buchberger": {"groebner.SubmodulePresentation.groebner"},
+        "normal_form": {"groebner.submodule_member"},
+    }
+
+
 def test_cli_imports_no_private_name():
     # the CLI is built on the package's public decisions: a private helper
     # it imported would be a second path to a verdict

@@ -202,9 +202,9 @@ def find_vanishing_witness(f, generators):
         values = _grid_values()
     else:
         values = field.elements()
-    points = odometer(values, f.ring.nx)
+    lines = odometer(values, f.ring.nx)
     try:
-        scan = vanishing_scan(f, generators, field, points, WITNESS_CAP)
+        scan = vanishing_scan(f, generators, field, lines, WITNESS_CAP)
     except EnumerationCapExceededError:
         return None
     return scan.counterexample

@@ -8,12 +8,14 @@ extension).  Polynomials store raw values directly for speed;
 ``FieldElement`` is the boxed form used at API boundaries.  Everything here
 is immutable and pure, so values can be shared freely across threads.
 
-Two kernels serve the vanishing scan and the echelon form: ``horner``
-evaluates a coefficient list at a point and ``eliminate`` forms
-lead*row - c*prow.  ``Field`` declares them as hooks beside ``add`` and
-``mul``, and each field implements them with inline arithmetic, reducing
-mod p at every step over a finite field, so a whole list costs one call
-instead of one method call per ``add`` and ``mul``.
+Three kernels serve the vanishing scan and the echelon form: ``horner``
+evaluates a coefficient list at a point, ``roots_among`` finds the points
+of a line where a coefficient list vanishes, one call for the whole line,
+and ``eliminate`` forms lead*row - c*prow.  ``Field`` declares them as
+hooks beside ``add`` and ``mul``, and each field implements them with
+inline arithmetic, reducing mod p at every step over a finite field, so a
+whole list costs one call instead of one method call per ``add`` and
+``mul``.
 Polynomial evaluation (``Polynomial.evaluate_raw``) and ``linalg.dot_raw``
 keep plain ``add`` and ``mul``: they re-check every violation the scan
 reports, independently of the kernels.
@@ -183,6 +185,12 @@ class Field:
         when there is at most one coefficient."""
         raise NotImplementedError
 
+    def roots_among(self, coeffs, xs):
+        """Kernel of the vanishing scan on a line: the indices j, in order,
+        at which the polynomial with coefficients ``coeffs`` vanishes at
+        xs[j]; no x is read when there is at most one coefficient."""
+        raise NotImplementedError
+
     def eliminate(self, lead, row, c, prow):
         """Kernel of the echelon form: the row lead*row - c*prow, entry by
         entry."""
@@ -227,6 +235,19 @@ class RationalField(Field):
         for c in coeffs[-2::-1]:
             acc = acc * x + c
         return acc
+
+    def roots_among(self, coeffs, xs):
+        if len(coeffs) < 2:
+            return [] if coeffs and coeffs[0] else list(range(len(xs)))
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        out = []
+        for j, x in enumerate(xs):
+            acc = top
+            for c in rest:
+                acc = acc * x + c
+            if not acc:
+                out.append(j)
+        return out
 
     def eliminate(self, lead, row, c, prow):
         return [lead * a - c * b for a, b in zip(row, prow)]
@@ -319,6 +340,20 @@ class PrimeField(Field):
             acc = (acc * x + c) % p
         return acc
 
+    def roots_among(self, coeffs, xs):
+        if len(coeffs) < 2:
+            return [] if coeffs and coeffs[0] else list(range(len(xs)))
+        p = self.p
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        out = []
+        for j, x in enumerate(xs):
+            acc = top
+            for c in rest:
+                acc = (acc * x + c) % p
+            if not acc:
+                out.append(j)
+        return out
+
     def eliminate(self, lead, row, c, prow):
         p = self.p
         return [(lead * a - c * b) % p for a, b in zip(row, prow)]
@@ -410,6 +445,23 @@ class QuadraticField(Field):
         for c0, c1 in coeffs[-2::-1]:
             a0, a1 = (a0 * x0 - a1 * u + c0) % p, (a0 * x1 + a1 * w + c1) % p
         return (a0, a1)
+
+    def roots_among(self, coeffs, xs):
+        if len(coeffs) < 2:
+            return [] if coeffs and any(coeffs[0]) else list(range(len(xs)))
+        p = self.p
+        mb, mc = self.modulus
+        top, rest = coeffs[-1], coeffs[-2::-1]
+        out = []
+        for j, (x0, x1) in enumerate(xs):
+            # Horner as in ``horner``, one x at a time
+            u, w = mc * x1, x0 - mb * x1
+            a0, a1 = top
+            for c0, c1 in rest:
+                a0, a1 = (a0 * x0 - a1 * u + c0) % p, (a0 * x1 + a1 * w + c1) % p
+            if not (a0 or a1):
+                out.append(j)
+        return out
 
     def eliminate(self, lead, row, c, prow):
         p = self.p

@@ -2,45 +2,58 @@
 
 The semiprime Nullstellensatz reduces closure membership to one test: if
 G_i(a)v = 0 for every generator, then F(a)v = 0.  ``vanishing_scan`` runs
-that test over any lazy source of points.  Once per scan it compiles every
-entry of the query and the generators into coefficient lists in the last
-coordinate, which the odometer varies fastest, each coefficient nested the
-same way in the coordinates before it.  Each row, and the minor below, is
-first multiplied by the least common denominator of its coefficients
-(``Field.split``): that keeps every kernel and every zero, and over Q, at
-the integer points of the witness grid, Horner and the echelon form run on
-ints.  The re-check of a violation evaluates the original rational rows.
-Up to rank n = MINOR_MAX_RANK the scan also takes the minor D, the
-determinant of the first n generator rows (n the module rank), with
-polynomial arithmetic; its cofactor expansion costs n! products, so at
-larger ranks the scan goes straight to the echelon form below.  When the
-prefix a[:-1] of a point changes, D is specialized at the new prefix, and
-the rows are specialized at it when first needed; each value at a point is
-then one Horner evaluation in a[-1].  Horner is the scan's one evaluator,
-in the specialization as at the points, and it is the field's own kernel,
-``Field.horner``, with inline arithmetic per field; a one-coordinate
-prefix is specialized with one call per coefficient list.
+that test line by line over any lazy source of lines: a line is a prefix
+a[:-1] with the last coordinates of its points, the coordinate the
+odometer varies fastest.  Once per call it compiles every entry of
+the query and the generators into coefficient lists in the last
+coordinate, each coefficient nested the same way in the coordinates before
+it.  Each row is first multiplied by the least common denominator of its
+coefficients (``Field.split``): that keeps every kernel and every zero, and
+over Q, at the integer points of the witness grid, the scan's kernels and
+the echelon form run on ints.  The re-check of a violation evaluates the
+original rational rows.
 
-Where D(a) != 0 the first n rows are independent, the joint kernel is
-trivial and the point passes.  The specialized D has its trailing zeros
-trimmed, so where a nonzero constant is left, every point of the line
-passes with no evaluation at all; each point is still counted against the
-cap.  Where nothing is left, D vanishes on the whole line and every point
-of it goes to the echelon form.  Where D(a) = 0, or above MINOR_MAX_RANK,
-the generator rows are evaluated one at a time into an echelon form; once its rank reaches n the remaining
-generators, the kernel and the query are skipped.  Only where the rank
-stays below n does the scan compute a basis of the joint kernel from that
-echelon form, evaluate the query, and check that it annihilates every
-kernel basis vector (linearity makes basis vectors sufficient).  The
-echelon form's one step is the field's elimination kernel,
-``Field.eliminate``.  The first violation in enumeration order is
-re-verified on an independent path, ``Polynomial.evaluate_raw`` and a dot
-product, and returned, so results are fully deterministic; a parallel
-implementation would have to reconcile to the same minimal index.  That
-path keeps plain ``add`` and ``mul`` and calls neither kernel, so a wrong
-kernel ends in an InvariantViolationError, never in a reported
-counterexample.  The witness search in ``closure`` and the oracle below
-are thin wrappers over this one loop.
+Up to rank n = MINOR_MAX_RANK the scan takes n x n minors of the generator
+rows (n the module rank): the determinants of row blocks in
+itertools.combinations order, the first n rows first, with polynomial
+arithmetic on the integral rows; a cofactor expansion costs n! products, so
+at larger ranks the scan goes straight to the echelon form below.  A minor
+is built only when the minors before it leave points on some line, and at
+most MINOR_MAX_COUNT blocks are tried; zero minors are skipped.  On each
+line a minor is specialized at the prefix, its trailing zeros trimmed, and
+the field's batched kernel, ``Field.roots_among``, keeps the points where
+it vanishes, in one call for a piece of the line: a nonzero constant keeps
+none, a zero all.  Where a minor does not vanish those n rows are
+independent, the joint kernel is trivial and the point passes, so such
+points are never visited one by one; each is still counted against the
+cap.  Specialization is the field's Horner kernel, ``Field.horner``,
+coordinate by coordinate; a one-coordinate prefix takes one call per
+coefficient list.
+
+Lines are read in pieces, each decided before the next is read.  The
+scan's first piece is one point, and a piece that fills up doubles the
+next, so the work before any point stays within a constant factor of the
+points before it: a huge field costs little before its first points,
+while short lines soon take one piece each.
+
+At the points no minor decides, or above MINOR_MAX_RANK, the generator rows
+are specialized at the prefix when first needed and evaluated one at a time
+by Horner in the last coordinate, into an echelon form; once its rank
+reaches n the remaining generators, the kernel and the query are skipped.
+Only where the rank stays below n does the scan compute a basis of the
+joint kernel from that echelon form, evaluate the query, and check that it
+annihilates every kernel basis vector (linearity makes basis vectors
+sufficient).  The echelon form's one step is the field's elimination
+kernel, ``Field.eliminate``.  A skipped point has full rank, so the points,
+evaluations and nontrivial kernels counted are those of testing every
+point.  The first violation in enumeration order is re-verified on an
+independent path, ``Polynomial.evaluate_raw`` and a dot product, and
+returned, so results are fully deterministic; a parallel implementation
+would have to reconcile to the same minimal index.  That path keeps plain
+``add`` and ``mul`` and calls none of the kernels, so a wrong kernel ends in
+an InvariantViolationError, never in a reported counterexample.  The
+witness search in ``closure`` and the oracle below are thin wrappers over
+this one loop.
 
 The oracle enumerates every point of the field's d-fold product.
 Finite-field points are not points of the characteristic-0 variety, so
@@ -62,13 +75,15 @@ from .errors import (
 )
 from .fields import Field, FieldElement, PrimeField, QuadraticField, is_prime
 from .linalg import dot_raw, echelon_insert, kernel_basis as _kernel_basis
-from .poly import check_operands
+from .poly import Polynomial, check_operands
 from .verdicts import Witness
 
 DEFAULT_CAP = 1_000_000
 
-# the largest rank whose minor the scan expands: 4! = 24 products
+# the largest rank whose minors the scan expands: 4! = 24 products each
 MINOR_MAX_RANK = 4
+# the most row blocks whose minor the scan takes, in combinations order
+MINOR_MAX_COUNT = 6
 
 
 @dataclass
@@ -102,19 +117,27 @@ class OracleReport:
 
 
 def odometer(values, dim: int):
-    """Every dim-tuple of coordinate values, last coordinate fastest (the
-    order of itertools.product).  Only the first row, where every coordinate
-    but the last holds the first value, is produced while ``values`` is
-    still being read, so a huge field costs nothing before its first
-    points."""
+    """Every dim-tuple of coordinate values in the order of
+    itertools.product, as lines (prefix, last coordinates): the points
+    prefix + (x,) for each x of the line, the last coordinate fastest.  The
+    first line, where every coordinate but the last holds the first value,
+    reads ``values`` only as far as it is itself read, so a huge field
+    costs no more than the scan reads of it; the rest of ``values`` is read
+    before the second line.  Without coordinates the one point () is the line
+    ((), [None])."""
     if dim == 0:
-        yield ()
+        yield (), [None]
         return
-    seen = []
-    for value in values:
-        seen.append(value)
-        yield (seen[0],) * (dim - 1) + (value,)
-    yield from itertools.islice(itertools.product(seen, repeat=dim), len(seen), None)
+    values = iter(values)
+    for first in values:
+        break
+    else:
+        return
+    line, rest = itertools.tee(itertools.chain((first,), values))
+    yield (first,) * (dim - 1), line
+    seen = list(rest)
+    for prefix in itertools.islice(itertools.product(seen, repeat=dim - 1), 1, None):
+        yield prefix, seen
 
 
 def _det(rows):
@@ -144,11 +167,12 @@ def _nest(terms, d, zero):
 
 
 def _integral(polys, field):
-    """The term lists of ``polys``, one row or one minor, times the least
+    """The term lists of ``polys``, the entries of one row, times the least
     common denominator of all their coefficients (``field.split``).  One
-    factor for the whole row keeps its kernel, and its products with any
-    vector vanish where the row's did, so over Q the scan runs on ints; over
-    a finite field the terms are unchanged."""
+    factor for the whole row keeps its kernel, its products with any vector
+    vanish where the row's did, and the minors of such rows vanish where
+    those of the rows did, so over Q the scan runs on ints; over a finite
+    field the terms are unchanged."""
     nums, _ = field.split(
         {(i, exps): c for i, p in enumerate(polys) for exps, c in p.terms.items()}
     )
@@ -179,17 +203,37 @@ def _specialize(nested, coords, horner):
     return horner([_specialize(c, rest, horner) for c in nested], coords[-1])
 
 
-def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleReport:
-    """Test the vanishing implication at each of ``points`` (raw coordinate
-    tuples) until the first violation.  The query and the generators may be
+def _minors(ring, rows, n, nx, zero):
+    """The nonzero n x n minors of ``rows``, integral term lists, compiled
+    as ``_compile`` does: the determinants of the first MINOR_MAX_COUNT row
+    blocks in itertools.combinations order, built one at a time as they
+    are asked for; none above rank MINOR_MAX_RANK.  Over Q the rows are
+    ints, so the minors are too."""
+    if n > MINOR_MAX_RANK:
+        return
+    polys = [[Polynomial(ring, dict(terms)) for terms in row] for row in rows]
+    for block in itertools.islice(itertools.combinations(polys, n), MINOR_MAX_COUNT):
+        minor = _det(block)
+        if not minor.is_zero():
+            yield _compile(list(minor.terms.items()), nx, zero)
+
+
+def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleReport:
+    """Test the vanishing implication at the points of ``lines`` until the
+    first violation.  A line is a pair (prefix, last coordinates) of raw
+    values, standing for the points prefix + (x,) in the order of the
+    coordinates (``odometer``); without x-variables a line's one coordinate
+    is None and its point is ().  The query and the generators may be
     vectors or matrices over ``field``, of one ring and one rank; other
     generators raise MismatchedRingError or DimensionMismatchError.
 
-    Up to rank MINOR_MAX_RANK, a point passes at once where the minor of
-    the first n generator rows does not vanish.  The minor and the rows are specialized at a point's
-    prefix, and only the latest prefix is kept, so memory stays flat on
-    large fields; any order of points is correct, and the odometer's, with
-    the last coordinate fastest, specializes each prefix once.  Raises
+    Up to rank MINOR_MAX_RANK, a point passes at once where an n x n minor
+    of the generator rows does not vanish.  The minors and the rows are
+    specialized at a line's prefix, and only the latest prefix is kept, so
+    memory stays flat on large fields; any order of lines is correct, and
+    the odometer's specializes each prefix once.  A line is read in pieces
+    that double from one point, each tested before the next is read, and
+    no further than the cap allows, one coordinate past it.  Raises
     EnumerationCapExceededError once more than ``cap`` points or
     kernel-vector evaluations are needed."""
     n = len(query)
@@ -198,20 +242,16 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
     zero = field.split({0: field.zero_raw})[0][0]  # over Q the int 0
     gen_rows = [row for g in generators for row in g.rows]
     gen_count = len(gen_rows)
-    compiled = [
-        [_compile(terms, nx, zero) for terms in _integral(row.entries, field)]
-        for row in gen_rows + list(query.rows)
-    ]
-    minor = _det(gen_rows[:n]) if n <= MINOR_MAX_RANK and gen_count >= n else None
-    if minor is not None:
-        minor = None if minor.is_zero() else _compile(_integral([minor], field)[0], nx, zero)
-    horner = field.horner
-    prefix = cache = None
-    minor_at = ()  # the minor on the current line, trailing zeros trimmed
+    integral = [_integral(row.entries, field) for row in gen_rows + list(query.rows)]
+    compiled = [[_compile(terms, nx, zero) for terms in row] for row in integral]
+    new_minors = _minors(query.ring, integral[:gen_count], n, nx, zero)
+    minors = []  # the compiled minors built so far
+    horner, roots_among = field.horner, field.roots_among
+    prefix = cache = minors_at = None
 
-    def values(i):
-        """Row i of ``compiled`` at the current point, from the rows
-        specialized at its prefix."""
+    def values(i, last):
+        """Row i of ``compiled`` at the point prefix + (last,), from the row
+        specialized at the prefix."""
         coeffs = cache[i]
         if coeffs is None:
             coeffs = cache[i] = [
@@ -219,44 +259,70 @@ def vanishing_scan(query, generators, field: Field, points, cap: int) -> OracleR
             ]
         return [horner(c, last) for c in coeffs]
 
+    def minor_at(k):
+        """Minor k on the current line, trailing zeros trimmed, or None when
+        there are no more minors."""
+        if k == len(minors_at):
+            if k == len(minors):
+                minor = next(new_minors, None)
+                if minor is None:
+                    return None
+                minors.append(minor)
+            coeffs = [_specialize(c, prefix, horner) for c in minors[k]]
+            while coeffs and is_zero(coeffs[-1]):
+                coeffs.pop()
+            minors_at.append(coeffs)
+        return minors_at[k]
+
     count = evaluations = nontrivial = 0
-    for point in points:
-        count += 1
-        if count > cap:
-            raise EnumerationCapExceededError(f"point cap of {cap} crossed")
-        if point[:-1] != prefix:
-            prefix, cache = point[:-1], [None] * len(compiled)
-            if minor is not None:
-                minor_at = [_specialize(c, prefix, horner) for c in minor]
-                while minor_at and is_zero(minor_at[-1]):
-                    minor_at.pop()
-        last = point[-1] if point else None
-        if minor_at and (len(minor_at) == 1 or not is_zero(horner(minor_at, last))):
-            continue  # the first n generator rows are independent here
-        echelon = []
-        for i in range(gen_count):
-            if echelon_insert(echelon, values(i), field) == n:
-                break
-        else:
-            # the rank stayed below n, so the kernel is nontrivial
-            kernel = _kernel_basis([row for _, row in echelon], n, field)
-            nontrivial += 1
-            query_values = [values(i) for i in range(gen_count, len(compiled))]
-            for v in kernel:
-                evaluations += 1
-                if evaluations > cap:
-                    raise EnumerationCapExceededError(
-                        f"evaluation cap of {cap} crossed"
-                    )
-                if any(not is_zero(dot_raw(field, row, v)) for row in query_values):
-                    _verify_violation(query, generators, field, point, v)
-                    violation = Witness(
-                        tuple(map(field.element, point)),
-                        tuple(FieldElement(field, x) for x in v),
-                    )
-                    return OracleReport(
-                        field, count, evaluations, nontrivial, violation
-                    )
+    size = 1  # the points of the next piece, doubled after each full piece
+    for line_prefix, line in lines:
+        if line_prefix != prefix:
+            prefix, cache, minors_at = line_prefix, [None] * len(compiled), []
+        line = iter(line)
+        while xs := list(itertools.islice(line, min(size, cap - count + 1))):
+            if len(xs) == size:
+                size *= 2
+            crossed = len(xs) > cap - count
+            if crossed:
+                xs.pop()
+            # the points of the piece no minor has shown to be of full rank,
+            # and their last coordinates
+            left, lasts = range(len(xs)), xs
+            k = 0
+            while left and (minor := minor_at(k)) is not None:
+                k += 1
+                if len(roots := roots_among(minor, lasts)) < len(left):
+                    left, lasts = [left[j] for j in roots], [lasts[j] for j in roots]
+            for j, last in zip(left, lasts):
+                echelon = []
+                for i in range(gen_count):
+                    if echelon_insert(echelon, values(i, last), field) == n:
+                        break
+                else:
+                    # the rank stayed below n, so the kernel is nontrivial
+                    kernel = _kernel_basis([row for _, row in echelon], n, field)
+                    nontrivial += 1
+                    query_values = [values(i, last) for i in range(gen_count, len(compiled))]
+                    for v in kernel:
+                        evaluations += 1
+                        if evaluations > cap:
+                            raise EnumerationCapExceededError(
+                                f"evaluation cap of {cap} crossed"
+                            )
+                        if any(not is_zero(dot_raw(field, row, v)) for row in query_values):
+                            point = prefix + (last,) if nx else prefix
+                            _verify_violation(query, generators, field, point, v)
+                            violation = Witness(
+                                tuple(map(field.element, point)),
+                                tuple(FieldElement(field, x) for x in v),
+                            )
+                            return OracleReport(
+                                field, count + j + 1, evaluations, nontrivial, violation
+                            )
+            count += len(xs)
+            if crossed:
+                raise EnumerationCapExceededError(f"point cap of {cap} crossed")
     return OracleReport(field, count, evaluations, nontrivial, None)
 
 
@@ -288,8 +354,7 @@ def oracle_check(query, generators, field: Field, cap: int = DEFAULT_CAP) -> Ora
         raise EnumerationCapExceededError(
             f"{field.size}^{d} points exceed the cap of {cap}"
         )
-    points = odometer(field.elements(), d)
-    return vanishing_scan(query, generators, field, points, cap)
+    return vanishing_scan(query, generators, field, odometer(field.elements(), d), cap)
 
 
 def _next_prime(p: int) -> int:

@@ -182,6 +182,42 @@ def test_kernels_agree_with_plain_arithmetic(field):
     assert field.horner([field.one_raw], None) == field.one_raw
 
 
+def _with_roots(field, roots, lead):
+    """Coefficients, lowest degree first, of lead * prod (x - r), by plain
+    arithmetic."""
+    coeffs = [lead]
+    for r in roots:
+        shifted = [field.zero_raw] + coeffs
+        coeffs = [
+            field.add(a, field.neg(field.mul(r, b)))
+            for a, b in zip(shifted, coeffs + [field.zero_raw])
+        ]
+    return coeffs
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_roots_among_agrees_with_horner_point_by_point(field):
+    # the batched kernel of a line against one Horner value per point, on
+    # lists of zero and one coefficients too, with roots among the points
+    rng = random.Random(f"roots:{field!r}")
+    for length in list(range(6)) * 30:
+        if length and rng.random() < 0.5:
+            roots = [_raw(field, rng) for _ in range(length - 1)]
+            coeffs = _with_roots(field, roots, _raw(field, rng))
+        else:
+            roots, coeffs = [], [_raw(field, rng) for _ in range(length)]
+        xs = roots + [_raw(field, rng) for _ in range(rng.randint(0, 6))]
+        rng.shuffle(xs)
+        expected = [
+            j for j, x in enumerate(xs) if field.is_zero(plain_horner(field, coeffs, x))
+        ]
+        assert field.roots_among(coeffs, xs) == expected
+    # no x is read when there is at most one coefficient
+    assert field.roots_among([], [None, None]) == [0, 1]
+    assert field.roots_among([field.zero_raw], [None]) == [0]
+    assert field.roots_among([field.one_raw], [None, None]) == []
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_quadratic_extension_satisfies_frobenius(p):
     field = QuadraticField(p)

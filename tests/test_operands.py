@@ -87,7 +87,7 @@ ENTRY_POINTS = {
         "matrix", lambda bad: matrix_semiprime_member(FM, [GM, bad])
     ),
     "vanishing_scan": (
-        "vector", lambda bad: vanishing_scan(F, [G, bad], QQ, iter([(0, 0)]), 10)
+        "vector", lambda bad: vanishing_scan(F, [G, bad], QQ, iter([((0,), [0])]), 10)
     ),
     "oracle_check": ("vector", lambda bad: oracle_check(F, [G, bad], PrimeField(3))),
     "find_vanishing_witness": ("vector", lambda bad: find_vanishing_witness(F, [G, bad])),

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -311,6 +312,44 @@ def scan_outcome(scan, query, gens, field, points, cap):
     return (r.points, r.evaluations, r.nontrivial_kernels, r.counterexample)
 
 
+def lines_of(values, d):
+    """The odometer's lines, each line's coordinates read into a list."""
+    return [(prefix, list(xs)) for prefix, xs in odometer(values, d)]
+
+
+def points_of(lines):
+    return [prefix + (x,) for prefix, xs in lines for x in xs]
+
+
+def one_point_lines(points):
+    return [(point[:-1], [point[-1]]) for point in points]
+
+
+def both_outcomes(query, gens, field, lines, cap):
+    """The reference loop over the points of ``lines`` and the scan over the
+    lines themselves; they must agree."""
+    expected = scan_outcome(reference_scan, query, gens, field, points_of(lines), cap)
+    assert scan_outcome(vanishing_scan, query, gens, field, lines, cap) == expected
+    return expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_odometer_lines_hold_the_points_in_product_order(d):
+    values = [0, 2, 1]
+    assert points_of(lines_of(values, d)) == list(itertools.product(values, repeat=d))
+    assert [prefix for prefix, _ in lines_of(values, d)] == list(
+        itertools.product(values, repeat=d - 1)
+    )
+
+
+def test_odometer_without_coordinates_is_one_line_of_one_point():
+    assert lines_of([0, 1], 0) == [((), [None])]
+    ring = PolyRing(F3, ())
+    report = oracle_check(unit_vector(ring, 2, 1), [unit_vector(ring, 2, 0)], F3)
+    assert (report.points, report.evaluations, report.nontrivial_kernels) == (1, 1, 1)
+    assert report.counterexample == Witness((), (F3.zero, F3.one))
+
+
 def random_entry(rng, ring, coeffs):
     terms = {}
     for _ in range(rng.randint(0, 3)):
@@ -387,17 +426,16 @@ def test_scan_matches_the_reference_loop(field, matrix):
         d = rng.randint(1, 3 if len(values) <= 9 else 2)
         ring = PolyRing(field, ("x", "y", "z")[:d])
         query, gens = random_problem(rng, ring, coeffs, matrix)
-        in_order = list(odometer(values, d))
-        shuffled = rng.sample(in_order, len(in_order))
+        in_order = lines_of(values, d)
+        points = points_of(in_order)
+        shuffled = one_point_lines(rng.sample(points, len(points)))
 
-        def both(cap, points=in_order):
-            expected = scan_outcome(reference_scan, query, gens, field, points, cap)
-            assert scan_outcome(vanishing_scan, query, gens, field, points, cap) == expected
-            return expected
+        def both(cap, lines=in_order):
+            return both_outcomes(query, gens, field, lines, cap)
 
         full = both(10**6)
         outcomes.add("pass" if full[3] is None else "counterexample")
-        # prefixes revisited out of odometer order
+        # prefixes revisited out of odometer order, one point per line
         both(10**6, shuffled)
         # a cap crossed part way, by points or by kernel-vector evaluations
         for cap in {max(1, full[0] // 2), max(1, full[1] - 1)}:
@@ -407,18 +445,23 @@ def test_scan_matches_the_reference_loop(field, matrix):
 
 
 def test_integer_rows_over_q_match_the_reference_and_print_the_same_witnesses(monkeypatch):
-    # the witness grid is plain ints and the scan clears each row of its
-    # denominators, so over Q Horner runs on ints; the reference evaluates
-    # the rational rows at Fraction points
-    results = []
-    plain = RationalField.horner
+    # the witness grid is plain ints and the scan clears each row and minor
+    # of its denominators, so over Q both kernels of the scan run on ints;
+    # the reference evaluates the rational rows at Fraction points
+    results, seen = [], []
+    plain, plain_roots = RationalField.horner, RationalField.roots_among
 
     def recorded(self, coeffs, x):
         value = plain(self, coeffs, x)
         results.append(type(value))
         return value
 
+    def recorded_roots(self, coeffs, xs):
+        seen.extend(type(v) for v in list(coeffs) + list(xs))
+        return plain_roots(self, coeffs, xs)
+
     monkeypatch.setattr(RationalField, "horner", recorded)
+    monkeypatch.setattr(RationalField, "roots_among", recorded_roots)
     rng = random.Random("integer-rows")
     values = list(_grid_values())
     assert all(type(v) is int for v in values)
@@ -429,16 +472,17 @@ def test_integer_rows_over_q_match_the_reference_and_print_the_same_witnesses(mo
             d = rng.randint(1, 2)
             ring = PolyRing(QQ, ("x", "y")[:d])
             query, gens = random_problem(rng, ring, coeffs, matrix)
-            points = list(odometer(values, d))
-            rational = [tuple(map(Fraction, point)) for point in points]
+            lines = lines_of(values, d)
+            rational = [tuple(map(Fraction, point)) for point in points_of(lines)]
             expected = scan_outcome(reference_scan, query, gens, QQ, rational, 10**6)
-            assert scan_outcome(vanishing_scan, query, gens, QQ, points, 10**6) == expected
+            assert scan_outcome(vanishing_scan, query, gens, QQ, lines, 10**6) == expected
             if expected[3] is not None:
                 witnesses += 1
                 printed = Witness(*expected[3]).as_json()
                 assert find_vanishing_witness(query, gens).as_json() == printed
     assert witnesses > 0
     assert results and set(results) == {int}
+    assert seen and set(seen) == {int}
 
 
 @pytest.mark.parametrize("field", [PrimeField(3), QuadraticField(3)], ids=repr)
@@ -452,9 +496,7 @@ def test_scan_without_the_minor_matches_the_reference_loop(field, monkeypatch):
         for _ in range(15):
             ring = PolyRing(field, ("x", "y")[: rng.randint(1, 2)])
             query, gens = random_problem(rng, ring, coeffs, matrix)
-            points = list(odometer(values, ring.nx))
-            expected = scan_outcome(reference_scan, query, gens, field, points, 10**6)
-            assert scan_outcome(vanishing_scan, query, gens, field, points, 10**6) == expected
+            both_outcomes(query, gens, field, lines_of(values, ring.nx), 10**6)
 
 
 F5 = PrimeField(5)
@@ -473,30 +515,58 @@ def x_only_minor_problems():
     return gens, [combination, VectorPoly(R5, [x, 0])]
 
 
-@pytest.mark.parametrize("query_index", [0, 1], ids=["pass", "counterexample"])
-def test_scan_with_a_constant_minor_on_each_line_matches_the_reference(query_index):
-    gens, queries = x_only_minor_problems()
+def y_minor_problems():
+    """The generators of ``x_only_minor_problems`` with x and y swapped:
+    the minor y(y - 3) leaves the points y = 0 and y = 3 of every line, and
+    the batched kernel finds them.  The first query passes; the second
+    fails first at (3, 3), the 19th point in odometer order."""
+    x, y = R5.variables()
+    gens = [VectorPoly(R5, [y, x]), VectorPoly(R5, [0, y - 3])]
+    combination = y * gens[0] + (x + 1) * gens[1]
+    return gens, [combination, VectorPoly(R5, [0, x * (x - 1) * (x - 2)])]
+
+
+def one_minor_outcomes(problems, query_index):
+    """Both scans on a problem of one minor, over the lines in order and
+    shuffled into one-point lines, at caps 3, 7, 12 and 10**6."""
+    gens, queries = problems()
     query = queries[query_index]
-    in_order = list(odometer(F5.elements(), 2))
-    shuffled = random.Random(5).sample(in_order, len(in_order))
+    in_order = lines_of(F5.elements(), 2)
+    points = points_of(in_order)
+    shuffled = one_point_lines(random.Random(5).sample(points, len(points)))
     outcomes = []
-    for points in (in_order, shuffled):
+    for lines in (in_order, shuffled):
         # caps 3, 7 and 12 cross the lines x = 0, 1 and 2 part way
         for cap in (3, 7, 12, 10**6):
-            expected = scan_outcome(reference_scan, query, gens, F5, points, cap)
-            assert scan_outcome(vanishing_scan, query, gens, F5, points, cap) == expected
-            outcomes.append(expected)
+            outcomes.append(both_outcomes(query, gens, F5, lines, cap))
     assert outcomes[:3] == [("cap", "point cap of 3 crossed"),
                             ("cap", "point cap of 7 crossed"),
                             ("cap", "point cap of 12 crossed")]
+    if not query_index:
+        assert outcomes[3][:3] == (25, 10, 10) and outcomes[3][3] is None
+    return outcomes[3]
+
+
+@pytest.mark.parametrize("query_index", [0, 1], ids=["pass", "counterexample"])
+def test_scan_with_a_constant_minor_on_each_line_matches_the_reference(query_index):
+    full = one_minor_outcomes(x_only_minor_problems, query_index)
     if query_index:
-        assert outcomes[3][0] == 17
-        assert outcomes[3][3] == Witness(
+        assert full[0] == 17
+        assert full[3] == Witness(
             (FieldElement(F5, 3), FieldElement(F5, 1)),
             (FieldElement(F5, 3), FieldElement(F5, 1)),
         )
-    else:
-        assert outcomes[3][:3] == (25, 10, 10) and outcomes[3][3] is None
+
+
+@pytest.mark.parametrize("query_index", [0, 1], ids=["pass", "counterexample"])
+def test_scan_with_the_batched_minor_on_each_line_matches_the_reference(query_index):
+    full = one_minor_outcomes(y_minor_problems, query_index)
+    if query_index:
+        assert full[0] == 19
+        assert full[3] == Witness(
+            (FieldElement(F5, 3), FieldElement(F5, 3)),
+            (FieldElement(F5, 4), FieldElement(F5, 1)),
+        )
 
 
 def test_lines_with_a_constant_minor_pass_without_evaluation(monkeypatch):
@@ -511,10 +581,94 @@ def test_lines_with_a_constant_minor_pass_without_evaluation(monkeypatch):
         return plain(self, coeffs, x)
 
     monkeypatch.setattr(PrimeField, "horner", counted)
-    points = [(a, b) for a in (1, 2, 4) for b in range(5)]
-    report = vanishing_scan(queries[1], gens, F5, points, 10**6)
+    lines = [((a,), range(5)) for a in (1, 2, 4)]
+    report = vanishing_scan(queries[1], gens, F5, lines, 10**6)
     assert (report.points, report.evaluations, report.passed) == (15, 0, True)
     assert calls == [1, 2, 4]
+
+
+def counted_echelon(monkeypatch):
+    """A list that grows by one entry per echelon step of the scan."""
+    calls = []
+    plain = semimod.oracle.echelon_insert
+
+    def counted(echelon, row, field):
+        calls.append(row)
+        return plain(echelon, row, field)
+
+    monkeypatch.setattr(semimod.oracle, "echelon_insert", counted)
+    return calls
+
+
+def test_a_later_minor_skips_the_points_where_the_first_vanishes(monkeypatch):
+    # the minor of the first two rows, y, vanishes at y = 0 on every line;
+    # the next one in combinations order, of rows 1 and 3, is 1, so those
+    # points pass with no echelon step, as they do once the bound admits the
+    # first minor only
+    x, y = R5.variables()
+    gens = [VectorPoly(R5, [1, 0]), VectorPoly(R5, [0, y]), VectorPoly(R5, [0, 1])]
+    query = VectorPoly(R5, [x, y])
+    lines = lines_of(F5.elements(), 2)
+    calls = counted_echelon(monkeypatch)
+    assert both_outcomes(query, gens, F5, lines, 10**6) == (25, 0, 0, None)
+    assert calls == []
+    monkeypatch.setattr(semimod.oracle, "MINOR_MAX_COUNT", 1)
+    assert both_outcomes(query, gens, F5, lines, 10**6) == (25, 0, 0, None)
+    assert len(calls) == 5 * 3  # at y = 0 of each line, all three rows
+
+
+def test_beyond_the_minor_bound_the_echelon_decides_the_rank(monkeypatch):
+    # the first generator rows are multiples of e1, so every minor within
+    # the bound is zero, and only the last row, e2, gives full rank: the
+    # echelon form has to find it at every point
+    x, y = R5.variables()
+    # in combinations order the block of rows 0 and m is number m
+    m = semimod.oracle.MINOR_MAX_COUNT + 1
+    gens = [VectorPoly(R5, [x**i + 1, 0]) for i in range(m)] + [VectorPoly(R5, [0, 1])]
+    query = VectorPoly(R5, [x, y])
+    lines = lines_of(F5.elements(), 2)
+    calls = counted_echelon(monkeypatch)
+    assert both_outcomes(query, gens, F5, lines, 10**6) == (25, 0, 0, None)
+    assert len(calls) == 25 * (m + 1)
+
+
+def test_the_scan_reads_a_huge_field_lazily():
+    # the witness sits at the first point of 2147483629^2, and the scan
+    # reads one value to find it; a later witness costs fewer than twice
+    # its points, and the scan reads at most cap + 1 values of the field,
+    # also where no point fails
+    field = PrimeField(2147483629)
+    read = []
+
+    def counting():
+        for value in field.elements():
+            read.append(value)
+            yield value
+
+    ring = PolyRing(field, ("x", "y"))
+    x, _ = ring.variables()
+    cap = 1000
+    report = vanishing_scan(
+        VectorPoly(ring, [0, 1]), [VectorPoly(ring, [x, 0])], field, odometer(counting(), 2), cap
+    )
+    assert report.counterexample == Witness(
+        (field.zero, field.zero), (field.zero, field.one)
+    )
+    assert report.points == 1 and len(read) == 1
+    read.clear()
+    x, y = ring.variables()
+    gens = [VectorPoly(ring, [y - 600, 0]), VectorPoly(ring, [0, 1])]
+    report = vanishing_scan(
+        VectorPoly(ring, [1, 0]), gens, field, odometer(counting(), 2), cap
+    )
+    assert report.counterexample.point == (field.zero, field.element(600))
+    assert report.points == 601 and len(read) < 2 * 601
+    read.clear()
+    line = PolyRing(field, ("x",))
+    far = VectorPoly(line, [line.variable(0) - 5_000_000])
+    with pytest.raises(EnumerationCapExceededError, match="point cap of 1000 crossed"):
+        vanishing_scan(VectorPoly(line, [1]), [far], field, odometer(counting(), 1), cap)
+    assert len(read) == cap + 1
 
 
 def test_a_wrong_horner_kernel_is_caught_by_the_re_verification(monkeypatch):
@@ -542,12 +696,10 @@ def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
     x = ring.variable(0)
     gens = [VectorPoly(ring, [0, 0, 0]), VectorPoly(ring, [x, 0, 0])]
     query = VectorPoly(ring, [x * x, 0, 0])
-    points = list(odometer(values, 1))
-    full = scan_outcome(reference_scan, query, gens, field, points, 10**6)
-    cap = full[0] + 1
-    expected = scan_outcome(reference_scan, query, gens, field, points, cap)
+    lines = lines_of(values, 1)
+    full = both_outcomes(query, gens, field, lines, 10**6)
+    expected = both_outcomes(query, gens, field, lines, full[0] + 1)
     assert expected[0] == "cap" and expected[1].startswith("evaluation")
-    assert scan_outcome(vanishing_scan, query, gens, field, points, cap) == expected
 
 
 @pytest.mark.parametrize("where", ["query", "generator"])

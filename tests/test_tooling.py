@@ -47,7 +47,7 @@ PLAIN_EVALUATORS = {
     "oracle.py": {"_verify_violation"},
     "fields.py": {"power"},
 }
-SCAN_KERNELS = {"horner", "eliminate", "echelon_insert"}
+SCAN_KERNELS = {"horner", "roots_among", "eliminate", "echelon_insert"}
 
 
 def test_violation_re_check_does_not_use_the_scan_kernels():

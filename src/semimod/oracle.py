@@ -30,13 +30,33 @@ cap.  Specialization is the field's Horner kernel, ``Field.horner``,
 coordinate by coordinate; a one-coordinate prefix takes one call per
 coefficient list.
 
+One stratum down, the same loop passes points of rank n - 1.  It applies
+when every n x n minor of the m generator rows is among those tried
+(n <= MINOR_MAX_RANK and C(m, n) <= MINOR_MAX_COUNT, zero minors counting
+as tried), so the points they leave have rank at most n - 1.  It then tries
+at most MINOR_MAX_COUNT (n - 1) x (n - 1) minors M_{B,C}, of the rows B and
+the columns C, in combinations order, B first: at n = 2 they are the
+entries, at n = 1 the constant 1.  Where M_{B,C} does not vanish the rank
+is exactly n - 1, the row space is that of the rows B, and the one kernel
+direction is killed by every query row f exactly when the bordered
+determinant det[G_B; f] vanishes.  So a point passes where every bordered
+determinant of its block vanishes, each decided by one ``roots_among`` call
+per piece on the points still left; it counts the nontrivial kernel and
+the one evaluation it would have made, the evaluation cap checked at that
+point.  Every other point (a violation, rank n - 2 or less, or no nonzero
+tried minor) takes the per-point path below, so witnesses and counts are
+those of testing every point.  These polynomials are built only after the
+per-point path has met a point of rank n - 1, and specialized on a line
+only when points are left on it, so a search that meets its violation
+first builds none of them.
+
 Lines are read in pieces, each decided before the next is read.  The
 scan's first piece is one point, and a piece that fills up doubles the
 next, so the work before any point stays within a constant factor of the
 points before it: a huge field costs little before its first points,
 while short lines soon take one piece each.
 
-At the points no minor decides, or above MINOR_MAX_RANK, the generator rows
+At the points no minor passes, or above MINOR_MAX_RANK, the generator rows
 are specialized at the prefix when first needed and evaluated one at a time
 by Horner in the last coordinate, into an echelon form; once its rank
 reaches n the remaining generators, the kernel and the query are skipped.
@@ -65,6 +85,7 @@ fields only within one characteristic, or out of Q.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -203,19 +224,53 @@ def _specialize(nested, coords, horner):
     return horner([_specialize(c, rest, horner) for c in nested], coords[-1])
 
 
-def _minors(ring, rows, n, nx, zero):
-    """The nonzero n x n minors of ``rows``, integral term lists, compiled
-    as ``_compile`` does: the determinants of the first MINOR_MAX_COUNT row
-    blocks in itertools.combinations order, built one at a time as they
-    are asked for; none above rank MINOR_MAX_RANK.  Over Q the rows are
-    ints, so the minors are too."""
+def _polys(ring, rows):
+    """Rows of integral term lists as rows of polynomials."""
+    return [[Polynomial(ring, dict(terms)) for terms in row] for row in rows]
+
+
+def _minors(ring, rows, compiled, rank, n, nx, zero):
+    """The nonzero rank x rank minors of ``rows``, integral term lists of n
+    entries each, as pairs (row block, minor compiled as ``_compile``
+    does): the determinant of the columns C of the rows B, for the first
+    MINOR_MAX_COUNT pairs (B, C) in itertools.combinations order, B before
+    C, built one at a time as they are asked for; none when n is above
+    MINOR_MAX_RANK.  At rank n the one C is every column, a 1 x 1 minor is
+    an entry of ``compiled``, the rows compiled, and the 0 x 0 minor is 1.
+    Over Q the rows are ints, so the minors are too."""
     if n > MINOR_MAX_RANK:
         return
-    polys = [[Polynomial(ring, dict(terms)) for terms in row] for row in rows]
-    for block in itertools.islice(itertools.combinations(polys, n), MINOR_MAX_COUNT):
-        minor = _det(block)
+    if not rank:
+        one = ring.field.split({0: ring.field.one_raw})[0][0]
+        yield (), _compile([((0,) * nx, one)], nx, zero)
+        return
+    polys = _polys(ring, rows) if rank > 1 else None
+    pairs = (
+        (block, cols)
+        for block in itertools.combinations(range(len(rows)), rank)
+        for cols in itertools.combinations(range(n), rank)
+    )
+    for block, cols in itertools.islice(pairs, MINOR_MAX_COUNT):
+        if polys is None:
+            (i,), (j,) = block, cols
+            if rows[i][j]:
+                yield block, compiled[i][j]
+            continue
+        minor = _det([[polys[i][j] for j in cols] for i in block])
         if not minor.is_zero():
-            yield _compile(list(minor.terms.items()), nx, zero)
+            yield block, _compile(list(minor.terms.items()), nx, zero)
+
+
+def _bordered(ring, rows, block, queries, nx, zero):
+    """The determinants det[G_B; f], compiled, for each query row f: the
+    rows of ``block`` bordered below by f, all integral term lists.  Where
+    the rows of the block have rank n - 1 and so has G, f lies in the row
+    space of G exactly where its determinant vanishes."""
+    block = _polys(ring, [rows[i] for i in block])
+    return [
+        _compile(list(_det(block + _polys(ring, [f])).terms.items()), nx, zero)
+        for f in queries
+    ]
 
 
 def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleReport:
@@ -228,26 +283,44 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
     generators raise MismatchedRingError or DimensionMismatchError.
 
     Up to rank MINOR_MAX_RANK, a point passes at once where an n x n minor
-    of the generator rows does not vanish.  The minors and the rows are
-    specialized at a line's prefix, and only the latest prefix is kept, so
-    memory stays flat on large fields; any order of lines is correct, and
-    the odometer's specializes each prefix once.  A line is read in pieces
-    that double from one point, each tested before the next is read, and
-    no further than the cap allows, one coordinate past it.  Raises
-    EnumerationCapExceededError once more than ``cap`` points or
+    of the generator rows does not vanish.  Where every n x n minor is among
+    those tried (C(m, n) <= MINOR_MAX_COUNT for m generator rows), the
+    points they leave have rank at most n - 1.  Once a point of rank n - 1
+    has reached the echelon form, such a point also passes where one of the
+    first MINOR_MAX_COUNT (n - 1) x (n - 1) minors, of rows B, does not
+    vanish and every query row bordered below the rows B has a zero
+    determinant: the rank is n - 1 and the query rows lie in the row space.
+    It counts the nontrivial kernel and the one kernel-vector evaluation
+    that the echelon path would have, so the counts are unchanged; every
+    violation is found and re-verified on the echelon path.  The minors and
+    the rows are specialized at a line's prefix, and only the latest prefix
+    is kept, so memory stays flat on large fields; any order of lines is
+    correct, and the odometer's specializes each prefix once.  A line is
+    read in pieces that double from one point, each tested before the next
+    is read, and no further than the cap allows, one coordinate past it.
+    Raises EnumerationCapExceededError once more than ``cap`` points or
     kernel-vector evaluations are needed."""
     n = len(query)
     check_operands(query.ring, n, generators, "generator")
-    nx, is_zero = query.ring.nx, field.is_zero
+    ring, nx, is_zero = query.ring, query.ring.nx, field.is_zero
     zero = field.split({0: field.zero_raw})[0][0]  # over Q the int 0
     gen_rows = [row for g in generators for row in g.rows]
     gen_count = len(gen_rows)
     integral = [_integral(row.entries, field) for row in gen_rows + list(query.rows)]
     compiled = [[_compile(terms, nx, zero) for terms in row] for row in integral]
-    new_minors = _minors(query.ring, integral[:gen_count], n, nx, zero)
-    minors = []  # the compiled minors built so far
     horner, roots_among = field.horner, field.roots_among
-    prefix = cache = minors_at = None
+
+    def minors_of_rank(rank):
+        """The minors of one rank: those not yet built, those built, and
+        those at the prefix."""
+        return _minors(ring, integral[:gen_count], compiled, rank, n, nx, zero), [], []
+
+    # the stratum one rank down is made when a point of rank n - 1 reaches
+    # the echelon form, if every n x n minor is among those tried
+    top, lower = minors_of_rank(n), None
+    lower_applies = n <= MINOR_MAX_RANK and math.comb(gen_count, n) <= MINOR_MAX_COUNT
+    bordered = {}  # by row block, its compiled bordered determinants
+    prefix = cache = bordered_at = None
 
     def values(i, last):
         """Row i of ``compiled`` at the point prefix + (last,), from the row
@@ -259,26 +332,64 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
             ]
         return [horner(c, last) for c in coeffs]
 
-    def minor_at(k):
-        """Minor k on the current line, trailing zeros trimmed, or None when
-        there are no more minors."""
-        if k == len(minors_at):
-            if k == len(minors):
-                minor = next(new_minors, None)
+    def at_prefix(nested):
+        """Compiled coefficient lists at the prefix, trailing zeros trimmed."""
+        coeffs = [_specialize(c, prefix, horner) for c in nested]
+        while coeffs and is_zero(coeffs[-1]):
+            coeffs.pop()
+        return coeffs
+
+    def minor_at(stratum, k):
+        """(row block, minor k of ``stratum`` on the current line), or None
+        when there are no more minors."""
+        new, built, at = stratum
+        if k == len(at):
+            if k == len(built):
+                minor = next(new, None)
                 if minor is None:
                     return None
-                minors.append(minor)
-            coeffs = [_specialize(c, prefix, horner) for c in minors[k]]
-            while coeffs and is_zero(coeffs[-1]):
-                coeffs.pop()
-            minors_at.append(coeffs)
-        return minors_at[k]
+                built.append(minor)
+            block, nested = built[k]
+            at.append((block, at_prefix(nested)))
+        return at[k]
+
+    def borders_at(block):
+        """The bordered determinants of ``block`` on the current line."""
+        if block not in bordered_at:
+            if block not in bordered:
+                bordered[block] = _bordered(ring, integral, block, integral[gen_count:], nx, zero)
+            bordered_at[block] = [at_prefix(c) for c in bordered[block]]
+        return bordered_at[block]
+
+    def lower_passes(left, lasts):
+        """The points of ``left``, where every n x n minor vanishes, that
+        pass one rank down: a minor of rows B does not vanish there, so the
+        rank is n - 1, and every query row bordered below the rows B has a
+        zero determinant, so it lies in the row space."""
+        passed = set()
+        k = 0
+        while left and (entry := minor_at(lower, k)) is not None:
+            k += 1
+            block, minor = entry
+            roots = roots_among(minor, lasts)
+            if len(roots) < len(left):
+                vanish = set(roots)
+                ranked = [i for i in range(len(left)) if i not in vanish]
+                ids, xs = [left[i] for i in ranked], [lasts[i] for i in ranked]
+                for border in borders_at(block):
+                    keep = roots_among(border, xs)
+                    ids, xs = [ids[i] for i in keep], [xs[i] for i in keep]
+                passed.update(ids)
+                left, lasts = [left[i] for i in roots], [lasts[i] for i in roots]
+        return passed
 
     count = evaluations = nontrivial = 0
     size = 1  # the points of the next piece, doubled after each full piece
     for line_prefix, line in lines:
         if line_prefix != prefix:
-            prefix, cache, minors_at = line_prefix, [None] * len(compiled), []
+            prefix, cache, bordered_at = line_prefix, [None] * len(compiled), {}
+            for stratum in (top, lower) if lower else (top,):
+                stratum[2].clear()
         line = iter(line)
         while xs := list(itertools.islice(line, min(size, cap - count + 1))):
             if len(xs) == size:
@@ -290,17 +401,26 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
             # and their last coordinates
             left, lasts = range(len(xs)), xs
             k = 0
-            while left and (minor := minor_at(k)) is not None:
+            while left and (entry := minor_at(top, k)) is not None:
                 k += 1
-                if len(roots := roots_among(minor, lasts)) < len(left):
+                if len(roots := roots_among(entry[1], lasts)) < len(left):
                     left, lasts = [left[j] for j in roots], [lasts[j] for j in roots]
+            passed = lower_passes(left, lasts) if lower and left else ()
             for j, last in zip(left, lasts):
+                if j in passed:
+                    nontrivial += 1
+                    evaluations += 1
+                    if evaluations > cap:
+                        raise EnumerationCapExceededError(f"evaluation cap of {cap} crossed")
+                    continue
                 echelon = []
                 for i in range(gen_count):
                     if echelon_insert(echelon, values(i, last), field) == n:
                         break
                 else:
                     # the rank stayed below n, so the kernel is nontrivial
+                    if lower is None and lower_applies and len(echelon) == n - 1:
+                        lower = minors_of_rank(n - 1)
                     kernel = _kernel_basis([row for _, row in echelon], n, field)
                     nontrivial += 1
                     query_values = [values(i, last) for i in range(gen_count, len(compiled))]

@@ -702,6 +702,214 @@ def test_scan_crosses_the_evaluation_cap_where_the_reference_does(field):
     assert expected[0] == "cap" and expected[1].startswith("evaluation")
 
 
+# ---------------------------------------------------------------------------
+# the stratum one rank down: rank n - 1 points passed by bordered minors
+# ---------------------------------------------------------------------------
+
+DEFICIENT_SHAPES = ("one", "parallel", "zero-row", "closure-law")
+
+
+def spoiler(ring, values):
+    """A polynomial in the first coordinate that vanishes at every value of
+    ``values`` but the last."""
+    h = ring.one()
+    for v in values[:-1]:
+        h = h * (ring.variable(0) - ring.field.element(v))
+    return h
+
+
+def deficient_problem(rng, ring, coeffs, matrix, shape, values):
+    """A query and generators of rank or size 1..3 whose rows have rank
+    below n at many points: one generator, parallel generators (as
+    matrices, rows that are multiples of one row), a zero row beside n - 1
+    others, or the closure-law set g + f_i * f with f the query.  For the
+    other shapes the query is random, a combination of the generators, or
+    such a combination spoiled on the last line of the first coordinate
+    only, so that the scan passes most points before its violation."""
+    n = rng.randint(1, 3)
+
+    def row():
+        return [random_entry(rng, ring, coeffs) for _ in range(n)]
+
+    def draw(rows=None):
+        rows = rows or [row() for _ in range(n if matrix else 1)]
+        return PolyMatrix(ring, rows) if matrix else VectorPoly(ring, rows[0])
+
+    def multiples(r, count):
+        return [[random_entry(rng, ring, coeffs) * e for e in r] for _ in range(count)]
+
+    if shape == "closure-law":
+        query = draw()
+        gens = [draw() for _ in range(rng.randint(1, 2))]
+        gens += [e * query for r in query.rows for e in r.entries if not e.is_zero()]
+        return query, gens
+    if shape == "one":
+        gens = [draw(multiples(row(), n) if matrix else None)]
+    elif shape == "parallel":
+        r = row()
+        gens = [draw(multiples(r, n if matrix else 1)) for _ in range(rng.randint(2, 3))]
+    else:
+        rows = [row() for _ in range(n - 1)] + [[0] * n]
+        rng.shuffle(rows)
+        gens = [draw(rows)] if matrix else [draw([r]) for r in rows]
+    kind = rng.choice(["random", "combination", "spoiled"])
+    if kind == "random":
+        return draw(), gens
+    query = draw([[0] * n for _ in range(n if matrix else 1)])
+    for g in gens:
+        query = query + (draw() @ g if matrix else random_entry(rng, ring, coeffs) * g)
+    if kind == "spoiled":
+        query = query + spoiler(ring, values) * draw()
+    return query, gens
+
+
+def deficient_problems(field, matrix, count, seed):
+    """``count`` problems of every shape over ``field``, with the raw
+    values of a scan's coordinates."""
+    rng = random.Random(f"{seed}:{field!r}:{matrix}")
+    values = _raw_values(field)
+    coeffs = [v for v in values if v] + (
+        [Fraction(1, 2), Fraction(-3, 4)] if field.size is None else []
+    )
+    for shape in DEFICIENT_SHAPES:
+        for _ in range(count):
+            ring = PolyRing(field, ("x", "y")[: rng.randint(1, 2)])
+            yield deficient_problem(rng, ring, coeffs, matrix, shape, values), ring.nx, values
+
+
+def counted_kernels(monkeypatch):
+    """A list that grows by one entry per kernel basis the scan builds."""
+    calls = []
+    plain = semimod.oracle._kernel_basis
+
+    def counted(rows, n, field):
+        calls.append(n)
+        return plain(rows, n, field)
+
+    monkeypatch.setattr(semimod.oracle, "_kernel_basis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["vector", "matrix"])
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), QuadraticField(3), QQ], ids=repr)
+def test_scan_one_rank_down_matches_the_reference_loop(field, matrix, monkeypatch):
+    # rank-deficient generator sets put most points on the stratum rank
+    # n - 1, where the scan passes points by bordered minors; every count
+    # and every witness must still be the reference loop's, in order and
+    # shuffled into one-point lines, with caps crossed part way
+    kernels = counted_kernels(monkeypatch)
+    rng = random.Random(f"one-down:{field!r}:{matrix}")
+    outcomes, nontrivial, built = set(), 0, 0
+    for (query, gens), d, values in deficient_problems(field, matrix, 6, "one-down"):
+        in_order = lines_of(values, d)
+        points = points_of(in_order)
+        shuffled = one_point_lines(rng.sample(points, len(points)))
+
+        def both(cap, lines=in_order):
+            return both_outcomes(query, gens, field, lines, cap)
+
+        built -= len(kernels)
+        full = both(10**6)
+        built += len(kernels)
+        nontrivial += full[2]
+        outcomes.add("pass" if full[3] is None else "counterexample")
+        both(10**6, shuffled)
+        for cap in (max(1, full[0] // 2), max(1, full[1] - 1)):
+            if (out := both(cap))[0] == "cap":
+                outcomes.add(out[1].split()[0])
+    assert outcomes == {"pass", "counterexample", "point", "evaluation"}
+    # the stratum did the work: most nontrivial kernels were never built
+    assert built < nontrivial
+
+
+def re_verified(report_outcome, query, gens, field):
+    """Whether a scan's reported counterexample, if any, passes the
+    independent re-check."""
+    if report_outcome[0] == "cap" or report_outcome[3] is None:
+        return True
+    point, vector = report_outcome[3]
+    try:
+        semimod.oracle._verify_violation(
+            query, gens, field, tuple(a.value for a in point), tuple(v.value for v in vector)
+        )
+    except InvariantViolationError:
+        return False
+    return True
+
+
+def faulty_outcomes(field, fault_ids):
+    """The scan's and the reference loop's outcomes on the rank-deficient
+    problems over ``field``; a fault may raise the invariant error of the
+    re-verification, which stands for no counterexample reported."""
+    out = []
+    for matrix in (False, True):
+        for (query, gens), d, values in deficient_problems(field, matrix, 4, fault_ids):
+            lines = lines_of(values, d)
+            expected = scan_outcome(reference_scan, query, gens, field, points_of(lines), 10**6)
+            try:
+                got = scan_outcome(vanishing_scan, query, gens, field, lines, 10**6)
+            except InvariantViolationError:
+                continue
+            assert re_verified(got, query, gens, field)
+            out.append((got, expected))
+    return out
+
+
+@pytest.mark.parametrize("fault", ["drop", "add"])
+def test_a_wrong_root_kernel_never_reports_a_false_counterexample(fault, monkeypatch):
+    # a batched kernel that drops a root, or adds one, passes wrong points
+    # or sends them to the echelon form; every counterexample still comes
+    # from the kernel path and its re-verification
+    plain = PrimeField.roots_among
+
+    def wrong(self, coeffs, xs):
+        roots = plain(self, coeffs, xs)
+        if fault == "drop":
+            return roots[:-1]
+        extra = [j for j in range(len(xs)) if j not in set(roots)][:1]
+        return sorted(roots + extra)
+
+    monkeypatch.setattr(PrimeField, "roots_among", wrong)
+    out = faulty_outcomes(F5, f"fault-{fault}")
+    assert any(got != expected for got, expected in out)
+
+
+@pytest.mark.parametrize("fault", ["generator-border", "shifted-block"])
+def test_a_wrong_bordered_determinant_never_reports_a_false_counterexample(fault, monkeypatch):
+    # bordered determinants built from the wrong rows pass wrong points;
+    # they may hide a violation, never invent one
+    plain = semimod.oracle._bordered
+
+    def wrong(ring, rows, block, queries, nx, zero):
+        if fault == "generator-border":
+            return plain(ring, rows, block, [rows[0]] * len(queries), nx, zero)
+        shifted = tuple((i + 1) % (len(rows) - len(queries)) for i in block)
+        return plain(ring, rows, shifted, queries, nx, zero)
+
+    monkeypatch.setattr(semimod.oracle, "_bordered", wrong)
+    out = faulty_outcomes(F5, f"fault-{fault}")
+    assert any(got != expected for got, expected in out)
+
+
+def test_a_scan_of_rank_n_minus_one_everywhere_builds_a_handful_of_kernels(monkeypatch):
+    # one generator of rank 2 over F101 and a query in its closure: the
+    # generator has rank 1 wherever it does not vanish, and no 2 x 2 minor,
+    # so without the stratum one rank down the scan builds a kernel at each
+    # of the 10,201 points
+    field = PrimeField(101)
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.variables()
+    g = VectorPoly(ring, [x * y - 1, y * y + x])
+    query = (x + y * y - 3) * g
+    lines = lines_of(field.elements(), 2)
+    kernels = counted_kernels(monkeypatch)
+    report = vanishing_scan(query, [g], field, lines, 10**6)
+    assert len(kernels) <= 3
+    expected = reference_scan(query, [g], field, points_of(lines), 10**6)
+    assert report == expected
+    assert report.points == report.nontrivial_kernels == 101**2
+
+
 @pytest.mark.parametrize("where", ["query", "generator"])
 def test_scan_rejects_variables_outside_the_x_block(where):
     ring = PolyRing(F3, ("x", "v"), nx=1)

@@ -260,6 +260,41 @@ def test_witnesses_are_searched_by_the_decisions_only():
     assert callers == {"closure.semiprime_member"}
 
 
+def test_every_scan_witness_follows_its_re_verification():
+    # the scan's batched paths (minors, bordered minors) may only pass
+    # points: a Witness is built only by a function that has re-verified
+    # the violation on the independent path, on an earlier line
+    path = pathlib.Path(semimod.__file__).parent / "oracle.py"
+    built, found = [], []
+
+    def visit(node, owner, calls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name, inner = getattr(child, "name", "<lambda>"), []
+                visit(child, name, inner)
+                check(name, inner)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                calls.append((name, child.lineno))
+            visit(child, owner, calls)
+
+    def check(owner, calls):
+        verified = [line for name, line in calls if name == "_verify_violation"]
+        for name, line in calls:
+            if name == "Witness":
+                built.append(owner)
+                if not any(v < line for v in verified):
+                    found.append(f"oracle.py:{line} {owner}")
+
+    module_calls = []
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", module_calls)
+    check("<module>", module_calls)
+    assert found == []
+    assert set(built) == {"vanishing_scan"}
+
+
 def test_every_basis_is_built_and_read_on_one_membership_path():
     # each decision asks submodule_member on a presentation: only its cached
     # basis is built by buchberger, and only submodule_member reduces by it

@@ -8,14 +8,17 @@ extension).  Polynomials store raw values directly for speed;
 ``FieldElement`` is the boxed form used at API boundaries.  Everything here
 is immutable and pure, so values can be shared freely across threads.
 
-Three kernels serve the vanishing scan and the echelon form: ``horner``
-evaluates a coefficient list at a point, ``roots_among`` finds the points
-of a line where a coefficient list vanishes, one call for the whole line,
-and ``eliminate`` forms lead*row - c*prow.  ``Field`` declares them as
-hooks beside ``add`` and ``mul``, and each field implements them with
-inline arithmetic, reducing mod p at every step over a finite field, so a
-whole list costs one call instead of one method call per ``add`` and
-``mul``.
+Two kernels serve the vanishing scan: ``horner`` evaluates a coefficient
+list at a point, and ``roots_among`` finds the points of a line where a
+coefficient list vanishes, one call for the whole line.  ``Field`` declares
+them as hooks beside ``add`` and ``mul``, and each field implements them
+with inline arithmetic, reducing mod p at every step over a finite field,
+so a whole list costs one call instead of one method call per ``add`` and
+``mul``; they are hot, with tens of thousands of calls in one pass over an
+oracle sweep.  The echelon form's step ``eliminate``, lead*row - c*prow,
+has one body on ``Field``, written with ``add``, ``mul`` and ``neg``: the
+scan passes most points by minors, so it runs a few hundred times in such
+a pass.
 Polynomial evaluation (``Polynomial.evaluate_raw``) and ``linalg.dot_raw``
 keep plain ``add`` and ``mul``: they re-check every violation the scan
 reports, independently of the kernels.
@@ -192,9 +195,10 @@ class Field:
         raise NotImplementedError
 
     def eliminate(self, lead, row, c, prow):
-        """Kernel of the echelon form: the row lead*row - c*prow, entry by
+        """The echelon form's one step: the row lead*row - c*prow, entry by
         entry."""
-        raise NotImplementedError
+        add, mul, neg = self.add, self.mul, self.neg
+        return [add(mul(lead, a), neg(mul(c, b))) for a, b in zip(row, prow)]
 
     def coerce(self, value):
         raise NotImplementedError
@@ -248,9 +252,6 @@ class RationalField(Field):
             if not acc:
                 out.append(j)
         return out
-
-    def eliminate(self, lead, row, c, prow):
-        return [lead * a - c * b for a, b in zip(row, prow)]
 
     def split(self, m):
         """Integer numerators over the least common denominator; takes ints
@@ -353,10 +354,6 @@ class PrimeField(Field):
             if not acc:
                 out.append(j)
         return out
-
-    def eliminate(self, lead, row, c, prow):
-        p = self.p
-        return [(lead * a - c * b) % p for a, b in zip(row, prow)]
 
     def coerce(self, value):
         if isinstance(value, FieldElement):
@@ -461,23 +458,6 @@ class QuadraticField(Field):
                 a0, a1 = (a0 * x0 - a1 * u + c0) % p, (a0 * x1 + a1 * w + c1) % p
             if not (a0 or a1):
                 out.append(j)
-        return out
-
-    def eliminate(self, lead, row, c, prow):
-        p = self.p
-        mb, mc = self.modulus
-        l0, l1 = lead
-        c0, c1 = c
-        out = []
-        for (a0, a1), (b0, b1) in zip(row, prow):
-            # lead * (a0 + a1 t) - c * (b0 + b1 t), with t^2 = -mb*t - mc
-            t2 = l1 * a1 - c1 * b1
-            out.append(
-                (
-                    (l0 * a0 - c0 * b0 - mc * t2) % p,
-                    (l0 * a1 + l1 * a0 - c0 * b1 - c1 * b0 - mb * t2) % p,
-                )
-            )
         return out
 
     def coerce(self, value):

@@ -17,10 +17,10 @@ way.  The engine's 1 is ``field.normalize``'s image of 1 (over Q the
 integer 1), so scales and recipe scalars stay integers too.  Over Q,
 Fractions are made only for what a caller reads: a basis's monic elements
 are built from its integer divisors when first read, and ``normal_form``'s
-remainder and cofactors, scaled back by 1/S, likewise.  A decision reads
-only the remainder, so a non-member builds no cofactor and no monic element,
-and a member's cofactors and certificate wait until its
-``Verdict.certificate`` is read.
+remainder and cofactors, scaled back by 1/S, likewise.  A decision asks
+only whether the packed remainder is empty, so a non-member builds no
+remainder, no cofactor and no monic element, and a member's cofactors and
+certificate wait until its ``Verdict.certificate`` is read.
 
 Each working element keeps a recipe: the (scalar map, earlier index) pairs
 it was made from, and one scale factor, the one its normalization applied.
@@ -748,7 +748,7 @@ def submodule_member(
     check_operands(submodule.ring, submodule.rank, [f], "query")
     gb = submodule.groebner(order, limits)
     nf = normal_form(f, gb, order)
-    if not nf.remainder.is_zero():
+    if nf._rem:  # the reducer's packed remainder: no vector is built to test it
         return Verdict(member=False, stats=dict(gb.stats))
     return Verdict(member=True, certificate=lambda: gb.certificate(nf.cofactors),
                    stats=dict(gb.stats))

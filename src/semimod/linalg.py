@@ -2,13 +2,12 @@
 
 Matrices are lists of row lists holding raw field values.  Dimensions are
 tiny (the module rank n), so one fraction-free elimination, ``echelon_insert``,
-serves every use.  Its one step is the field's kernel ``Field.eliminate``
-(lead*row - c*prow, inline arithmetic per field), which the back
-substitution of the reduced form uses with lead 1.  The reduced row echelon
-form and the free-column kernel basis built from it are unique for a given
-row space.  ``dot_raw`` keeps plain ``add`` and ``mul``: with
-``Polynomial.evaluate_raw`` it re-checks the scan's violations apart from
-the kernels.
+serves every use.  Its one step is ``Field.eliminate``, lead*row -
+c*prow, which the back substitution of the reduced form uses with lead 1.
+The reduced row echelon form and the free-column kernel basis built from it
+are unique for a given row space.  ``dot_raw`` keeps plain ``add`` and
+``mul``: with ``Polynomial.evaluate_raw`` it re-checks the scan's
+violations apart from the kernels.
 """
 
 from __future__ import annotations

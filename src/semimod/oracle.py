@@ -13,42 +13,39 @@ over Q, at the integer points of the witness grid, the scan's kernels and
 the echelon form run on ints.  The re-check of a violation evaluates the
 original rational rows.
 
-Up to rank n = MINOR_MAX_RANK the scan takes n x n minors of the generator
-rows (n the module rank): the determinants of row blocks in
-itertools.combinations order, the first n rows first, with polynomial
-arithmetic on the integral rows; a cofactor expansion costs n! products, so
-at larger ranks the scan goes straight to the echelon form below.  A minor
-is built only when the minors before it leave points on some line, and at
-most MINOR_MAX_COUNT blocks are tried; zero minors are skipped.  On each
-line a minor is specialized at the prefix, its trailing zeros trimmed, and
-the field's batched kernel, ``Field.roots_among``, keeps the points where
-it vanishes, in one call for a piece of the line: a nonzero constant keeps
-none, a zero all.  Where a minor does not vanish those n rows are
+Each piece of a line goes through one ordered list of tests, built lazily:
+a row block B, its minor and, one rank down, its bordered determinants.
+First come the n x n minors of the generator rows (n the module rank), up
+to n = MINOR_MAX_RANK: the determinants of row blocks in
+itertools.combinations order, with polynomial arithmetic on the integral
+rows; a cofactor expansion costs n! products, so at larger ranks the scan
+goes straight to the echelon form below.  When every n x n minor of the m
+generator rows is among those tried (C(m, n) <= MINOR_MAX_COUNT, zero
+minors counting as tried), the points they leave have rank at most n - 1,
+and the first such point of rank n - 1 to reach the echelon form appends
+the (n - 1) x (n - 1) minors M_{B,C}, of the rows B and the columns C, B
+first: at n = 2 the entries, at n = 1 the constant 1.  A test is built only
+when the tests before it leave points on some line, at most MINOR_MAX_COUNT
+of each size are tried, and zero minors are skipped.  On each line a minor
+is specialized at the prefix, its trailing zeros trimmed, and the field's
+batched kernel, ``Field.roots_among``, keeps the points of the piece where
+it vanishes, in one call: a nonzero constant keeps none, a zero all.  Where
+the first minor that does not vanish is n x n, those n rows are
 independent, the joint kernel is trivial and the point passes, so such
 points are never visited one by one; each is still counted against the
-cap.  Specialization is the field's Horner kernel, ``Field.horner``,
-coordinate by coordinate; a one-coordinate prefix takes one call per
-coefficient list.
-
-One stratum down, the same loop passes points of rank n - 1.  It applies
-when every n x n minor of the m generator rows is among those tried
-(n <= MINOR_MAX_RANK and C(m, n) <= MINOR_MAX_COUNT, zero minors counting
-as tried), so the points they leave have rank at most n - 1.  It then tries
-at most MINOR_MAX_COUNT (n - 1) x (n - 1) minors M_{B,C}, of the rows B and
-the columns C, in combinations order, B first: at n = 2 they are the
-entries, at n = 1 the constant 1.  Where M_{B,C} does not vanish the rank
-is exactly n - 1, the row space is that of the rows B, and the one kernel
-direction is killed by every query row f exactly when the bordered
-determinant det[G_B; f] vanishes.  So a point passes where every bordered
-determinant of its block vanishes, each decided by one ``roots_among`` call
-per piece on the points still left; it counts the nontrivial kernel and
-the one evaluation it would have made, the evaluation cap checked at that
-point.  Every other point (a violation, rank n - 2 or less, or no nonzero
-tried minor) takes the per-point path below, so witnesses and counts are
-those of testing every point.  These polynomials are built only after the
-per-point path has met a point of rank n - 1, and specialized on a line
-only when points are left on it, so a search that meets its violation
-first builds none of them.
+cap.  Where it is M_{B,C}, the rank is exactly n - 1, the row space is that
+of the rows B, and the one kernel direction is killed by every query row f
+exactly when the bordered determinant det[G_B; f] vanishes, each decided by
+one ``roots_among`` call on the points still in question.  Such a point
+passes where they all vanish; it counts the nontrivial kernel and the one
+evaluation it would have made, the evaluation cap checked at that point.
+Every other point (a violation, rank n - 2 or less, or no nonzero tried
+minor) takes the per-point path below, so witnesses and counts are those of
+testing every point.  Bordered determinants are built when a point of rank
+n - 1 first needs them, and specialized on a line only when points are left
+on it, so a search that meets its violation first builds none of them.
+Specialization is the field's Horner kernel, ``Field.horner``, coordinate
+by coordinate; a one-coordinate prefix takes one call per coefficient list.
 
 Lines are read in pieces, each decided before the next is read.  The
 scan's first piece is one point, and a piece that fills up doubles the
@@ -63,17 +60,17 @@ reaches n the remaining generators, the kernel and the query are skipped.
 Only where the rank stays below n does the scan compute a basis of the
 joint kernel from that echelon form, evaluate the query, and check that it
 annihilates every kernel basis vector (linearity makes basis vectors
-sufficient).  The echelon form's one step is the field's elimination
-kernel, ``Field.eliminate``.  A skipped point has full rank, so the points,
-evaluations and nontrivial kernels counted are those of testing every
-point.  The first violation in enumeration order is re-verified on an
-independent path, ``Polynomial.evaluate_raw`` and a dot product, and
-returned, so results are fully deterministic; a parallel implementation
-would have to reconcile to the same minimal index.  That path keeps plain
-``add`` and ``mul`` and calls none of the kernels, so a wrong kernel ends in
-an InvariantViolationError, never in a reported counterexample.  The
-witness search in ``closure`` and the oracle below are thin wrappers over
-this one loop.
+sufficient).  The echelon form's one step is ``Field.eliminate``.  A
+skipped point has full rank, so the points, evaluations and nontrivial
+kernels counted are those of testing every point.  The first violation in
+enumeration order is re-verified on an independent path,
+``Polynomial.evaluate_raw`` and a dot product, and returned, so results are
+fully deterministic; a parallel implementation would have to reconcile to
+the same minimal index.  That path keeps plain ``add`` and ``mul`` and
+calls none of the kernels, so a wrong kernel ends in an
+InvariantViolationError, never in a reported counterexample.  The witness
+search in ``closure`` and the oracle below are thin wrappers over this one
+loop.
 
 The oracle enumerates every point of the field's d-fold product.
 Finite-field points are not points of the characteristic-0 variety, so
@@ -282,17 +279,19 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
     vectors or matrices over ``field``, of one ring and one rank; other
     generators raise MismatchedRingError or DimensionMismatchError.
 
-    Up to rank MINOR_MAX_RANK, a point passes at once where an n x n minor
-    of the generator rows does not vanish.  Where every n x n minor is among
-    those tried (C(m, n) <= MINOR_MAX_COUNT for m generator rows), the
-    points they leave have rank at most n - 1.  Once a point of rank n - 1
-    has reached the echelon form, such a point also passes where one of the
-    first MINOR_MAX_COUNT (n - 1) x (n - 1) minors, of rows B, does not
-    vanish and every query row bordered below the rows B has a zero
-    determinant: the rank is n - 1 and the query rows lie in the row space.
-    It counts the nontrivial kernel and the one kernel-vector evaluation
-    that the echelon path would have, so the counts are unchanged; every
-    violation is found and re-verified on the echelon path.  The minors and
+    Each piece of a line goes through one ordered list of tests, each a row
+    block, its minor and, one rank down, its bordered determinants.  Up to
+    rank MINOR_MAX_RANK the list starts with n x n minors of the generator
+    rows, and a point where one does not vanish passes at once.  Where every
+    n x n minor is among those tried (C(m, n) <= MINOR_MAX_COUNT for m
+    generator rows), the first point of rank n - 1 to reach the echelon form
+    appends the first MINOR_MAX_COUNT (n - 1) x (n - 1) minors.  A point
+    where such a minor, of rows B, is the first not to vanish has rank
+    n - 1, and passes where every query row bordered below the rows B has a
+    zero determinant, since the query rows then lie in the row space.  It
+    counts the nontrivial kernel and the one kernel-vector evaluation that
+    the echelon path would have, so the counts are unchanged; every
+    violation is found and re-verified on the echelon path.  The tests and
     the rows are specialized at a line's prefix, and only the latest prefix
     is kept, so memory stays flat on large fields; any order of lines is
     correct, and the odometer's specializes each prefix once.  A line is
@@ -309,18 +308,12 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
     integral = [_integral(row.entries, field) for row in gen_rows + list(query.rows)]
     compiled = [[_compile(terms, nx, zero) for terms in row] for row in integral]
     horner, roots_among = field.horner, field.roots_among
-
-    def minors_of_rank(rank):
-        """The minors of one rank: those not yet built, those built, and
-        those at the prefix."""
-        return _minors(ring, integral[:gen_count], compiled, rank, n, nx, zero), [], []
-
-    # the stratum one rank down is made when a point of rank n - 1 reaches
-    # the echelon form, if every n x n minor is among those tried
-    top, lower = minors_of_rank(n), None
-    lower_applies = n <= MINOR_MAX_RANK and math.comb(gen_count, n) <= MINOR_MAX_COUNT
-    bordered = {}  # by row block, its compiled bordered determinants
-    prefix = cache = bordered_at = None
+    tests = _minors(ring, integral[:gen_count], compiled, n, n, nx, zero)
+    # the tests built and those at the prefix, each [row block, minor,
+    # bordered determinants or None until a rank n - 1 point needs them]
+    built, at = [], []
+    one_down = n <= MINOR_MAX_RANK and math.comb(gen_count, n) <= MINOR_MAX_COUNT
+    prefix = cache = None
 
     def values(i, last):
         """Row i of ``compiled`` at the point prefix + (last,), from the row
@@ -339,57 +332,34 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
             coeffs.pop()
         return coeffs
 
-    def minor_at(stratum, k):
-        """(row block, minor k of ``stratum`` on the current line), or None
-        when there are no more minors."""
-        new, built, at = stratum
+    def test_at(k):
+        """Test k at the prefix, or None when there are no more tests."""
         if k == len(at):
             if k == len(built):
-                minor = next(new, None)
-                if minor is None:
+                if (minor := next(tests, None)) is None:
                     return None
-                built.append(minor)
-            block, nested = built[k]
-            at.append((block, at_prefix(nested)))
+                built.append([*minor, None])
+            at.append([built[k][0], at_prefix(built[k][1]), None])
         return at[k]
 
-    def borders_at(block):
-        """The bordered determinants of ``block`` on the current line."""
-        if block not in bordered_at:
-            if block not in bordered:
-                bordered[block] = _bordered(ring, integral, block, integral[gen_count:], nx, zero)
-            bordered_at[block] = [at_prefix(c) for c in bordered[block]]
-        return bordered_at[block]
-
-    def lower_passes(left, lasts):
-        """The points of ``left``, where every n x n minor vanishes, that
-        pass one rank down: a minor of rows B does not vanish there, so the
-        rank is n - 1, and every query row bordered below the rows B has a
-        zero determinant, so it lies in the row space."""
-        passed = set()
-        k = 0
-        while left and (entry := minor_at(lower, k)) is not None:
-            k += 1
-            block, minor = entry
-            roots = roots_among(minor, lasts)
-            if len(roots) < len(left):
-                vanish = set(roots)
-                ranked = [i for i in range(len(left)) if i not in vanish]
-                ids, xs = [left[i] for i in ranked], [lasts[i] for i in ranked]
-                for border in borders_at(block):
-                    keep = roots_among(border, xs)
-                    ids, xs = [ids[i] for i in keep], [xs[i] for i in keep]
-                passed.update(ids)
-                left, lasts = [left[i] for i in roots], [lasts[i] for i in roots]
-        return passed
+    def borders_at(k):
+        """The bordered determinants of the block of test k at the prefix,
+        kept on the block's first test: a block's tests are adjacent."""
+        while k and built[k - 1][0] == built[k][0]:
+            k -= 1
+        test, entry = built[k], at[k]
+        if entry[2] is None:
+            if test[2] is None:
+                test[2] = _bordered(ring, integral, test[0], integral[gen_count:], nx, zero)
+            entry[2] = [at_prefix(c) for c in test[2]]
+        return entry[2]
 
     count = evaluations = nontrivial = 0
     size = 1  # the points of the next piece, doubled after each full piece
     for line_prefix, line in lines:
         if line_prefix != prefix:
-            prefix, cache, bordered_at = line_prefix, [None] * len(compiled), {}
-            for stratum in (top, lower) if lower else (top,):
-                stratum[2].clear()
+            prefix, cache = line_prefix, [None] * len(compiled)
+            at.clear()
         line = iter(line)
         while xs := list(itertools.islice(line, min(size, cap - count + 1))):
             if len(xs) == size:
@@ -397,17 +367,25 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
             crossed = len(xs) > cap - count
             if crossed:
                 xs.pop()
-            # the points of the piece no minor has shown to be of full rank,
-            # and their last coordinates
-            left, lasts = range(len(xs)), xs
+            # the points of the piece at which every test so far vanishes,
+            # their last coordinates, and the points a test showed to be of
+            # rank n - 1: whether the query rows lie in the row space there
+            left, lasts, ranked = range(len(xs)), xs, {}
             k = 0
-            while left and (entry := minor_at(top, k)) is not None:
+            while left and (test := test_at(k)) is not None:
+                if len(roots := roots_among(test[1], lasts)) < len(left):
+                    if len(test[0]) < n:
+                        vanish = set(roots)
+                        ids = [j for i, j in enumerate(left) if i not in vanish]
+                        ranked.update(dict.fromkeys(ids, False))
+                        for border in borders_at(k):
+                            ids = [ids[i] for i in roots_among(border, [xs[j] for j in ids])]
+                        ranked.update(dict.fromkeys(ids, True))
+                    left, lasts = [left[i] for i in roots], [lasts[i] for i in roots]
                 k += 1
-                if len(roots := roots_among(entry[1], lasts)) < len(left):
-                    left, lasts = [left[j] for j in roots], [lasts[j] for j in roots]
-            passed = lower_passes(left, lasts) if lower and left else ()
-            for j, last in zip(left, lasts):
-                if j in passed:
+            for j in sorted(itertools.chain(left, ranked)) if ranked else left:
+                last = xs[j]
+                if ranked.get(j):
                     nontrivial += 1
                     evaluations += 1
                     if evaluations > cap:
@@ -419,8 +397,10 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
                         break
                 else:
                     # the rank stayed below n, so the kernel is nontrivial
-                    if lower is None and lower_applies and len(echelon) == n - 1:
-                        lower = minors_of_rank(n - 1)
+                    if one_down and len(echelon) == n - 1:
+                        one_down = False
+                        lower = _minors(ring, integral[:gen_count], compiled, n - 1, n, nx, zero)
+                        tests = itertools.chain(tests, lower)  # after every n x n minor
                     kernel = _kernel_basis([row for _, row in echelon], n, field)
                     nontrivial += 1
                     query_values = [values(i, last) for i in range(gen_count, len(compiled))]

@@ -671,6 +671,28 @@ def test_twisted_pair_membership(R, pair_basis):
     assert [str(c) for c in verdict.certificate] == ["1", "0"]
 
 
+def test_a_non_member_is_decided_on_the_packed_remainder(monkeypatch):
+    # the decision asks whether the reducer's remainder map is empty, so a
+    # non-member builds no remainder vector (over Q, no Fractions either)
+    R = PolyRing(QQ, ("x", "y"))
+    x, y = R.variables()
+    N = SubmodulePresentation(R, 2, [VectorPoly(R, [x * x - Fraction(1, 3), y])])
+    f = VectorPoly(R, [x, Fraction(2, 5) * y])
+    calls = []
+    plain = groebner._map_to_vec
+
+    def counted(*args):
+        calls.append(args)
+        return plain(*args)
+
+    monkeypatch.setattr(groebner, "_map_to_vec", counted)
+    assert not submodule_member(f, N).member
+    assert calls == []
+    # the remainder stays readable, and is the one vector built
+    assert not normal_form(f, N.groebner()).remainder.is_zero()
+    assert len(calls) == 1
+
+
 def test_membership_certificates_reproduce(R):
     rng = random.Random(47)
     for _ in range(25):

@@ -822,6 +822,66 @@ def test_scan_one_rank_down_matches_the_reference_loop(field, matrix, monkeypatc
     assert built < nontrivial
 
 
+@pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=repr)
+def test_minors_built_over_several_lines_then_one_rank_down_match_the_reference(
+    field, monkeypatch
+):
+    # three generator rows at n = 2: on the first line the first 2 x 2 minor
+    # passes every point, the other two are first asked for on the second
+    # line, where every minor vanishes and a point of rank 1 appends the
+    # 1 x 1 minors; the fourth line is passed by them, and queries spoiled at
+    # one point of the second or fourth line violate after or among passes
+    kernels = counted_kernels(monkeypatch)
+    values = _raw_values(field)
+    a, c, b, last = values[1], values[2], values[3], values[-1]
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.variables()
+
+    def at(v):
+        return ring.field.element(v)
+
+    def spoiled_at(u, w):
+        """(0, s) with s vanishing at every point of the grid but (u, w)."""
+        s = ring.one()
+        for v in values:
+            s = s * (x - at(v) if v != u else ring.one()) * (y - at(v) if v != w else ring.one())
+        return VectorPoly(ring, [ring.zero(), s])
+
+    g1 = VectorPoly(ring, [ring.one(), y])
+    g2 = VectorPoly(ring, [ring.zero(), (x - at(a)) * (x - at(b))])
+    g3 = VectorPoly(ring, [x + y, y * (x + y) + (x - at(a)) * (x - at(b)) * (x - at(c))])
+    gens = [g1, g2, g3]
+    combination = x * g1 + y * g2 + (y + 1) * g3
+    queries = [
+        combination,
+        combination + spoiled_at(a, last),
+        combination + spoiled_at(b, last),
+        VectorPoly(ring, [x, y * y]),
+    ]
+    in_order = lines_of(values, 2)
+    points = points_of(in_order)
+    rng = random.Random(f"minors-over-lines:{field!r}")
+    outcomes, built = [], []
+    for query in queries:
+        built.append(-len(kernels))
+        full = both_outcomes(query, gens, field, in_order, 10**6)
+        built[-1] += len(kernels)
+        outcomes.append(full)
+        both_outcomes(query, gens, field, one_point_lines(rng.sample(points, len(points))), 10**6)
+        for cap in (max(1, full[0] - 1), max(1, full[1] - 1)):
+            both_outcomes(query, gens, field, in_order, cap)
+    # the pass counts the ten rank-1 points of the second and fourth lines,
+    # and the spoiled queries fail at their spoiled points
+    assert outcomes[0][:3] == (25, 10, 10) and outcomes[0][3] is None
+    assert [out[3][0] for out in outcomes[1:3]] == [
+        tuple(map(field.element, p)) for p in [(a, last), (b, last)]
+    ]
+    assert outcomes[3][3] is not None
+    # in order, the pass builds kernels only on the second line's first
+    # piece of four points
+    assert built[0] == 4
+
+
 def re_verified(report_outcome, query, gens, field):
     """Whether a scan's reported counterexample, if any, passes the
     independent re-check."""

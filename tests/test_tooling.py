@@ -69,6 +69,28 @@ def test_violation_re_check_does_not_use_the_scan_kernels():
     assert found == []
 
 
+def test_eliminate_has_one_body_on_field():
+    # the echelon step is cold next to horner and roots_among, so it has
+    # one generic body instead of a copy per field
+    root = pathlib.Path(semimod.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {  # id of each class's method: the class
+            id(item): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+        }
+        found.extend(
+            f"{path.name}:{owner.get(id(node), '<not a method>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name == "eliminate"
+        )
+    assert found == ["fields.py:Field"]
+
+
 def test_ring_faults_are_raised_only_in_poly():
     # one operand rule: entry points call poly.check_operands instead of
     # testing rings by hand

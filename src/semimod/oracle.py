@@ -15,16 +15,16 @@ original rational rows.
 
 Each piece of a line goes through one ordered list of tests, built lazily:
 a row block B, its minor and, one rank down, its bordered determinants.
-First come the n x n minors of the generator rows (n the module rank), up
-to n = MINOR_MAX_RANK: the determinants of row blocks in
-itertools.combinations order, with polynomial arithmetic on the integral
-rows; a cofactor expansion costs n! products, so at larger ranks the scan
-goes straight to the echelon form below.  When every n x n minor of the m
-generator rows is among those tried (C(m, n) <= MINOR_MAX_COUNT, zero
-minors counting as tried), the points they leave have rank at most n - 1,
-and the first such point of rank n - 1 to reach the echelon form appends
-the (n - 1) x (n - 1) minors M_{B,C}, of the rows B and the columns C, B
-first: at n = 2 the entries, at n = 1 the constant 1.  A test is built only
+Every test is a determinant of the integral rows, each entry an integral
+polynomial built once per scan; the 0 x 0 one is 1.  First come the n x n
+minors of the generator rows (n the module rank), up to n = MINOR_MAX_RANK,
+of row blocks in itertools.combinations order; a cofactor expansion costs
+n! products, so at larger ranks the scan goes straight to the echelon form
+below.  When every n x n minor of the m generator rows is among those
+tried (C(m, n) <= MINOR_MAX_COUNT, zero minors counting as tried), the
+points they leave have rank at most n - 1, and the first such point of
+rank n - 1 to reach the echelon form appends the (n - 1) x (n - 1) minors
+M_{B,C}, of the rows B and the columns C, B first.  A test is built only
 when the tests before it leave points on some line, at most MINOR_MAX_COUNT
 of each size are tried, and zero minors are skipped.  On each line a minor
 is specialized at the prefix, its trailing zeros trimmed, and the field's
@@ -158,15 +158,16 @@ def odometer(values, dim: int):
         yield prefix, seen
 
 
-def _det(rows):
+def _det(rows, one):
     """Determinant of a square block of polynomial rows, by cofactor
-    expansion along the first row."""
-    if len(rows) == 1:
-        return rows[0][0]
+    expansion along the first row: ``one`` for the 0 x 0 block, the entry for
+    a 1 x 1 block."""
+    if len(rows) < 2:
+        return rows[0][0] if rows else one
     total = rows[0][0].ring.zero()
     for j, a in enumerate(rows[0]):
         if not a.is_zero():
-            term = a * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+            term = a * _det([row[:j] + row[j + 1 :] for row in rows[1:]], one)
             total = total - term if j % 2 else total + term
     return total
 
@@ -185,25 +186,26 @@ def _nest(terms, d, zero):
 
 
 def _integral(polys, field):
-    """The term lists of ``polys``, the entries of one row, times the least
+    """``polys``, the entries of one row, as polynomials times the least
     common denominator of all their coefficients (``field.split``).  One
     factor for the whole row keeps its kernel, its products with any vector
     vanish where the row's did, and the minors of such rows vanish where
     those of the rows did, so over Q the scan runs on ints; over a finite
-    field the terms are unchanged."""
+    field the coefficients are unchanged."""
     nums, _ = field.split(
         {(i, exps): c for i, p in enumerate(polys) for exps, c in p.terms.items()}
     )
-    out = [[] for _ in polys]
+    out = [{} for _ in polys]
     for (i, exps), c in nums.items():
-        out[i].append((exps, c))
-    return out
+        out[i][exps] = c
+    return [Polynomial(p.ring, terms) for p, terms in zip(polys, out)]
 
 
-def _compile(terms, nx, zero):
-    """One entry's terms as coefficient lists in the last x-variable, the
-    scan's fastest coordinate; without x-variables, a list of its one
+def _compile(poly, nx, zero):
+    """An integral polynomial as coefficient lists in the last x-variable,
+    the scan's fastest coordinate; without x-variables, a list of its one
     constant."""
+    terms = list(poly.terms.items())
     if any(any(exps[nx:]) for exps, _ in terms):
         raise DimensionMismatchError("polynomial involves variables outside the x-block")
     return _nest(terms, nx, zero) if nx else [_nest(terms, 0, zero)]
@@ -221,53 +223,34 @@ def _specialize(nested, coords, horner):
     return horner([_specialize(c, rest, horner) for c in nested], coords[-1])
 
 
-def _polys(ring, rows):
-    """Rows of integral term lists as rows of polynomials."""
-    return [[Polynomial(ring, dict(terms)) for terms in row] for row in rows]
-
-
-def _minors(ring, rows, compiled, rank, n, nx, zero):
-    """The nonzero rank x rank minors of ``rows``, integral term lists of n
-    entries each, as pairs (row block, minor compiled as ``_compile``
-    does): the determinant of the columns C of the rows B, for the first
+def _minors(rows, rank, n, one, nx, zero):
+    """The nonzero rank x rank minors of ``rows``, integral polynomial rows
+    of n entries each, as pairs (row block, minor compiled as ``_compile``
+    does): ``_det`` of the columns C of the rows B, for the first
     MINOR_MAX_COUNT pairs (B, C) in itertools.combinations order, B before
     C, built one at a time as they are asked for; none when n is above
-    MINOR_MAX_RANK.  At rank n the one C is every column, a 1 x 1 minor is
-    an entry of ``compiled``, the rows compiled, and the 0 x 0 minor is 1.
-    Over Q the rows are ints, so the minors are too."""
+    MINOR_MAX_RANK.  At rank n the one C is every column, and the 0 x 0
+    minor is ``one``.  Over Q the rows are ints, so the minors are too."""
     if n > MINOR_MAX_RANK:
         return
-    if not rank:
-        one = ring.field.split({0: ring.field.one_raw})[0][0]
-        yield (), _compile([((0,) * nx, one)], nx, zero)
-        return
-    polys = _polys(ring, rows) if rank > 1 else None
     pairs = (
         (block, cols)
         for block in itertools.combinations(range(len(rows)), rank)
         for cols in itertools.combinations(range(n), rank)
     )
     for block, cols in itertools.islice(pairs, MINOR_MAX_COUNT):
-        if polys is None:
-            (i,), (j,) = block, cols
-            if rows[i][j]:
-                yield block, compiled[i][j]
-            continue
-        minor = _det([[polys[i][j] for j in cols] for i in block])
+        minor = _det([[rows[i][j] for j in cols] for i in block], one)
         if not minor.is_zero():
-            yield block, _compile(list(minor.terms.items()), nx, zero)
+            yield block, _compile(minor, nx, zero)
 
 
-def _bordered(ring, rows, block, queries, nx, zero):
-    """The determinants det[G_B; f], compiled, for each query row f: the
-    rows of ``block`` bordered below by f, all integral term lists.  Where
-    the rows of the block have rank n - 1 and so has G, f lies in the row
-    space of G exactly where its determinant vanishes."""
-    block = _polys(ring, [rows[i] for i in block])
-    return [
-        _compile(list(_det(block + _polys(ring, [f])).terms.items()), nx, zero)
-        for f in queries
-    ]
+def _bordered(one, rows, block, queries, nx, zero):
+    """The determinants det[G_B; f], compiled, for each query row f: ``_det``
+    of the rows of ``block`` bordered below by f, all integral polynomial
+    rows.  Where the rows of the block have rank n - 1 and so has G, f lies
+    in the row space of G exactly where its determinant vanishes."""
+    block = [rows[i] for i in block]
+    return [_compile(_det(block + [f], one), nx, zero) for f in queries]
 
 
 def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleReport:
@@ -301,29 +284,20 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
     kernel-vector evaluations are needed."""
     n = len(query)
     check_operands(query.ring, n, generators, "generator")
-    ring, nx, is_zero = query.ring, query.ring.nx, field.is_zero
+    nx, is_zero = query.ring.nx, field.is_zero
     zero = field.split({0: field.zero_raw})[0][0]  # over Q the int 0
+    (one,) = _integral([query.ring.one()], field)
     gen_rows = [row for g in generators for row in g.rows]
     gen_count = len(gen_rows)
     integral = [_integral(row.entries, field) for row in gen_rows + list(query.rows)]
-    compiled = [[_compile(terms, nx, zero) for terms in row] for row in integral]
+    compiled = [[_compile(p, nx, zero) for p in row] for row in integral]
     horner, roots_among = field.horner, field.roots_among
-    tests = _minors(ring, integral[:gen_count], compiled, n, n, nx, zero)
+    tests = _minors(integral[:gen_count], n, n, one, nx, zero)
     # the tests built and those at the prefix, each [row block, minor,
     # bordered determinants or None until a rank n - 1 point needs them]
     built, at = [], []
     one_down = n <= MINOR_MAX_RANK and math.comb(gen_count, n) <= MINOR_MAX_COUNT
     prefix = cache = None
-
-    def values(i, last):
-        """Row i of ``compiled`` at the point prefix + (last,), from the row
-        specialized at the prefix."""
-        coeffs = cache[i]
-        if coeffs is None:
-            coeffs = cache[i] = [
-                [_specialize(c, prefix, horner) for c in entry] for entry in compiled[i]
-            ]
-        return [horner(c, last) for c in coeffs]
 
     def at_prefix(nested):
         """Compiled coefficient lists at the prefix, trailing zeros trimmed."""
@@ -331,6 +305,14 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
         while coeffs and is_zero(coeffs[-1]):
             coeffs.pop()
         return coeffs
+
+    def values(i, last):
+        """Row i of ``compiled`` at the point prefix + (last,), from the row
+        at the prefix."""
+        coeffs = cache[i]
+        if coeffs is None:
+            coeffs = cache[i] = [at_prefix(entry) for entry in compiled[i]]
+        return [horner(c, last) for c in coeffs]
 
     def test_at(k):
         """Test k at the prefix, or None when there are no more tests."""
@@ -350,7 +332,7 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
         test, entry = built[k], at[k]
         if entry[2] is None:
             if test[2] is None:
-                test[2] = _bordered(ring, integral, test[0], integral[gen_count:], nx, zero)
+                test[2] = _bordered(one, integral, test[0], integral[gen_count:], nx, zero)
             entry[2] = [at_prefix(c) for c in test[2]]
         return entry[2]
 
@@ -399,7 +381,7 @@ def vanishing_scan(query, generators, field: Field, lines, cap: int) -> OracleRe
                     # the rank stayed below n, so the kernel is nontrivial
                     if one_down and len(echelon) == n - 1:
                         one_down = False
-                        lower = _minors(ring, integral[:gen_count], compiled, n - 1, n, nx, zero)
+                        lower = _minors(integral[:gen_count], n - 1, n, one, nx, zero)
                         tests = itertools.chain(tests, lower)  # after every n x n minor
                     kernel = _kernel_basis([row for _, row in echelon], n, field)
                     nontrivial += 1

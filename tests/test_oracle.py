@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -949,6 +950,108 @@ def test_a_wrong_bordered_determinant_never_reports_a_false_counterexample(fault
     monkeypatch.setattr(semimod.oracle, "_bordered", wrong)
     out = faulty_outcomes(F5, f"fault-{fault}")
     assert any(got != expected for got, expected in out)
+
+
+def leibniz(matrix, one, add, mul, neg):
+    """The determinant of a square matrix by the Leibniz formula, with the
+    given arithmetic; ``one`` for the 0 x 0 matrix."""
+    total = None
+    for perm in itertools.permutations(range(len(matrix))):
+        term = one
+        for i, j in enumerate(perm):
+            term = mul(term, matrix[i][j])
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        term = neg(term) if odd else term
+        total = term if total is None else add(total, term)
+    return total
+
+
+def builder_rows(rng, ring, field, n, count):
+    """``count`` integral rows of n entries: random rows of nonzero entries,
+    a multiple of the first and a zero row among them, so that some minors
+    vanish and others do not."""
+    coeffs = [c for c in _raw_values(field) if not field.is_zero(c)]
+    if field.size is None:
+        coeffs += [Fraction(1, 2), Fraction(-2, 3)]
+
+    def entry():
+        while (e := random_entry(rng, ring, coeffs)).is_zero():
+            pass
+        return e
+
+    rows = [[entry() for _ in range(n)] for _ in range(count - 2)]
+    c = entry()
+    rows[1:1] = [[c * e for e in rows[0]]]
+    rows[3:3] = [[ring.zero()] * n]
+    return [semimod.oracle._integral(row, field) for row in rows]
+
+
+def flatten(nested):
+    if not isinstance(nested, list):
+        return [nested]
+    return [c for item in nested for c in flatten(item)]
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), QuadraticField(3), QQ], ids=repr)
+def test_minors_and_bordered_determinants_are_the_determinants_of_the_integral_rows(field):
+    # every test the scan makes is _det of the integral rows, compiled: each
+    # must equal a Leibniz determinant of the evaluated rows, come in
+    # combinations order with zero minors skipped, and stay within the caps
+    oracle = semimod.oracle
+    rng = random.Random(3001)
+    ring = PolyRing(field, ("x", "y"))
+    zero = field.split({0: field.zero_raw})[0][0]
+    (one,) = oracle._integral([ring.one()], field)
+    points = [tuple(rng.choice(_raw_values(field)) for _ in range(2)) for _ in range(4)]
+
+    def det_at(matrix, point):
+        values = [[e.evaluate_raw(point) for e in row] for row in matrix]
+        return leibniz(values, field.one_raw, field.add, field.mul, field.neg)
+
+    def check_compiled(compiled, matrix):
+        if field.size is None:
+            assert all(type(c) is int for c in flatten(compiled))
+        for point in points:
+            assert oracle._specialize(compiled, point, field.horner) == det_at(matrix, point)
+
+    capped = skipped = 0
+    for n in (1, 2, 3):
+        rows = builder_rows(rng, ring, field, n, 5)
+        for rank in range(n + 1):
+            pairs = [
+                (block, cols)
+                for block in itertools.combinations(range(len(rows)), rank)
+                for cols in itertools.combinations(range(n), rank)
+            ]
+
+            def block_of(pair):
+                block, cols = pair
+                return [[rows[i][j] for j in cols] for i in block]
+
+            nonzero = [
+                pair for pair in pairs
+                if not leibniz(block_of(pair), one, operator.add, operator.mul,
+                               operator.neg).is_zero()
+            ]
+            first = pairs[: oracle.MINOR_MAX_COUNT]
+            expected = [pair for pair in first if pair in nonzero]
+            capped += len(nonzero) > len(first)
+            skipped += len(expected) < len(first)
+            minors = list(oracle._minors(rows, rank, n, one, 2, zero))
+            assert [block for block, _ in minors] == [block for block, _ in expected]
+            assert len(minors) <= oracle.MINOR_MAX_COUNT
+            for (_, compiled), pair in zip(minors, expected):
+                check_compiled(compiled, block_of(pair))  # at rank 0 the value 1
+        queries = builder_rows(rng, ring, field, n, 4)[:2]
+        for block in itertools.combinations(range(len(rows)), n - 1):
+            bordered = oracle._bordered(one, rows + queries, block, queries, 2, zero)
+            assert len(bordered) == len(queries)
+            for compiled, f in zip(bordered, queries):
+                check_compiled(compiled, [rows[i] for i in block] + [f])
+    assert capped and skipped
+    wide = builder_rows(rng, ring, field, oracle.MINOR_MAX_RANK + 1, 6)
+    for rank in (0, 1, oracle.MINOR_MAX_RANK + 1):
+        assert list(oracle._minors(wide, rank, oracle.MINOR_MAX_RANK + 1, one, 2, zero)) == []
 
 
 def test_a_scan_of_rank_n_minus_one_everywhere_builds_a_handful_of_kernels(monkeypatch):

@@ -317,6 +317,29 @@ def test_every_scan_witness_follows_its_re_verification():
     assert set(built) == {"vanishing_scan"}
 
 
+def test_the_scan_builds_polynomials_only_from_its_integral_rows():
+    # every determinant the scan tests comes from _det over the rows that
+    # _integral builds once per scan, so no other function of oracle.py
+    # constructs a Polynomial
+    path = pathlib.Path(semimod.__file__).parent / "oracle.py"
+    built = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else owner)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "Polynomial":
+                    built.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert built and set(built) == {"_integral"}
+
+
 def test_every_basis_is_built_and_read_on_one_membership_path():
     # each decision asks submodule_member on a presentation: only its cached
     # basis is built by buchberger, and only submodule_member reduces by it

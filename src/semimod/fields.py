@@ -38,6 +38,7 @@ from math import gcd, lcm
 from .errors import (
     DivisionByZeroError,
     InfiniteFieldError,
+    InvariantViolationError,
     MismatchedFieldError,
     ResourceLimitExceededError,
 )
@@ -88,7 +89,8 @@ def quadratic_modulus(p: int) -> tuple[int, int]:
         for c in range(p):
             if _irreducible_quadratic(p, b, c):
                 return (b, c)
-    raise AssertionError(f"no irreducible quadratic over F_{p}")
+    # unreachable: F_p has (p^2 - p)/2 monic irreducible quadratics
+    raise InvariantViolationError(f"no irreducible quadratic over F_{p}")
 
 
 class Field:

@@ -13,9 +13,10 @@ Variable blocks: a ring remembers how many leading variables form the
 x-block, the only variables points evaluate; by default that is all of
 them.  ``PolyRing.extended`` appends fresh variables after the existing
 ones and keeps the x-block, so the encoding ring k[x, v] is the problem
-ring extended by the v-block, a chart ring k[x, v_1..v_{k-1}] is a prefix
-of it, and a radical test extends its ring by the tag; callers find the
-new variables by position.
+ring extended by the v-block and a chart ring k[x, v_1..v_{k-1}] is a
+prefix of it; callers find the new variables by position.  A radical test
+runs in ``PolyRing.tagged``, its ring with a fresh tag put first, which has
+no x-block.
 """
 
 from __future__ import annotations
@@ -142,10 +143,16 @@ class PolyRing:
         by a name appended before it, gets ``_`` suffixes until it is free."""
         names = list(self.names)
         for name in bases:
-            while name in names:
-                name += "_"
-            names.append(name)
+            names.append(_fresh(names, name))
         return PolyRing(self.field, names, nx=self.nx)
+
+    def tagged(self) -> "PolyRing":
+        """The ring of a Rabinowitsch test over this ring: a fresh tag
+        variable first, named from ``t`` as ``extended`` names a fresh
+        variable, then this ring's variables in their order.  A monomial
+        of the tagged ring is one of this ring with the tag's exponent put
+        in front.  No point is evaluated there, so it has no x-block."""
+        return PolyRing(self.field, (_fresh(self.names, "t"), *self.names), nx=0)
 
     def embed(self, f: "Polynomial") -> "Polynomial":
         """Lift a polynomial from a prefix ring into this ring."""
@@ -170,6 +177,13 @@ class PolyRing:
 
     def __repr__(self):
         return f"{self.field!r}[{','.join(self.names)}]"
+
+
+def _fresh(names, base):
+    """``base``, with ``_`` suffixes until no name in ``names`` is taken."""
+    while base in names:
+        base += "_"
+    return base
 
 
 def _check_ring(a, b):

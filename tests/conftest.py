@@ -9,7 +9,7 @@ from semimod.closure import (
     semiprime_member,
 )
 from semimod.fields import QQ, PrimeField
-from semimod.groebner import SubmodulePresentation
+from semimod.groebner import SubmodulePresentation, ideal_presentation
 from semimod.poly import OrderSpec, Polynomial, PolyRing, VectorPoly
 
 # every monomial order crossed with both module extensions
@@ -99,3 +99,24 @@ def check_witness_verdict(f, gens):
         assert not radical_member(enc.encoded_query, enc.encoded_generators)
         assert verdict.witness == find_vanishing_witness(f, gens)
     return verdict.method
+
+
+def tag_first_ideal(h, gens):
+    """The presentation of I + <1 - t*h> that the radical test of h over
+    ``gens`` computes its basis of, built with ring arithmetic: in
+    k[t, x..], the tag first and then h's ring's variables in their order,
+    with the generators of I in their order and 1 - t*h last."""
+    ring = h.ring
+    tagged = PolyRing(ring.field, ("t", *ring.names), nx=0)
+    t, *xs = tagged.variables()
+
+    def lift(p):
+        total = tagged.zero()
+        for exps, c in p.terms.items():
+            term = tagged.one().scale(c)
+            for x, e in zip(xs, exps):
+                term = term * x**e
+            total = total + term
+        return total
+
+    return ideal_presentation(tagged, [*map(lift, gens), 1 - t * lift(h)])

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import check_witness_verdict, random_generators, random_vector
+from conftest import (
+    check_witness_verdict,
+    random_generators,
+    random_polynomial,
+    random_vector,
+    tag_first_ideal,
+)
 
 import semimod.closure
 from semimod.closure import (
@@ -16,14 +22,14 @@ from semimod.closure import (
     semiprime_member,
 )
 from semimod.errors import DimensionMismatchError, InvariantViolationError
-from semimod.fields import QQ, PrimeField
+from semimod.fields import QQ, PrimeField, field_from_name
 from semimod.groebner import (
     DEFAULT_LIMITS,
     SubmodulePresentation,
     ideal_presentation,
     submodule_member,
 )
-from semimod.poly import DEFAULT_ORDER, PolyRing, VectorPoly, unit_vector
+from semimod.poly import DEFAULT_ORDER, OrderSpec, PolyRing, VectorPoly, unit_vector
 from semimod.verdicts import EXTENSION_STABLE, SOUND_ONLY, Verdict, guarantee_for
 
 
@@ -71,17 +77,13 @@ def test_radical_test_returns_a_verdict(field, guarantee):
     ring = PolyRing(field, ("x", "y"))
     x, y = ring.variables()
     gens = [x * x + y * y, x * y]
-    ext = ring.extended(["t"])
-    t = ext.variable("t")
     assert guarantee_for(field) == guarantee
     for f, member in ((x, True), (x + ring.one(), False)):
         verdict = semimod.closure._radical_member(f, gens, DEFAULT_ORDER, DEFAULT_LIMITS)
         assert verdict.member is member
         assert verdict.method == "radical"
-        # the counters are those of the basis of I + <1 - t*f>
-        aug = [ext.embed(g) for g in gens]
-        aug.append(ext.one() - t * ext.embed(f))
-        basis = ideal_presentation(ext, aug).groebner(DEFAULT_ORDER, DEFAULT_LIMITS)
+        # the counters are those of the basis of I + <1 - t*f> in k[t, x, y]
+        basis = tag_first_ideal(f, gens).groebner(DEFAULT_ORDER, DEFAULT_LIMITS)
         assert verdict.stats == basis.stats
         assert radical_member(f, gens) is member
 
@@ -130,6 +132,65 @@ def test_chart_k_sets_v_k_to_one_and_the_later_v_to_zero(R):
         assert len(chart_gens) == [1, 1, 2][k - 1]
 
 
+def _tag_placement_corpus(rng, ring, rounds=6):
+    """Seeded ideal problems ``(h, generators)``: over ``ring`` as the CLI's
+    radical corpus draws them (zero generators, h = 0, h in I, h in the
+    radical by h^2 = (h^2 - a*w) + w*a, random h), and on every chart of
+    rank-2 encodings over ``ring``, in k[x, y] and k[x, y, v1]: of a random
+    query, of a combination of the generators, and of a query f adjoined
+    with f_1*f and f_2*f, which lies in the semiprime closure."""
+    zero = ring.zero()
+    corpus = []
+    for _ in range(rounds):
+        g1, g2, a, b, h, w, q = (random_polynomial(rng, ring) for _ in range(7))
+        corpus += [
+            (q, [zero]),
+            (zero, [g1, g2]),
+            (a * g1 + b * g2, [g1, zero, g2]),
+            (h, [h * h - a * w, a]),
+            (q, [g1, g2]),
+        ]
+        gens = random_generators(rng, ring, 2)
+        f = random_vector(rng, ring, 2)
+        combination = sum((random_polynomial(rng, ring) * g for g in gens[1:]), gens[0])
+        for query, chart_gens in (
+            (f, gens),
+            (combination, gens),
+            (f, [*gens, f[0] * f, f[1] * f]),
+        ):
+            enc = bilinear_encoding(query, chart_gens)
+            corpus += [enc.chart(k) for k in (1, 2)]
+    return corpus
+
+
+def _tag_last_member(h, gens, order):
+    # the reference: I + <1 - t*h> with the tag appended last
+    ext = h.ring.extended(["t"])
+    t = ext.variables()[-1]
+    aug = [ext.embed(g) for g in gens]
+    aug.append(ext.one() - t * ext.embed(h))
+    one = VectorPoly(ext, [ext.one()])
+    return submodule_member(one, ideal_presentation(ext, aug), order, DEFAULT_LIMITS).member
+
+
+@pytest.mark.parametrize("scalar", ["grevlex", "lex"])
+@pytest.mark.parametrize("name", ["Q", "F7", "F3^2"])
+def test_the_tag_placement_keeps_every_radical_verdict(name, scalar):
+    # the radical test puts the tag first; its verdict is the tag-last
+    # ideal's, since both ask whether 1 lies in the same ideal
+    field = QQ if name == "Q" else field_from_name(name)
+    ring = PolyRing(field, ("x", "y"))
+    order = OrderSpec(scalar)
+    verdicts = Counter()
+    for h, gens in _tag_placement_corpus(random.Random(f"tag:{name}"), ring):
+        gens = list(gens)
+        verdict = semimod.closure._radical_member(h, gens, order, DEFAULT_LIMITS)
+        assert verdict.member is _tag_last_member(h, gens, order), (h, gens)
+        verdicts[verdict.member, h.ring.num_vars] += 1
+    # positives and negatives both, in both rings of the charts
+    assert set(verdicts) == {(m, n) for m in (True, False) for n in (2, 3)}
+
+
 # ---------------------------------------------------------------------------
 # semiprime membership
 # ---------------------------------------------------------------------------
@@ -176,11 +237,7 @@ def test_semiprime_counters_sum_the_direct_and_radical_phases(R, twisted):
         assert verdict.member is member and verdict.method == "radical"
         expected = Counter(direct.stats)
         for h, chart_gens in charts:
-            ext = h.ring.extended(["t"])
-            t = ext.variable("t")
-            aug = [ext.embed(g) for g in chart_gens]
-            aug.append(ext.one() - t * ext.embed(h))
-            basis = ideal_presentation(ext, aug).groebner(DEFAULT_ORDER, DEFAULT_LIMITS)
+            basis = tag_first_ideal(h, chart_gens).groebner(DEFAULT_ORDER, DEFAULT_LIMITS)
             expected.update(basis.stats)
         assert verdict.stats == dict(expected)
 

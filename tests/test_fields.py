@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import semimod.fields
+
 from semimod.errors import (
     DivisionByZeroError,
     InfiniteFieldError,
+    InvariantViolationError,
     MismatchedFieldError,
 )
 from semimod.fields import (
@@ -249,6 +252,14 @@ def test_quadratic_modulus_matches_exhaustive_search():
     assert len(primes) == 62
     for p in primes:
         assert quadratic_modulus(p) == _exhaustive_quadratic_modulus(p), p
+
+
+def test_a_field_without_an_irreducible_quadratic_is_a_typed_fault(monkeypatch):
+    # unreachable for a prime, so it is a soundness fault, raised as a typed
+    # error that `python -O` keeps
+    monkeypatch.setattr(semimod.fields, "_irreducible_quadratic", lambda p, b, c: False)
+    with pytest.raises(InvariantViolationError, match="no irreducible quadratic over F_5"):
+        quadratic_modulus(5)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

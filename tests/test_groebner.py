@@ -451,10 +451,10 @@ def test_resource_limits_raise(R):
 
 
 _LEX_CASE = """\
-from semimod.closure import _radical_member, bilinear_encoding
+from semimod.closure import bilinear_encoding
 from semimod.errors import ResourceLimitExceededError
 from semimod.fields import QQ
-from semimod.groebner import DEFAULT_LIMITS
+from semimod.groebner import DEFAULT_LIMITS, buchberger
 from semimod.poly import OrderSpec, PolyRing, VectorPoly
 R = PolyRing(QQ, ("x", "y"))
 x, y = R.variables()
@@ -462,33 +462,60 @@ f = VectorPoly(R, [x * y + 2 * y * y, x * x + 2 * x])
 gens = [VectorPoly(R, [2 * x * x + x, y * y]), VectorPoly(R, [-x * x - x * y, 2 * x * x + 2 * y])]
 enc = bilinear_encoding(f, gens)
 lex = OrderSpec(scalar="lex", module="top")
+"""
+
+# I + <1 - t*h> on the full encoding with the tag appended last, the
+# smallest variable under lex
+_LEX_TAG_LAST = _LEX_CASE + """\
+ext = enc.ring.extended(["t"])
+t = ext.variable("t")
+ideal = [ext.embed(g) for g in enc.encoded_generators]
+ideal.append(ext.one() - t * ext.embed(enc.encoded_query))
 try:
-    _radical_member(enc.encoded_query, enc.encoded_generators, lex, DEFAULT_LIMITS)
+    buchberger([VectorPoly(ext, [p]) for p in ideal], lex, DEFAULT_LIMITS)
 except ResourceLimitExceededError as exc:
     print(exc)
 """
 
+_LEX_TAG_FIRST = _LEX_CASE + """\
+from semimod.closure import _radical_member
+verdict = _radical_member(enc.encoded_query, enc.encoded_generators, lex, DEFAULT_LIMITS)
+print(verdict.member, verdict.method)
+"""
 
-def test_lex_radical_basis_ends_at_the_coefficient_cap():
-    # under grevlex this problem is decided in 0.02 s; under lex top its
-    # radical basis grows integer coefficients past 10^5 bits inside every
-    # pair and degree cap, and once ran for minutes.  The radical test runs
-    # on the encoding itself: semiprime_member decides the query by its grid
-    # witness at (0, 1) without a radical basis
+
+def _run_lex_case(source):
     src = os.path.dirname(os.path.dirname(groebner.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", _LEX_CASE],
+        [sys.executable, "-c", source],
         capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=src),
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith(f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed")
+    return done.stdout
+
+
+def test_lex_radical_basis_ends_at_the_coefficient_cap():
+    # under grevlex this problem is decided in 0.02 s; under lex top the
+    # basis of its full encoding's I + <1 - t*h>, with t the last and
+    # smallest variable, grows integer coefficients past 10^5 bits inside
+    # every pair and degree cap, and once ran for minutes
+    out = _run_lex_case(_LEX_TAG_LAST)
+    assert out.startswith(f"coefficient cap of {MAX_COEFFICIENT_BITS} bits crossed")
+
+
+def test_lex_radical_test_with_the_tag_first_decides_the_full_encoding():
+    # the radical test puts t first, the largest variable under lex, and
+    # decides the same ideal negative in milliseconds (1,326 pairs), far
+    # inside the coefficient cap.  semiprime_member never runs it: its grid
+    # witness at (0, 1) decides the query first
+    assert _run_lex_case(_LEX_TAG_FIRST) == "False radical\n"
 
 
 def test_lex_case_is_decided_on_its_first_chart():
     # the problem of _LEX_CASE, decided chart by chart as semiprime_member
     # decides a radical row: chart 1 (v1 = 1, v2 = 0) is the radical test of
     # f_1 over the first entries of the generators in Q[x, y], negative
-    # after 45 pairs, in milliseconds where the full encoding hits the cap
+    # after 21 pairs
     R = PolyRing(QQ, ("x", "y"))
     x, y = R.variables()
     f = VectorPoly(R, [x * y + 2 * y * y, x * x + 2 * x])
@@ -498,7 +525,7 @@ def test_lex_case_is_decided_on_its_first_chart():
     lex = OrderSpec(scalar="lex", module="top")
     verdict = closure._radical_member_by_charts(enc, lex, groebner.DEFAULT_LIMITS)
     assert not verdict.member and verdict.method == "radical"
-    assert verdict.stats["pairs_processed"] == 45
+    assert verdict.stats["pairs_processed"] == 21
     h, chart_gens = enc.chart(1)
     assert h.ring == R and h == f[0] and list(chart_gens) == [g[0] for g in gens]
 

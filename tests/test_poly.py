@@ -297,7 +297,8 @@ def test_linear_block_and_tag_rings(R):
 
 
 def test_encoding_rings_are_named_x_v_t(monkeypatch):
-    # the ring the radical test of a bilinear encoding computes its basis in
+    # the ring the radical test of a bilinear encoding computes its basis
+    # in: the tag first, with no x-block, then the encoding ring's variables
     rings = []
 
     def recording_buchberger(gens, order, limits):
@@ -306,17 +307,18 @@ def test_encoding_rings_are_named_x_v_t(monkeypatch):
 
     monkeypatch.setattr(semimod.groebner, "buchberger", recording_buchberger)
     for names, expected in (
-        (("x", "y"), ("x", "y", "v1", "v2", "t")),
-        (("t", "v1"), ("t", "v1", "v1_", "v2", "t_")),
+        (("x", "y"), ("t", "x", "y", "v1", "v2")),
+        (("t", "v1"), ("t_", "t", "v1", "v1_", "v2")),
+        (("t", "t_"), ("t__", "t", "t_", "v1", "v2")),
     ):
         ring = PolyRing(QQ, names)
         f = VectorPoly(ring, ring.variables())
         enc = bilinear_encoding(f, [f])
-        assert enc.ring == PolyRing(QQ, expected[:4], nx=2)
+        assert enc.ring == PolyRing(QQ, expected[1:], nx=2)
         semimod.closure._radical_member(
             enc.encoded_query, enc.encoded_generators, DEFAULT_ORDER, DEFAULT_LIMITS
         )
-        assert rings.pop() == PolyRing(QQ, expected, nx=2)
+        assert rings.pop() == PolyRing(QQ, expected, nx=0)
 
 
 def test_embedding_preserves_arithmetic(R):

@@ -238,6 +238,36 @@ def test_only_buchberger_builds_a_groebner_basis():
     assert found == []
 
 
+def test_one_function_builds_every_rabinowitsch_ring():
+    # the tag's place is fixed in PolyRing.tagged alone, and only the radical
+    # test calls it: no other path extends a ring by a tag
+    root = pathlib.Path(semimod.__file__).parent
+    callers = set()
+    tags = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name == "tagged":
+                    callers.add(owner)
+                if name == "extended" and any(
+                    isinstance(c, ast.Constant) and c.value == "t"
+                    for arg in child.args for c in ast.walk(arg)
+                ):
+                    tags.append(f"{owner}:{child.lineno}")
+            visit(child, owner)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert callers == {"closure._radical_member"}
+    assert tags == []
+
+
 def test_every_membership_call_passes_order_and_limits():
     # a call that falls back to the defaults escapes the query's --order,
     # --max-pairs and --max-degree
